@@ -77,6 +77,32 @@ def finalize_matrices(observers: dict[str, LinkObserver]) -> dict[str, DataFlowM
     return {link_id: obs.finalize() for link_id, obs in observers.items()}
 
 
+def data_flow_from_states(states, n_types: int, link_id: str = "trace") -> np.ndarray:
+    """Transition counts of a whole state sequence at once.
+
+    Equal to the counts a ``LinkObserver`` accumulates when fed the
+    states one by one: idle cycles hold the last transmitted type,
+    starting from the head type, and consecutive state pairs are
+    counted into the 2n x 2n matrix.
+    """
+    if n_types < 1:
+        raise ReportingError("need at least one data type")
+    s = np.asarray(states, dtype=np.int64)
+    active = s != IDLE
+    bad = active & ((s < 0) | (s >= n_types))
+    if bad.any():
+        raise ReportingError(
+            f"{link_id}: type {int(s[bad][0])} out of range (n={n_types})"
+        )
+    last = np.where(active, np.arange(s.size), -1)
+    np.maximum.accumulate(last, out=last)
+    held = np.where(last >= 0, s[np.maximum(last, 0)], n_types - 1)
+    state = np.where(active, s, n_types + held)
+    k = 2 * n_types
+    pairs = np.bincount(state[:-1] * k + state[1:], minlength=k * k)
+    return pairs.reshape(k, k).astype(np.int64)
+
+
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:
     """Convenience: build a DataFlowMatrix from an explicit state sequence."""
     obs = LinkObserver(link_id, n_types)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from noclink.cli import main
 from noclink.energy import save_capacitance_model, template_2d_bus, template_3d_tsv
+from noclink.streams import DataStream, write_stream_binary
 
 CONFIG = """\
 <simulation>
@@ -180,3 +182,100 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
+
+
+CASE_NODES = {
+    "R1": (0, 0, 0), "R2": (1, 0, 0), "R3": (2, 0, 0),
+    "R4": (0, 1, 0), "R5": (1, 1, 0), "R6": (2, 1, 0),
+    "R7": (1, 1, 1),
+}
+
+
+def case_study_config(flows: str) -> str:
+    nodes = "\n".join(
+        f'    <node id="{nid}" x="{x}" y="{y}" z="{z}"/>'
+        for nid, (x, y, z) in CASE_NODES.items()
+    )
+    head, _, tail = CONFIG.partition("  <topology>")
+    tail = tail.split("</traffic>", 1)[1]
+    return (
+        head + f"  <topology>\n{nodes}\n  </topology>\n"
+        '  <flitWidth value="16"/>\n  <bufferDepth value="4"/>\n'
+        '  <vcCount value="4"/>\n  <flitsPerPacket value="32"/>\n'
+        f"  <traffic>\n{flows}  </traffic>{tail}"
+    )
+
+
+def _canonical(obj):
+    """JSON data with floats rounded to 10 significant digits, so that the
+    digest does not depend on last-bit differences between BLAS builds."""
+    if isinstance(obj, dict):
+        return {k: _canonical(v) for k, v in sorted(obj.items())}
+    if isinstance(obj, list):
+        return [_canonical(v) for v in obj]
+    if isinstance(obj, float):
+        return float(f"{obj:.10g}")
+    return obj
+
+
+class TestRunDirectoryGolden:
+    """The outputs of a fixed-seed case-study run directory, pinned by digest."""
+
+    DIGEST = "8acaf22b92e211f1aa11616a0743835190602d5772b5508503983392741e9e0c"
+
+    def test_golden_digest(self, tmp_path):
+        flows = "".join(
+            f'    <flow src="{src}" dst="R7" rate="0.00625" payload="pixel-packed"'
+            f' sigma="40" rho="0.995" seed="{100 + i}" length="16384"/>\n'
+            for i, src in enumerate(["R1", "R2", "R3", "R4", "R6", "R5"])
+        )
+        config = tmp_path / "case.xml"
+        config.write_text(case_study_config(flows))
+        out = tmp_path / "run"
+        assert main([
+            "simulate", "--config", str(config), "--out", str(out),
+            "--cycles", "4000", "--seed", "5", "--debug-protocol",
+        ]) == 0
+        for codec in ("none", "gray", "correlator+inv"):
+            assert main(["analyze", "--run", str(out), "--codec", codec]) == 0
+        h = hashlib.sha256()
+        for path in sorted(out.glob("M_*.csv")):
+            h.update(path.name.encode() + path.read_bytes())
+        for name in ("link_counts.json", "energy.json", "energy_gray.json",
+                     "energy_correlator+inv.json"):
+            data = _canonical(json.loads((out / name).read_text()))
+            h.update(name.encode() + json.dumps(data, sort_keys=True).encode())
+        h.update((out / "protocols" / "R5__R7.protocol").read_bytes())
+        assert h.hexdigest() == self.DIGEST
+
+
+class TestSelfContainedRun:
+    def test_analyze_without_payload_file(self, tmp_path, monkeypatch):
+        sim_dir = tmp_path / "sim"
+        sim_dir.mkdir()
+        rng = np.random.default_rng(4)
+        write_stream_binary(
+            sim_dir / "payload.bin",
+            DataStream(rng.integers(0, 1 << 16, 3000, dtype=np.uint64), 16),
+        )
+        flows = (
+            '    <flow src="A" dst="C" rate="0.02" payload="stream" file="payload.bin"/>\n'
+            '    <flow src="B" dst="C" rate="0.02" payload="uniform" seed="2"/>\n'
+        )
+        (sim_dir / "sim.xml").write_text(
+            CONFIG.split("  <traffic>")[0] + f"  <traffic>\n{flows}  </traffic>\n</simulation>\n"
+        )
+        monkeypatch.chdir(sim_dir)
+        assert run_simulate("sim.xml", "run") == 0
+        assert main(["analyze", "--run", "run", "--codec", "gray"]) == 0
+        before = json.loads((sim_dir / "run" / "energy_gray.json").read_text())
+
+        (sim_dir / "payload.bin").unlink()
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main([
+            "analyze", "--run", str(sim_dir / "run"), "--codec", "gray", "--out", "post",
+        ]) == 0
+        after = json.loads((elsewhere / "post" / "energy_gray.json").read_text())
+        assert after == before

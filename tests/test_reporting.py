@@ -9,6 +9,7 @@ from noclink.reporting import (
     IDLE,
     LinkObserver,
     ReportingError,
+    data_flow_from_states,
     data_flow_from_trace,
     emit_reports,
     finalize_matrices,
@@ -67,6 +68,29 @@ class TestLinkObserver:
     def test_mass_sums_to_one(self, states):
         m = data_flow_from_trace(states, 3)
         assert m.m.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 20),
+            st.lists(st.integers(-1, n - 1), max_size=200),
+        ))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_counts_equal_online_counts(self, case):
+        # a leading idle run (possibly the whole sequence) holds the head type
+        n, lead, rest = case
+        states = [IDLE] * lead + rest
+        obs = LinkObserver("L", n)
+        for s in states:
+            obs.record(s)
+        counts = data_flow_from_states(states, n)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, obs.counts)
+
+    def test_vectorized_counts_reject_out_of_range(self):
+        with pytest.raises(ReportingError):
+            data_flow_from_states([0, 2], 2)
 
     def test_active_flits_match(self):
         obs = LinkObserver("L", 2)
