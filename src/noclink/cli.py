@@ -23,13 +23,15 @@ from pathlib import Path
 import numpy as np
 
 from . import sweeps
-from .codecs import CodecError
+from .codecs import CodecError, make_codec
 from .config import ConfigError, build_simulation, parse_config
 from .energy import CapacitanceError, load_capacitance_model
 from .linkmodel import LinkModelError
-from .oracle import TraceError, exact_energy, replay_link_protocol, write_link_protocol
-from .reporting import ReportingError, emit_reports
-from .simnet import ConfigurationError, SimulationResult
+from .oracle import LinkTrace, TraceError, exact_energy, replay_link_protocol, write_link_protocol
+from .reporting import (
+    ReportingError, data_flow_from_states, data_flow_matrix, emit_reports, link_file_name,
+)
+from .simnet import TRACE_COLUMNS, ConfigurationError, SimulationResult, TraceColumns
 from .streams import (
     StreamError,
     StreamSpec,
@@ -50,67 +52,46 @@ VALIDATION_ERRORS = (
 
 # --- shared helpers -----------------------------------------------------------
 
+# Run directory layout version; version 2 records each flow's consumed payload
+# in traces.npz, so that ``analyze`` needs nothing outside the run directory.
+RUN_FORMAT = 2
 
-def _safe(link_id: str) -> str:
-    return link_id.replace("->", "__").replace("/", "_")
 
-
-def _save_traces(result: SimulationResult, out: Path) -> None:
+def _save_traces(result: SimulationResult, payloads: dict, out: Path) -> None:
     arrays: dict[str, np.ndarray] = {}
     for link_id, trace in result.link_traces.items():
-        n = len(trace)
-        types = np.full(n, -1, dtype=np.int64)
-        words = np.zeros(n, dtype=np.uint64)
-        flows = np.full(n, -1, dtype=np.int64)
-        indices = np.full(n, -1, dtype=np.int64)
-        for i, entry in enumerate(trace):
-            if entry is None:
-                continue
-            types[i], words[i], flows[i], indices[i] = entry
-        key = _safe(link_id)
-        arrays[f"{key}.types"] = types
-        arrays[f"{key}.words"] = words
-        arrays[f"{key}.flows"] = flows
-        arrays[f"{key}.indices"] = indices
+        key = link_file_name(link_id)
+        for name in TRACE_COLUMNS:
+            arrays[f"{key}.{name}"] = getattr(trace, name)
+    for flow_id, words in payloads.items():
+        arrays[f"payload.{flow_id}"] = words
     np.savez_compressed(out / "traces.npz", **arrays)
 
 
-def _load_result(run_dir: Path) -> SimulationResult:
+def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
+    """The recorded result and each flow's consumed payload words."""
     meta = json.loads((run_dir / "meta.json").read_text())
+    if meta.get("format") != RUN_FORMAT:
+        raise ReportingError(f"{run_dir} was written by an earlier noclink without"
+                             " the recorded payloads; re-run `noclink simulate`")
     result = SimulationResult(
         cycles=meta["cycles"],
         clock_period=meta["clock_period_s"],
         n_types=meta["n_types"],
         flit_width=meta["flit_width"],
     )
-    data = np.load(run_dir / "traces.npz")
-    links = meta["links"]
-    for link_id, vertical in links.items():
-        key = _safe(link_id)
-        types = data[f"{key}.types"]
-        words = data[f"{key}.words"]
-        flows = data[f"{key}.flows"]
-        indices = data[f"{key}.indices"]
-        trace = [
-            None if types[i] < 0
-            else (int(types[i]), int(words[i]), int(flows[i]), int(indices[i]))
-            for i in range(len(types))
-        ]
-        result.link_traces[link_id] = trace
-        result.link_vertical[link_id] = bool(vertical)
-    from .reporting import LinkObserver, finalize_matrices
-
-    observers = {}
-    for link_id in links:
-        obs = LinkObserver(link_id, result.n_types)
-        for entry in result.link_traces[link_id]:
-            obs.record(-1 if entry is None else entry[0])
-        observers[link_id] = obs
-    result.data_flow = finalize_matrices(observers)
-    result.link_flit_counts = {
-        k: obs.type_flit_counts() for k, obs in observers.items()
-    }
-    return result
+    n = result.n_types
+    with np.load(run_dir / "traces.npz") as data:
+        for link_id, vertical in meta["links"].items():
+            key = link_file_name(link_id)
+            trace = TraceColumns(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS))
+            counts = data_flow_from_states(trace.types, n, link_id)
+            result.link_traces[link_id] = trace
+            result.link_vertical[link_id] = bool(vertical)
+            result.data_flow[link_id] = data_flow_matrix(counts, n, link_id)
+            result.link_flit_counts[link_id] = counts[:, :n].sum(axis=0)
+        payloads = {i: data[f"payload.{i}"] for i in range(meta["flows"])}
+    return result, payloads
 
 
 def _load_caps(args, width: int):
@@ -125,8 +106,8 @@ def _load_caps(args, width: int):
     return cap2d, cap3d
 
 
-def _energy_reports(result, args, coded=None):
-    cap2d, cap3d = _load_caps(args, result.flit_width)
+def _energy_reports(result, args, coded=None, width=None):
+    cap2d, cap3d = _load_caps(args, width or result.flit_width)
     return sweeps.network_energy_reports(
         result, cap2d, cap3d, sweeps.TECH,
         coded=coded, eq11_literal=getattr(args, "eq11_literal", False),
@@ -159,8 +140,10 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     energy = _energy_reports(result, args) if (args.cap2d or args.cap3d) else None
     emit_reports(result, out, energy)
-    _save_traces(result, out)
+    _save_traces(result, sweeps.consumed_prefixes(cfg.traffic, result), out)
     meta = {
+        "format": RUN_FORMAT,
+        "flows": len(cfg.traffic),
         "cycles": result.cycles,
         "clock_period_s": result.clock_period,
         "n_types": result.n_types,
@@ -173,13 +156,10 @@ def cmd_simulate(args) -> int:
     if args.debug_protocol:
         proto = out / "protocols"
         proto.mkdir(exist_ok=True)
-        from .oracle import LinkTrace
-
-        for link_id in result.link_traces:
-            types, words = result.link_trace_arrays(link_id)
+        for link_id, trace in result.link_traces.items():
             write_link_protocol(
-                proto / f"{_safe(link_id)}.protocol",
-                LinkTrace(words, types, result.flit_width),
+                proto / f"{link_file_name(link_id)}.protocol",
+                LinkTrace(trace.words, trace.types, result.flit_width),
             )
     print(f"simulated {result.cycles} cycles; reports in {out}")
     return 0
@@ -187,16 +167,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
-    result = _load_result(run_dir)
+    result, payloads = _load_run(run_dir)
     coded = None
+    width = result.flit_width
     if args.codec and args.codec != "none":
-        cfg = parse_config(run_dir / "config.xml")
-        flow_words = {i: s.payload.words for i, s in enumerate(cfg.traffic)}
-        coded = sweeps.encode_flow_words(
-            flow_words, args.codec, result.flit_width,
-            sweeps.consumed_word_index(result),
-        )
-    reports = _energy_reports(result, args, coded)
+        width = make_codec(args.codec, width).width_out
+        coded = sweeps.encode_flow_words(payloads, args.codec, result.flit_width)
+    reports = _energy_reports(result, args, coded, width)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     suffix = f"_{args.codec}" if args.codec and args.codec != "none" else ""

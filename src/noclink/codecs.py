@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streams import DataStream, StreamError
+from .streams import DataStream
 
 CODEC_NAMES = ("none", "invert", "gray", "correlator", "correlator+inv")
 
@@ -106,6 +106,8 @@ class InvertCodec(Codec):
     def __init__(self, width: int):
         super().__init__(width)
         self.width_out = width + 1
+        if self.width_out > 64:
+            raise CodecError(f"invert: coded width {self.width_out} exceeds 64 bits")
 
     def encode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_in)
@@ -149,14 +151,6 @@ def make_codec(name: str, width: int) -> Codec:
     if name == "correlator+inv":
         return CorrelatorCodec(width, invert_output=True)
     raise CodecError(f"unknown codec {name!r}")
-
-
-def encode_stream(name: str, stream: DataStream) -> DataStream:
-    return make_codec(name, stream.width).encode(stream)
-
-
-def decode_stream(codec: Codec, encoded: DataStream) -> DataStream:
-    return codec.decode(encoded)
 
 
 def coding_gain(uncoded_per_byte: float, coded_per_byte: float) -> float:

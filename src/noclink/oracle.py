@@ -22,6 +22,14 @@ class TraceError(ValueError):
     """Malformed link trace or protocol file."""
 
 
+def forward_fill(values: np.ndarray, active: np.ndarray, initial) -> np.ndarray:
+    """Each entry's value at the last active position up to it, and
+    ``initial`` before the first active position."""
+    last = np.where(active, np.arange(active.size), -1)
+    np.maximum.accumulate(last, out=last)
+    return np.where(last >= 0, values[np.maximum(last, 0)], initial)
+
+
 @dataclass(frozen=True)
 class LinkTrace:
     """Per-cycle link record: a (word, type) pair or an idle marker."""
@@ -49,12 +57,7 @@ class LinkTrace:
 
     def held_words(self) -> np.ndarray:
         """Value on the wires each cycle: last transmitted word, initially 0."""
-        active = self.types >= 0
-        idx = np.where(active, np.arange(len(self)), -1)
-        np.maximum.accumulate(idx, out=idx)
-        held = np.where(idx >= 0, self.words[np.maximum(idx, 0)], np.uint64(0))
-        held[~active & (idx < 0)] = 0
-        return held.astype(np.uint64)
+        return forward_fill(self.words, self.types >= 0, np.uint64(0))
 
     def active_count(self) -> int:
         return int((self.types >= 0).sum())
@@ -154,14 +157,34 @@ def exact_energy(
 
 # --- protocol files -----------------------------------------------------------
 
+def _digits(values: np.ndarray, base: int, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII digits of non-negative integers, right-aligned in rows of at
+    least ``width`` columns, and the mask that drops leading zeros (zero
+    keeps one digit): ``chars[keep]`` spells the numbers."""
+    top = int(values.max(initial=0))
+    ndig = max(width, len(np.base_repr(top, base)))
+    dtype = np.min_scalar_type(max(top, base**ndig - 1))  # narrow integers divide fastest
+    powers = np.array([base**k for k in range(ndig - 1, -1, -1)], dtype=dtype)
+    digits = (values.astype(dtype)[:, None] // powers) % dtype.type(base)
+    keep = np.maximum.accumulate(digits != 0, axis=1)
+    keep[:, -1] = True
+    return np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[digits], keep
+
+
 def write_link_protocol(path, trace: LinkTrace) -> None:
     """One record per cycle: ``cycle,type_id|IDLE,hexword``."""
-    held = trace.held_words()
-    with open(path, "w") as fh:
-        for cycle in range(len(trace)):
-            t = trace.types[cycle]
-            tag = "IDLE" if t < 0 else str(int(t))
-            fh.write(f"{cycle},{tag},{int(held[cycle]):x}\n")
+    n, idle = len(trace), trace.types < 0
+    tag, tag_keep = _digits(np.maximum(trace.types, 0), 10, width=4)
+    tag[idle, -4:] = np.frombuffer(b"IDLE", dtype=np.uint8)
+    tag_keep[idle] = np.arange(tag.shape[1]) >= tag.shape[1] - 4
+    cycle, cycle_keep = _digits(np.arange(n), 10)
+    word, word_keep = _digits(trace.held_words(), 16)
+    comma, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in ",\n")
+    sep = np.ones((n, 1), dtype=bool)
+    chars = np.hstack([cycle, comma, tag, comma, word, newline])
+    keep = np.hstack([cycle_keep, sep, tag_keep, sep, word_keep, sep])
+    with open(path, "wb") as fh:
+        fh.write(chars[keep].tobytes())
 
 
 def replay_link_protocol(path, width: int) -> LinkTrace:

@@ -7,18 +7,20 @@ memory, independent of the simulated cycle count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .linkmodel import DataFlowMatrix, save_data_flow_matrix
-
-IDLE = -1
+from .oracle import IDLE, forward_fill
 
 
 class ReportingError(ValueError):
     pass
+
+
+class SimulationError(RuntimeError):
+    """A simulator invariant was violated."""
 
 
 class LinkObserver:
@@ -54,10 +56,6 @@ class LinkObserver:
         self._prev = state
         self.cycles += 1
 
-    def record_trace(self, states) -> None:
-        for s in states:
-            self.record(int(s))
-
     def active_flits(self) -> int:
         """Flits that traversed the link within the counted transitions."""
         return int(self.counts[:, : self.n].sum())
@@ -66,15 +64,18 @@ class LinkObserver:
         return self.counts[:, : self.n].sum(axis=0)
 
     def finalize(self) -> DataFlowMatrix:
-        if self.cycles < 2:
-            raise ReportingError(f"{self.link_id}: need at least two observed cycles")
-        total = self.counts.sum()
-        assert total == self.cycles - 1
-        return DataFlowMatrix(self.counts / total, self.n)
+        if self.counts.sum() != max(self.cycles - 1, 0):
+            raise SimulationError(
+                f"{self.link_id}: {self.counts.sum()} transitions in {self.cycles} cycles")
+        return data_flow_matrix(self.counts, self.n, self.link_id)
 
 
-def finalize_matrices(observers: dict[str, LinkObserver]) -> dict[str, DataFlowMatrix]:
-    return {link_id: obs.finalize() for link_id, obs in observers.items()}
+def data_flow_matrix(counts: np.ndarray, n_types: int, link_id: str) -> DataFlowMatrix:
+    """Normalize transition counts into a data-flow matrix."""
+    total = counts.sum()
+    if total < 1:
+        raise ReportingError(f"{link_id}: need at least two observed cycles")
+    return DataFlowMatrix(counts / total, n_types)
 
 
 def data_flow_from_states(states, n_types: int, link_id: str = "trace") -> np.ndarray:
@@ -85,19 +86,12 @@ def data_flow_from_states(states, n_types: int, link_id: str = "trace") -> np.nd
     starting from the head type, and consecutive state pairs are
     counted into the 2n x 2n matrix.
     """
-    if n_types < 1:
-        raise ReportingError("need at least one data type")
     s = np.asarray(states, dtype=np.int64)
     active = s != IDLE
     bad = active & ((s < 0) | (s >= n_types))
     if bad.any():
-        raise ReportingError(
-            f"{link_id}: type {int(s[bad][0])} out of range (n={n_types})"
-        )
-    last = np.where(active, np.arange(s.size), -1)
-    np.maximum.accumulate(last, out=last)
-    held = np.where(last >= 0, s[np.maximum(last, 0)], n_types - 1)
-    state = np.where(active, s, n_types + held)
+        raise ReportingError(f"{link_id}: type {int(s[bad][0])} out of range (n={n_types})")
+    state = np.where(active, s, n_types + forward_fill(s, active, n_types - 1))
     k = 2 * n_types
     pairs = np.bincount(state[:-1] * k + state[1:], minlength=k * k)
     return pairs.reshape(k, k).astype(np.int64)
@@ -105,9 +99,7 @@ def data_flow_from_states(states, n_types: int, link_id: str = "trace") -> np.nd
 
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:
     """Convenience: build a DataFlowMatrix from an explicit state sequence."""
-    obs = LinkObserver(link_id, n_types)
-    obs.record_trace(states)
-    return obs.finalize()
+    return data_flow_matrix(data_flow_from_states(states, n_types, link_id), n_types, link_id)
 
 
 # --- latency ------------------------------------------------------------------
@@ -129,7 +121,8 @@ def latency_stats(samples, clock_period: float) -> dict:
 
 # --- emission -----------------------------------------------------------------
 
-def _safe_name(link_id: str) -> str:
+def link_file_name(link_id: str) -> str:
+    """File-name form of a link id: ``R2->R5`` becomes ``R2__R5``."""
     return link_id.replace("->", "__").replace("/", "_")
 
 
@@ -144,7 +137,7 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
     written: list[Path] = []
 
     for link_id, dfm in result.data_flow.items():
-        path = out / f"M_{_safe_name(link_id)}.csv"
+        path = out / f"M_{link_file_name(link_id)}.csv"
         save_data_flow_matrix(path, dfm, result.cycles, link_id)
         written.append(path)
 

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .reporting import IDLE, LinkObserver, finalize_matrices, latency_stats
+from .reporting import IDLE, LinkObserver, SimulationError, latency_stats
 
 LOCAL, XP, XN, YP, YN, ZP, ZN = range(7)
 PORT_NAMES = ("local", "x+", "x-", "y+", "y-", "z+", "z-")
@@ -34,10 +34,6 @@ PORT_DELTAS = {
 }
 
 FREE, ACTIVE, DRAINING = 0, 1, 2
-
-
-class SimulationError(RuntimeError):
-    pass
 
 
 class ConfigurationError(ValueError):
@@ -152,10 +148,11 @@ class Link:
         self.reg_vc = 0
         self.credit_fly: list[int] = []
         self.credit_stage: list[int] = []
-        self.trace: list | None = [] if collect_trace else None
+        self.trace = TraceColumns.idle(0) if collect_trace else None
 
     def put(self, flit: Flit, vc: int) -> None:
-        assert self.reg_flit is None, f"{self.link_id}: link register busy"
+        if self.reg_flit is not None:
+            raise SimulationError(f"{self.link_id}: link register busy")
         self.reg_flit = flit
         self.reg_vc = vc
 
@@ -176,12 +173,16 @@ class Link:
         f = self.reg_flit
         if f is None:
             self.observer.record(IDLE)
-            if self.trace is not None:
-                self.trace.append(None)
         else:
             self.observer.record(f.type_id)
-            if self.trace is not None:
-                self.trace.append((f.type_id, f.word, f.flow_id, f.word_index))
+            tr = self.trace
+            if tr is not None:
+                # idle cycles keep the columns' fill values
+                i = self.observer.cycles - 1
+                tr.types[i] = f.type_id
+                tr.words[i] = f.word
+                tr.flows[i] = f.flow_id
+                tr.indices[i] = f.word_index
 
 
 class InputVC:
@@ -235,17 +236,17 @@ class Router:
 
     def accept(self, port: int, vc: int, flit: Flit) -> None:
         buf = self.inputs[port][vc].buffer
-        assert len(buf) < self.cfg.buffer_depth, (
-            f"{self.node_id}: buffer overflow on {PORT_NAMES[port]} vc {vc}"
-        )
+        if len(buf) >= self.cfg.buffer_depth:
+            raise SimulationError(
+                f"{self.node_id}: buffer overflow on {PORT_NAMES[port]} vc {vc}")
         buf.append(flit)
 
     def accept_credit(self, port: int, vc: int) -> None:
         ov = self.outputs[port].vcs[vc]
         ov.credits += 1
-        assert ov.credits <= ov.depth, (
-            f"{self.node_id}: credit overflow on {PORT_NAMES[port]} vc {vc}"
-        )
+        if ov.credits > ov.depth:
+            raise SimulationError(
+                f"{self.node_id}: credit overflow on {PORT_NAMES[port]} vc {vc}")
         if ov.state == DRAINING and ov.credits == ov.depth:
             ov.state = FREE
 
@@ -350,7 +351,8 @@ class SourceNI:
     def accept_credit(self, _port: int, vc: int) -> None:
         v = self.vcs[vc]
         v.credits += 1
-        assert v.credits <= v.depth, f"{self.node_id}: NI credit overflow"
+        if v.credits > v.depth:
+            raise SimulationError(f"{self.node_id}: NI credit overflow")
         if v.state == DRAINING and v.credits == v.depth:
             v.state = FREE
             self.active_flows.discard(v.flow_id)
@@ -409,7 +411,8 @@ class SinkNI:
 
     def accept(self, _port: int, vc: int, flit: Flit) -> None:
         buf = self.buffers[vc]
-        assert len(buf) < self.depth, f"{self.node_id}: sink buffer overflow"
+        if len(buf) >= self.depth:
+            raise SimulationError(f"{self.node_id}: sink buffer overflow")
         buf.append(flit)
 
     def occupancy(self) -> int:
@@ -474,6 +477,38 @@ class PE:
             self.injected_packets += 1
 
 
+TRACE_COLUMNS = ("types", "words", "flows", "indices")
+
+
+@dataclass
+class TraceColumns:
+    """Per-cycle record of one link register, one array entry per cycle.
+
+    An entry holds the type, word, flow id and payload word index of the
+    flit in the register (word index -1 for head flits).  Idle cycles
+    hold the fill values: type IDLE, word 0, flow -1, word index -1.
+    """
+
+    types: np.ndarray  # int64
+    words: np.ndarray  # uint64
+    flows: np.ndarray  # int64
+    indices: np.ndarray  # int64
+
+    @classmethod
+    def idle(cls, cycles: int) -> TraceColumns:
+        def ints(fill):
+            return np.full(cycles, fill, dtype=np.int64)
+        return cls(ints(IDLE), np.zeros(cycles, dtype=np.uint64), ints(-1), ints(-1))
+
+    def extended(self, cycles: int) -> TraceColumns:
+        """These columns followed by ``cycles`` idle entries."""
+        more = TraceColumns.idle(cycles)
+        return TraceColumns(*(
+            np.concatenate([getattr(self, name), getattr(more, name)])
+            for name in TRACE_COLUMNS
+        ))
+
+
 @dataclass
 class SimulationResult:
     cycles: int = 0
@@ -485,7 +520,7 @@ class SimulationResult:
     data_flow: dict = field(default_factory=dict)
     link_flit_counts: dict = field(default_factory=dict)
     link_vertical: dict = field(default_factory=dict)
-    link_traces: dict = field(default_factory=dict)
+    link_traces: dict = field(default_factory=dict)  # link id -> TraceColumns
     consumed_words: dict = field(default_factory=dict)
     injected_flits: int = 0
     injected_packets: int = 0
@@ -493,23 +528,6 @@ class SimulationResult:
     ejected_packets: int = 0
     in_flight_flits: int = 0
     max_backlogs: dict = field(default_factory=dict)
-
-    def link_trace_arrays(self, link_id: str):
-        """Per-cycle (types, words) arrays for the bit-level oracle.
-
-        Head flits map to the head type index (n_types - 1); idle
-        cycles carry type IDLE and word 0."""
-        trace = self.link_traces[link_id]
-        types = np.full(len(trace), IDLE, dtype=np.int64)
-        words = np.zeros(len(trace), dtype=np.uint64)
-        head = self.n_types - 1
-        for i, entry in enumerate(trace):
-            if entry is None:
-                continue
-            type_id, word, _, _ = entry
-            types[i] = head if type_id == -1 else type_id
-            words[i] = word
-        return types, words
 
     def summary(self) -> dict:
         out = {
@@ -567,11 +585,11 @@ class Network:
                     in_reg = 1 if (link.reg_flit is not None and link.reg_vc == vc) else 0
                     in_fly = link.credit_fly.count(vc) + link.credit_stage.count(vc)
                     total = ov.credits + occ + in_reg + in_fly
-                    assert total == ov.depth, (
-                        f"{router.node_id} {PORT_NAMES[port]} vc {vc}:"
-                        f" credits {ov.credits} + occupancy {occ} + reg {in_reg}"
-                        f" + in-flight {in_fly} != depth {ov.depth}"
-                    )
+                    if total != ov.depth:
+                        raise SimulationError(
+                            f"{router.node_id} {PORT_NAMES[port]} vc {vc}:"
+                            f" credits {ov.credits} + occupancy {occ} + reg {in_reg}"
+                            f" + in-flight {in_fly} != depth {ov.depth}")
 
     def run(self, cycles: int, *, check_invariants: bool = False) -> SimulationResult:
         if cycles < 1:
@@ -588,6 +606,10 @@ class Network:
         source_list = [self.sources[k] for k in sorted(self.sources)]
         # flits ejected before this run (counters persist across runs)
         ejected_before = sum(pe.injected_flits for pe in pe_list) - self.in_flight()
+        # traces, like the observers, cover every cycle since the network was built
+        for link in self.links:
+            if link.trace is not None:
+                link.trace = link.trace.extended(cycles)
 
         for cycle in range(cycles):
             for link in self.links:
@@ -610,16 +632,15 @@ class Network:
                 self.check_credit_invariant()
                 injected = sum(pe.injected_flits for pe in pe_list)
                 in_net = ejected_before + result.ejected_flits + self.in_flight()
-                assert injected == in_net, (
-                    f"flit conservation violated at cycle {cycle}:"
-                    f" injected {injected}, accounted {in_net}"
-                )
+                if injected != in_net:
+                    raise SimulationError(
+                        f"flit conservation violated at cycle {cycle}:"
+                        f" injected {injected}, accounted {in_net}")
 
         result.injected_flits = sum(pe.injected_flits for pe in pe_list)
         result.injected_packets = sum(pe.injected_packets for pe in pe_list)
         result.in_flight_flits = self.in_flight()
-        result.data_flow = finalize_matrices(
-            {link.link_id: link.observer for link in self.links})
+        result.data_flow = {link.link_id: link.observer.finalize() for link in self.links}
         result.link_flit_counts = {
             link.link_id: link.observer.type_flit_counts() for link in self.links}
         result.link_vertical = {link.link_id: link.vertical for link in self.links}

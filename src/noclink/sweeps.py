@@ -28,15 +28,16 @@ from .energy import (
     template_3d_tsv,
 )
 from .linkmodel import (
-    DataFlowMatrix,
     LinkEnergyReport,
     LinkTypeStats,
     link_energy_report,
     link_switching,
 )
 from .oracle import LinkTrace, OracleEnergyReport, exact_energy, exact_switching
-from .simnet import FlowSpec, RouterConfig, SimulationResult, build_network
+from .reporting import data_flow_from_trace
+from .simnet import RouterConfig, SimulationResult, build_network
 from .streams import (
+    DISTRIBUTIONS,
     DataStream,
     StreamSpec,
     compute_bit_stats,
@@ -76,10 +77,6 @@ def sweep_cap2d(width: int = 16) -> Capacitance2D:
     return template_2d_bus(width, 110.0, 40.0, 2)
 
 
-def sweep_cap3d(width: int = 16) -> Capacitance3D:
-    return case_study_cap3d(width)
-
-
 def _grid_shape(width: int) -> tuple[int, int]:
     root = int(np.sqrt(width))
     if root * root == width:
@@ -90,51 +87,53 @@ def _grid_shape(width: int) -> tuple[int, int]:
 # --- per-link statistics from recorded traces -------------------------------
 
 
+def per_type_stats(words: np.ndarray, types: np.ndarray, n: int, width: int) -> LinkTypeStats:
+    """Bit and sequential switching statistics of each type's subsequence.
+
+    ``words[types == k]`` is type k's subsequence in transmission order,
+    the sequence the per-type switching matrices describe; idle entries
+    (type -1) belong to no type.  A type with fewer than two words gets
+    the statistics of an all-zero pair.
+    """
+    bit_stats, seq = [], []
+    for k in range(n):
+        sel = words[types == k]
+        if sel.size < 2:
+            sel = np.zeros(2, dtype=np.uint64)
+        ds = DataStream(sel, width)
+        bit_stats.append(compute_bit_stats(ds))
+        seq.append(compute_sequential_switching(ds))
+    return LinkTypeStats(bit_stats, seq)
+
+
 def link_stats_from_result(
     result: SimulationResult,
     link_id: str,
     *,
-    coded: dict[int, np.ndarray] | None = None,
+    coded: dict[int, DataStream] | None = None,
 ) -> LinkTypeStats:
     """Per-type bit and switching statistics of one link's recorded trace.
 
-    Statistics are measured over the type-x subsequence of the link
-    trace in transmission order, which is the sequence the per-type
-    switching matrices describe.  ``coded`` optionally maps flow ids to
-    encoded payload word arrays; body words are then replaced by their
-    encoded counterparts at the same source position (head words are
-    payload-independent and kept as transmitted), giving the
-    post-simulation coding statistics without re-simulating.
+    ``coded`` optionally maps flow ids to encoded payload streams; body
+    words are then replaced by their encoded counterparts at the same
+    source position (head words are payload-independent and kept as
+    transmitted), giving the post-simulation coding statistics without
+    re-simulating.  Source positions past the end of an encoded stream
+    wrap around, as the payload sources recycle their words.
     """
     trace = result.link_traces.get(link_id)
     if trace is None:
         raise SweepError(f"no recorded trace for link {link_id!r}")
-    n, raw_width = result.n_types, result.flit_width
-    width = raw_width
-    per_type: list[list[int]] = [[] for _ in range(n)]
-    for entry in trace:
-        if entry is None:
-            continue
-        type_id, word, flow_id, word_index = entry
-        if coded is not None and word_index >= 0:
-            enc = coded[flow_id]
-            word = int(enc[word_index % len(enc)])
-        per_type[type_id].append(word)
+    words, width = trace.words, result.flit_width
     if coded is not None:
-        width = max(
-            (int(arr.max()).bit_length() for arr in coded.values() if len(arr)),
-            default=raw_width,
-        )
-        width = max(width, raw_width)
-    bit_stats, seq = [], []
-    for words in per_type:
-        arr = np.asarray(words, dtype=np.uint64)
-        if arr.size < 2:
-            arr = np.zeros(2, dtype=np.uint64)
-        ds = DataStream(arr, width)
-        bit_stats.append(compute_bit_stats(ds))
-        seq.append(compute_sequential_switching(ds))
-    return LinkTypeStats(bit_stats, seq)
+        body = trace.indices >= 0
+        words = words.copy()
+        for flow_id in np.unique(trace.flows[body]).tolist():
+            enc = coded[flow_id]
+            sel = body & (trace.flows == flow_id)
+            words[sel] = enc.words[trace.indices[sel] % len(enc)]
+        width = max((enc.width for enc in coded.values()), default=width)
+    return per_type_stats(words, trace.types, result.n_types, width)
 
 
 def link_oracle_energy(
@@ -143,8 +142,9 @@ def link_oracle_energy(
     cap,
     tech: TechnologyParams = TECH,
 ) -> OracleEnergyReport:
-    types, words = result.link_trace_arrays(link_id)
-    return exact_energy(LinkTrace(words, types, result.flit_width), cap, tech, link=link_id)
+    trace = result.link_traces[link_id]
+    return exact_energy(
+        LinkTrace(trace.words, trace.types, result.flit_width), cap, tech, link=link_id)
 
 
 def network_energy_reports(
@@ -153,7 +153,7 @@ def network_energy_reports(
     cap3d: Capacitance3D,
     tech: TechnologyParams = TECH,
     *,
-    coded: dict[int, np.ndarray] | None = None,
+    coded: dict[int, DataStream] | None = None,
     eq11_literal: bool = False,
 ) -> dict[str, LinkEnergyReport]:
     """Model energy report for every link that carried at least one flit."""
@@ -232,9 +232,6 @@ class CaseStudyRun:
     result: SimulationResult
     traffic: list[InjectionSpec]
 
-    def flow_words(self) -> dict[int, np.ndarray]:
-        return {i: spec.payload.words for i, spec in enumerate(self.traffic)}
-
 
 def run_case_study(
     vc_count: int,
@@ -272,36 +269,33 @@ def run_case_study(
     return CaseStudyRun(result, traffic)
 
 
-def encode_flow_words(
-    flow_words: dict[int, np.ndarray],
-    codec_name: str,
-    width: int,
-    max_index: dict[int, int] | None = None,
+def consumed_prefixes(
+    traffic: list[InjectionSpec], result: SimulationResult
 ) -> dict[int, np.ndarray]:
-    """Encode each flow's source prefix with a codec (stateful per flow)."""
-    out = {}
-    for flow_id, words in flow_words.items():
-        limit = len(words)
-        if max_index is not None:
-            limit = min(limit, max_index.get(flow_id, -1) + 1)
-        if limit <= 0:
-            limit = 1
-        codec = make_codec(codec_name, width)
-        out[flow_id] = codec.encode(DataStream(words[:limit], width)).words
-    return out
+    """Each flow's payload words up to the highest index any link carried.
 
-
-def consumed_word_index(result: SimulationResult) -> dict[int, int]:
-    """Highest payload word index observed per flow across all link traces."""
-    highest: dict[int, int] = {}
+    This is all of a flow's payload that the recorded traces refer to
+    (at least one word per flow; a whole source that recycled).  Flow
+    ids are positions in ``traffic``, as ``to_flow_specs`` numbers them.
+    """
+    highest = np.full(len(traffic), -1, dtype=np.int64)
     for trace in result.link_traces.values():
-        for entry in trace:
-            if entry is None:
-                continue
-            _, _, flow_id, word_index = entry
-            if word_index > highest.get(flow_id, -1):
-                highest[flow_id] = word_index
-    return highest
+        body = trace.indices >= 0
+        np.maximum.at(highest, trace.flows[body], trace.indices[body])
+    return {
+        i: spec.payload.words[: max(min(len(spec.payload), int(highest[i]) + 1), 1)]
+        for i, spec in enumerate(traffic)
+    }
+
+
+def encode_flow_words(
+    flow_words: dict[int, np.ndarray], codec_name: str, width: int
+) -> dict[int, DataStream]:
+    """Encode each flow's payload words with a codec (stateful per flow)."""
+    return {
+        flow_id: make_codec(codec_name, width).encode(DataStream(words, width))
+        for flow_id, words in flow_words.items()
+    }
 
 
 def evaluate_coding(
@@ -320,8 +314,7 @@ def evaluate_coding(
     exact.
     """
     result = run.result
-    flow_words = run.flow_words()
-    max_index = consumed_word_index(result)
+    flow_words = consumed_prefixes(run.traffic, result)
     width = result.flit_width
     base_reports = network_energy_reports(result, cap2d, cap3d, tech)
     base_total = sum(r.energy_per_cycle_fj for r in base_reports.values())
@@ -329,7 +322,7 @@ def evaluate_coding(
     for name in codec_names:
         if name == "none":
             continue
-        coded = encode_flow_words(flow_words, name, width, max_index)
+        coded = encode_flow_words(flow_words, name, width)
         reports = network_energy_reports(result, cap2d, cap3d, tech, coded=coded)
         total = sum(r.energy_per_cycle_fj for r in reports.values())
         out[name] = {
@@ -343,15 +336,7 @@ def evaluate_coding(
 
 # --- switching-estimation accuracy sweep --------------------------------------
 
-DISTRIBUTIONS = ("uniform", "gaussian", "lognormal")
 DEFAULT_MUX_PROBS = (0.1, 0.4, 0.7, 1.0)
-
-
-def _fast_data_flow(types: np.ndarray, n: int) -> DataFlowMatrix:
-    """Transition-count M for an idle-free state sequence."""
-    counts = np.zeros((2 * n, 2 * n), dtype=np.int64)
-    np.add.at(counts, (types[:-1], types[1:]), 1)
-    return DataFlowMatrix(counts / counts.sum(), n)
 
 
 def _accuracy_run(
@@ -377,16 +362,8 @@ def _accuracy_run(
     trace = LinkTrace(mixed.words, types, width)
     t_oracle, _ = exact_switching(trace)
 
-    bit_stats, seq = [], []
-    for k in range(n_streams):
-        words = mixed.words[types == k]
-        if words.size < 2:
-            words = np.zeros(2, dtype=np.uint64)
-        ds = DataStream(words, width)
-        bit_stats.append(compute_bit_stats(ds))
-        seq.append(compute_sequential_switching(ds))
-    stats = LinkTypeStats(bit_stats, seq)
-    m = _fast_data_flow(types, n_streams)
+    stats = per_type_stats(mixed.words, types, n_streams, width)
+    m = data_flow_from_trace(types, n_streams)
     t_model = link_switching(stats, m)
     return np.abs(t_model.t - t_oracle.t).ravel()
 
@@ -476,7 +453,7 @@ def mux_energy_sweep(
     and the 3D parasitics.
     """
     cap2d = cap2d or sweep_cap2d(width)
-    cap3d = cap3d or sweep_cap3d(width)
+    cap3d = cap3d or case_study_cap3d(width)
     rows = []
     for mp in mux_probs:
         acc = {k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
@@ -485,8 +462,8 @@ def mux_energy_sweep(
             mixed, src = multiplex_streams(streams, mp, seed=seed + 100 * r + 7)
             types = src.astype(np.int64)
             trace = LinkTrace(mixed.words, types, width)
-            stats = _stream_stats(mixed.words, types, 2, width)
-            m = _fast_data_flow(types, 2)
+            stats = per_type_stats(mixed.words, types, 2, width)
+            m = data_flow_from_trace(types, 2)
             bytes_per_cycle = width / 8.0
             for kind, cap in (("2d", cap2d), ("3d", cap3d)):
                 rep = link_energy_report(stats, m, cap, tech, link=f"mux{mp}")
@@ -497,18 +474,6 @@ def mux_energy_sweep(
         row.update({k: float(np.mean(v)) for k, v in acc.items()})
         rows.append(row)
     return rows
-
-
-def _stream_stats(words, types, n, width) -> LinkTypeStats:
-    bit_stats, seq = [], []
-    for k in range(n):
-        sel = words[types == k]
-        if sel.size < 2:
-            sel = np.zeros(2, dtype=np.uint64)
-        ds = DataStream(sel, width)
-        bit_stats.append(compute_bit_stats(ds))
-        seq.append(compute_sequential_switching(ds))
-    return LinkTypeStats(bit_stats, seq)
 
 
 def coding_sweep(
@@ -533,8 +498,7 @@ def coding_sweep(
     for name in codec_names:
         codec = make_codec(name, width)
         wout = codec.width_out
-        cap2d = sweep_cap2d(wout)
-        cap3d = template_3d_tsv(*_grid_shape(wout), 40.0, -2.0, 120.0, -6.0)
+        cap2d, cap3d = sweep_cap2d(wout), case_study_cap3d(wout)
         for mp in mux_probs:
             g2, g3 = [], []
             for r in range(runs):

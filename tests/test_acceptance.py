@@ -21,8 +21,6 @@ from noclink.streams import DataStream, compute_bit_stats, word_bits
 from noclink.sweeps import (
     CASE_STUDY_VC_LINKS,
     TECH,
-    _fast_data_flow,
-    _stream_stats,
     case_study_cap2d,
     case_study_cap3d,
     coding_sweep,
@@ -31,6 +29,7 @@ from noclink.sweeps import (
     mux_accuracy_sweep,
     mux_energy_sweep,
     network_energy_reports,
+    per_type_stats,
     run_case_study,
     sweep_cap2d,
 )
@@ -251,7 +250,7 @@ def _check_energy_model_consistency() -> float:
     for _ in range(20):
         c = rng.uniform(0.0, 100.0, (8, 8))
         c = (c + c.T) / 2.0
-        stats = _stream_stats(
+        stats = per_type_stats(
             rng.integers(0, 1 << 8, 500, dtype=np.uint64),
             np.zeros(500, dtype=np.int64), 1, 8,
         )
@@ -277,7 +276,7 @@ def test_criterion_8_property_suites(packed_run4):
         if not np.array_equal(
             dfm.m,
             data_flow_from_trace(
-                result.link_trace_arrays(link)[0], result.n_types, link
+                result.link_traces[link].types, result.n_types, link
             ).m,
         )
     ]
@@ -313,8 +312,8 @@ def test_criterion_9_model_speed():
     trace = LinkTrace(words, types, W)
     cap = sweep_cap2d(W)
     # the statistics and M below are what a simulation records online
-    stats = _stream_stats(words, types, 2, W)
-    m = _fast_data_flow(types, 2)
+    stats = per_type_stats(words, types, 2, W)
+    m = data_flow_from_trace(types, 2)
 
     t0 = time.perf_counter()
     orc = exact_energy(trace, cap, TECH)

@@ -115,6 +115,41 @@ class TestAnalyze:
     def test_missing_run_exit_1(self, tmp_path):
         assert main(["analyze", "--run", str(tmp_path / "absent")]) == 1
 
+    def test_invert_with_default_capacitances(self, config_path, tmp_path):
+        # bus invert adds a wire; the default templates follow the coded width
+        out = tmp_path / "run"
+        run_simulate(config_path, out)
+        assert main(["analyze", "--run", str(out)]) == 0
+        assert main(["analyze", "--run", str(out), "--codec", "invert"]) == 0
+        plain = json.loads((out / "energy.json").read_text())
+        coded = json.loads((out / "energy_invert.json").read_text())
+        assert set(coded) == set(plain)
+        assert all(len(rep["p_link"]) == 17 for rep in coded.values())
+
+    def test_coded_width_over_64_exit_1(self, tmp_path, capsys):
+        config = tmp_path / "wide.xml"
+        config.write_text(
+            CONFIG.replace('<flitWidth value="16"/>', '<flitWidth value="64"/>')
+            .replace('payload="gaussian" sigma="256" rho="0.99"', 'payload="uniform"')
+        )
+        out = tmp_path / "run"
+        assert main([
+            "simulate", "--config", str(config), "--out", str(out), "--cycles", "500",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out), "--codec", "invert"]) == 1
+        assert "64" in capsys.readouterr().err
+
+    def test_run_without_recorded_payloads_exit_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_simulate(config_path, out)
+        meta = json.loads((out / "meta.json").read_text())
+        del meta["format"]  # the layout written before payloads were recorded
+        (out / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out)]) == 1
+        assert "re-run `noclink simulate`" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_protocol_pipeline(self, config_path, tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from noclink.codecs import (
     CodecError,
     coding_gain,
-    decode_stream,
     make_codec,
 )
 from noclink.streams import (
@@ -113,7 +112,7 @@ class TestRoundtrip:
         codec = make_codec(name, s.width)
         enc = codec.encode(s)
         assert enc.width == codec.width_out
-        dec = decode_stream(codec, enc)
+        dec = codec.decode(enc)
         assert dec.width == s.width
         assert np.array_equal(dec.words, s.words)
 
@@ -137,3 +136,9 @@ class TestCodingGain:
     def test_unknown_codec(self):
         with pytest.raises(CodecError):
             make_codec("huffman", 8)
+
+    def test_coded_width_over_64_rejected(self):
+        assert make_codec("gray", 64).width_out == 64
+        assert make_codec("invert", 63).width_out == 64
+        with pytest.raises(CodecError):
+            make_codec("invert", 64)

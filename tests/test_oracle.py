@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noclink.energy import TechnologyParams, template_2d_bus, template_3d_tsv, energy_2d
 from noclink.oracle import (
@@ -85,7 +86,30 @@ class TestExactEnergy:
             exact_energy(trace([0], [0], 4), template_2d_bus(8, 1.0, 1.0), TECH)
 
 
+def protocol_reference(trace) -> bytes:
+    """The protocol format written one record at a time."""
+    held = trace.held_words()
+    return "".join(
+        f"{cycle},{'IDLE' if t < 0 else t},{int(held[cycle]):x}\n"
+        for cycle, t in enumerate(trace.types.tolist())
+    ).encode()
+
+
 class TestProtocol:
+    @given(
+        st.integers(1, 64).flatmap(lambda width: st.lists(
+            st.tuples(st.integers(-1, 40), st.integers(0, 2**width - 1)),
+            min_size=1, max_size=150,
+        ).map(lambda rows: (width, rows)))
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_writer_matches_record_by_record_format(self, tmp_path_factory, case):
+        width, rows = case
+        tr = trace([w for _, w in rows], [t for t, _ in rows], width)
+        path = tmp_path_factory.mktemp("proto") / "link.protocol"
+        write_link_protocol(path, tr)
+        assert path.read_bytes() == protocol_reference(tr)
+
     def test_roundtrip_with_idles(self, tmp_path):
         tr = trace([3, 0, 0, 9, 12], [1, IDLE, IDLE, 0, 2], 4)
         path = tmp_path / "link.protocol"

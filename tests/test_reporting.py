@@ -12,7 +12,6 @@ from noclink.reporting import (
     data_flow_from_states,
     data_flow_from_trace,
     emit_reports,
-    finalize_matrices,
     latency_stats,
 )
 from noclink.simnet import FlowSpec, RouterConfig, build_network

@@ -1,3 +1,8 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -137,8 +142,8 @@ class TestGoldenLatency:
     def test_flits_arrive_in_order(self):
         result = self.run_single_packet()
         trace = result.link_traces["B->PE_B"]
-        words = [e[1] for e in trace if e is not None and e[3] >= 0]
-        assert words == [7, 8, 9]
+        words = trace.words[trace.indices >= 0]
+        assert words.tolist() == [7, 8, 9]
 
 
 class TestDeterminism:
@@ -149,7 +154,9 @@ class TestDeterminism:
         assert a.injected_flits == b.injected_flits
         for link in a.data_flow:
             assert np.array_equal(a.data_flow[link].m, b.data_flow[link].m)
-            assert a.link_traces[link] == b.link_traces[link]
+            ta, tb = a.link_traces[link], b.link_traces[link]
+            for column in ("types", "words", "flows", "indices"):
+                assert np.array_equal(getattr(ta, column), getattr(tb, column))
 
     def test_different_seed_differs(self):
         a = case_net(4, seed=1).run(5_000)
@@ -185,7 +192,7 @@ class TestObserverConsistency:
     def test_matrices_match_trace_recount(self):
         result = case_net(4, rate=0.02, seed=6).run(8_000)
         for link, dfm in result.data_flow.items():
-            types, _ = result.link_trace_arrays(link)
+            types = result.link_traces[link].types
             recount = data_flow_from_trace(types, result.n_types, link)
             assert np.array_equal(dfm.m, recount.m), link
 
@@ -195,7 +202,7 @@ class TestObserverConsistency:
             active = dfm.m[:, : result.n_types].sum() * (result.cycles - 1)
             flits = result.link_flit_counts[link].sum()
             # the first observed cycle is not part of any transition
-            types, _ = result.link_trace_arrays(link)
+            types = result.link_traces[link].types
             first_active = 1 if types[0] != IDLE else 0
             assert int(round(active)) == flits - first_active, link
 
@@ -216,11 +223,12 @@ class TestFlowOrdering:
         # flits stay in order and no word is lost or duplicated
         result = case_net(4, rate=0.02, seed=7).run(10_000)
         trace = result.link_traces["R7->PE_R7"]
+        body = trace.indices >= 0
         per_flow = {}
-        for entry in trace:
-            if entry is None or entry[3] < 0:
-                continue
-            per_flow.setdefault(entry[2], []).append((entry[3], entry[1]))
+        for flow, index, word in zip(
+            trace.flows[body].tolist(), trace.indices[body].tolist(), trace.words[body].tolist()
+        ):
+            per_flow.setdefault(flow, []).append((index, word))
         assert per_flow, "no payload reached the destination"
         body = 7  # flits_per_packet 8 => 7 body words per packet
         for flow, seq in per_flow.items():
@@ -270,6 +278,33 @@ class TestValidation:
         net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.0, 4, ramp_payload())])
         with pytest.raises(ConfigurationError):
             net.run(0)
+
+
+class TestInvariantErrors:
+    def test_link_overflow_raises_under_optimization(self):
+        # invariants must hold with assertions stripped (python -O)
+        script = textwrap.dedent("""
+            import sys
+            from noclink.simnet import Flit, RouterConfig, SimulationError, build_network
+            net = build_network({"A": (0, 0, 0), "B": (1, 0, 0)}, [],
+                                router_cfg=RouterConfig(), seed=0)
+            link = net.links[0]
+            flit = Flit(0, 0, 0, True, True, 0, (1, 0, 0), -1, 0)
+            link.put(flit, 0)
+            try:
+                link.put(flit, 0)
+            except SimulationError as exc:
+                print(exc)
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "link register busy" in proc.stdout
 
 
 class TestClockDelays:
