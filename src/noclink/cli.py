@@ -172,7 +172,7 @@ def cmd_analyze(args) -> int:
     width = result.flit_width
     if args.codec and args.codec != "none":
         width = make_codec(args.codec, width).width_out
-        coded = sweeps.encode_flow_words(payloads, args.codec, result.flit_width)
+        coded = sweeps.encode_flow_words(payloads, args.codec, result.flit_width, result)
     reports = _energy_reports(result, args, coded, width)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -110,20 +110,20 @@ class InvertCodec(Codec):
             raise CodecError(f"invert: coded width {self.width_out} exceeds 64 bits")
 
     def encode(self, stream: DataStream) -> DataStream:
+        """With h_t the Hamming distance between consecutive data words
+        (w_{-1} = 0), the invert flag toggles where 2h > N, holds where
+        2h < N and resets to 0 at ties 2h == N: it is the parity of the
+        toggles since the last tie."""
         self._check(stream, self.width_in)
         n = self.width_in
-        mask = (1 << n) - 1
-        invert_bit = 1 << n
-        prev = 0
-        out = np.empty(len(stream), dtype=np.uint64)
-        for k, w in enumerate(stream.words.tolist()):
-            if 2 * _popcount(w ^ prev) > n:  # ties are not inverted
-                code = (~w & mask) | invert_bit
-            else:
-                code = w
-            prev = code & mask
-            out[k] = code
-        return DataStream(out, self.width_out, stream.type_id)
+        w = stream.words
+        h = np.bitwise_count(w ^ np.concatenate(([np.uint64(0)], w[:-1]))).astype(np.int64)
+        toggles = np.cumsum(2 * h > n)
+        at_tie = np.maximum.accumulate(np.where(2 * h == n, toggles, 0))
+        inverted = ((toggles - at_tie) & 1).astype(bool)
+        mask = np.uint64((1 << n) - 1)
+        code = np.where(inverted, (~w & mask) | np.uint64(1 << n), w)
+        return DataStream(code, self.width_out, stream.type_id)
 
     def decode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_out)
@@ -133,10 +133,6 @@ class InvertCodec(Codec):
         low = stream.words & mask
         out = np.where(inverted.astype(bool), ~low & mask, low)
         return DataStream(out.astype(np.uint64), self.width_in, stream.type_id)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def make_codec(name: str, width: int) -> Codec:

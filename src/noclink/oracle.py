@@ -65,11 +65,11 @@ class LinkTrace:
 
 def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:
     """True per-cycle switching matrix and held-value bit probabilities."""
-    b = word_bits(trace.held_words(), trace.width).astype(np.float64)
+    b = word_bits(trace.held_words(), trace.width)
     p = b.mean(axis=0)
     if len(trace) < 2:
         return SwitchingMatrix(np.zeros((trace.width, trace.width))), p
-    d = np.diff(b, axis=0)
+    d = np.diff(b, axis=0).astype(np.float64)
     m = len(trace) - 1
     corr = (d.T @ d) / m
     ts = np.diag(corr).copy()
@@ -117,7 +117,7 @@ def exact_energy(
         raise TraceError(
             f"trace width {trace.width} does not match capacitance width {cap.width}"
         )
-    b = word_bits(trace.held_words(), trace.width).astype(np.float64)
+    b = word_bits(trace.held_words(), trace.width)
     p = b.mean(axis=0)
     if isinstance(cap, Capacitance3D):
         kind = "3d"
@@ -126,7 +126,7 @@ def exact_energy(
         kind = "2d"
         c = cap.c
     if len(trace) >= 2:
-        d = np.diff(b, axis=0)
+        d = np.diff(b, axis=0).astype(np.float64)
         a = d.T @ d  # a[i,i] = sum db_i^2, a[i,j] = sum db_i db_j
         ts = np.diag(a).copy()
         total = float(np.sum(np.diag(c) * ts))

@@ -552,7 +552,7 @@ class Network:
     """A built mesh: routers, NIs, PEs and observed links."""
 
     def __init__(self, routers, sources, sinks, pes, links, n_types,
-                 flit_width, clock_period, dest_coords):
+                 flit_width, clock_period, dest_coords, result):
         self.routers = routers
         self.sources = sources
         self.sinks = sinks
@@ -562,6 +562,7 @@ class Network:
         self.flit_width = flit_width
         self.clock_period = clock_period
         self.dest_coords = dest_coords
+        self.result = result
 
     def in_flight(self) -> int:
         total = sum(r.occupancy() for r in self.routers.values())
@@ -569,6 +570,11 @@ class Network:
         total += sum(s.occupancy() for s in self.sources.values())
         total += sum(s.occupancy() for s in self.sinks.values())
         return total
+
+    def _flit_balance(self) -> int:
+        """Injected flits less ejected flits less flits in the network."""
+        injected = sum(pe.injected_flits for pe in self.pes.values())
+        return injected - self.result.ejected_flits - self.in_flight()
 
     def check_credit_invariant(self) -> None:
         """Credits plus downstream occupancy equal buffer depth for
@@ -592,26 +598,33 @@ class Network:
                             f" + in-flight {in_fly} != depth {ov.depth}")
 
     def run(self, cycles: int, *, check_invariants: bool = False) -> SimulationResult:
+        """Advance the network by ``cycles`` cycles.
+
+        Returns the network's one result, which covers every cycle since
+        the network was built: a further run extends and returns the same
+        object.
+        """
         if cycles < 1:
             raise ConfigurationError("cycles must be >= 1")
-        result = SimulationResult(
-            cycles=cycles, clock_period=self.clock_period,
-            n_types=self.n_types, flit_width=self.flit_width)
-        for sink in self.sinks.values():
-            sink.result = result
+        result = self.result
+        start = result.cycles
+        result.cycles += cycles
 
         router_list = [self.routers[k] for k in sorted(self.routers)]
         sink_list = [self.sinks[k] for k in sorted(self.sinks)]
         pe_list = [self.pes[k] for k in sorted(self.pes)]
         source_list = [self.sources[k] for k in sorted(self.sources)]
-        # flits ejected before this run (counters persist across runs)
-        ejected_before = sum(pe.injected_flits for pe in pe_list) - self.in_flight()
+        # flits enqueued directly at a source NI enter without a PE count, so
+        # conservation holds this balance fixed rather than at zero
+        balance = self._flit_balance()
         # traces, like the observers, cover every cycle since the network was built
         for link in self.links:
             if link.trace is not None:
                 link.trace = link.trace.extended(cycles)
 
-        for cycle in range(cycles):
+        # cycles count from the network's start, so that latencies and clock
+        # phases carry across runs
+        for cycle in range(start, start + cycles):
             for link in self.links:
                 link.deliver()
             for router in router_list:
@@ -630,12 +643,11 @@ class Network:
                 link.observe()
             if check_invariants:
                 self.check_credit_invariant()
-                injected = sum(pe.injected_flits for pe in pe_list)
-                in_net = ejected_before + result.ejected_flits + self.in_flight()
-                if injected != in_net:
+                if self._flit_balance() != balance:
                     raise SimulationError(
-                        f"flit conservation violated at cycle {cycle}:"
-                        f" injected {injected}, accounted {in_net}")
+                        f"flit conservation violated at cycle {cycle}: injected"
+                        f" minus ejected minus in flight moved from {balance}"
+                        f" to {self._flit_balance()}")
 
         result.injected_flits = sum(pe.injected_flits for pe in pe_list)
         result.injected_packets = sum(pe.injected_packets for pe in pe_list)
@@ -713,7 +725,8 @@ def build_network(
     # local links and network interfaces
     sources, sinks, pes = {}, {}, {}
     dest_index_of = {nid: i for i, nid in enumerate(sorted(node_coords))}
-    result_placeholder = SimulationResult()
+    result = SimulationResult(clock_period=clock_period, n_types=n_types,
+                              flit_width=flit_width)
     for nid in sorted(node_coords):
         up = Link(f"PE_{nid}->{nid}", None, 0, routers[nid], LOCAL,
                   n_types, collect_trace=collect_traces)
@@ -722,7 +735,7 @@ def build_network(
         links.extend([up, down])
         routers[nid].attach_input(LOCAL, up)
         sink = SinkNI(nid, down, cfg.vc_count, cfg.buffer_depth,
-                      pe_clock_delay, result_placeholder)
+                      pe_clock_delay, result)
         routers[nid].attach_output(LOCAL, down, cfg.buffer_depth)
         down.downstream = sink
         source = SourceNI(nid, up, cfg.vc_count, cfg.buffer_depth,
@@ -735,7 +748,7 @@ def build_network(
         sources[nid], sinks[nid], pes[nid] = source, sink, pe
 
     net = Network(routers, sources, sinks, pes, links, n_types,
-                  flit_width, clock_period, node_coords)
+                  flit_width, clock_period, node_coords, result)
     _validate_paths(net, flows)
     return net
 

@@ -29,9 +29,9 @@ class StreamError(ValueError):
 
 def word_bits(words: np.ndarray, width: int) -> np.ndarray:
     """Unpack words into a (len, width) 0/1 matrix, bit 0 in column 0."""
-    w = np.asarray(words, dtype=np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return ((w[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(octets, axis=1, count=width, bitorder="little")
+    return bits.view(np.int8)
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,12 @@ def multiplex_streams(
     Each source is consumed in order and recycled from its start when
     exhausted.  The output length is the total input length.  Returns the
     interleaved stream and the per-position source-index trace.
+
+    Draws: the generator seeded with ``seed`` first draws one uniform
+    per output position (position t switches source when its uniform is
+    below ``mux_prob``), then one pick per position, uniform over the
+    k - 1 other sources (pick p selects source p if p < active, else
+    p + 1).  Source 0 starts active and position 0 never switches.
     """
     if len(streams) < 2:
         raise StreamError("multiplexing needs at least two streams")
@@ -202,20 +208,24 @@ def multiplex_streams(
     k = len(streams)
     switch = rng.random(total) < mux_prob
     picks = rng.integers(0, k - 1, size=total)
+    switch[0] = False
 
-    out = np.empty(total, dtype=np.uint64)
-    trace = np.empty(total, dtype=np.int64)
-    cursors = [0] * k
-    words = [s.words for s in streams]
+    # the source chain steps only at switch events; between them it holds
+    sources = [0]
     active = 0
-    for t in range(total):
-        if t > 0 and switch[t]:
-            other = int(picks[t])
-            active = other if other < active else other + 1
-        c = cursors[active]
-        out[t] = words[active][c % len(words[active])]
-        cursors[active] = c + 1
-        trace[t] = active
+    for other in picks[switch].tolist():
+        active = other if other < active else other + 1
+        sources.append(active)
+    trace = np.array(sources, dtype=np.int64)[np.cumsum(switch)]
+
+    # each position's cursor is its rank among the positions of its source
+    sizes = np.array([len(s) for s in streams])
+    starts = np.cumsum(sizes) - sizes
+    gather = np.empty(total, dtype=np.int64)
+    for j in range(k):
+        at = trace == j
+        gather[at] = starts[j] + np.arange(np.count_nonzero(at)) % sizes[j]
+    out = np.concatenate([s.words for s in streams])[gather]
     return DataStream(out, width), trace
 
 
@@ -230,8 +240,7 @@ def compute_bit_stats(stream: DataStream) -> BitStats:
 def compute_sequential_switching(stream: DataStream) -> SwitchingMatrix:
     if len(stream) < 2:
         raise StreamError("sequential switching needs at least two words")
-    b = stream.bits().astype(np.float64)
-    d = np.diff(b, axis=0)
+    d = np.diff(stream.bits(), axis=0).astype(np.float64)
     m = len(stream) - 1
     corr = (d.T @ d) / m  # corr[i, j] = E{db_i db_j}; diag = E{db_i^2}
     ts = np.diag(corr).copy()

@@ -114,12 +114,11 @@ def link_stats_from_result(
 ) -> LinkTypeStats:
     """Per-type bit and switching statistics of one link's recorded trace.
 
-    ``coded`` optionally maps flow ids to encoded payload streams; body
-    words are then replaced by their encoded counterparts at the same
-    source position (head words are payload-independent and kept as
-    transmitted), giving the post-simulation coding statistics without
-    re-simulating.  Source positions past the end of an encoded stream
-    wrap around, as the payload sources recycle their words.
+    ``coded`` optionally maps flow ids to encoded payload streams, as
+    ``encode_flow_words`` builds them; body words are then replaced by
+    their encoded counterparts at the same source position (head words
+    are payload-independent and kept as transmitted), giving the
+    post-simulation coding statistics without re-simulating.
     """
     trace = result.link_traces.get(link_id)
     if trace is None:
@@ -131,7 +130,7 @@ def link_stats_from_result(
         for flow_id in np.unique(trace.flows[body]).tolist():
             enc = coded[flow_id]
             sel = body & (trace.flows == flow_id)
-            words[sel] = enc.words[trace.indices[sel] % len(enc)]
+            words[sel] = enc.words[trace.indices[sel]]
         width = max((enc.width for enc in coded.values()), default=width)
     return per_type_stats(words, trace.types, result.n_types, width)
 
@@ -269,6 +268,16 @@ def run_case_study(
     return CaseStudyRun(result, traffic)
 
 
+def highest_word_indices(result: SimulationResult, flows: int) -> np.ndarray:
+    """The highest payload word index of each flow on any recorded link
+    (-1 for a flow none of whose words was recorded)."""
+    highest = np.full(flows, -1, dtype=np.int64)
+    for trace in result.link_traces.values():
+        body = trace.indices >= 0
+        np.maximum.at(highest, trace.flows[body], trace.indices[body])
+    return highest
+
+
 def consumed_prefixes(
     traffic: list[InjectionSpec], result: SimulationResult
 ) -> dict[int, np.ndarray]:
@@ -278,10 +287,7 @@ def consumed_prefixes(
     (at least one word per flow; a whole source that recycled).  Flow
     ids are positions in ``traffic``, as ``to_flow_specs`` numbers them.
     """
-    highest = np.full(len(traffic), -1, dtype=np.int64)
-    for trace in result.link_traces.values():
-        body = trace.indices >= 0
-        np.maximum.at(highest, trace.flows[body], trace.indices[body])
+    highest = highest_word_indices(result, len(traffic))
     return {
         i: spec.payload.words[: max(min(len(spec.payload), int(highest[i]) + 1), 1)]
         for i, spec in enumerate(traffic)
@@ -289,13 +295,23 @@ def consumed_prefixes(
 
 
 def encode_flow_words(
-    flow_words: dict[int, np.ndarray], codec_name: str, width: int
+    flow_words: dict[int, np.ndarray], codec_name: str, width: int,
+    result: SimulationResult,
 ) -> dict[int, DataStream]:
-    """Encode each flow's payload words with a codec (stateful per flow)."""
-    return {
-        flow_id: make_codec(codec_name, width).encode(DataStream(words, width))
-        for flow_id, words in flow_words.items()
-    }
+    """Encode each flow's payload as its source would send it coded.
+
+    ``flow_words`` holds each flow's consumed prefix.  A source recycles
+    its payload from the start, so the words it sent up to the highest
+    recorded index are the prefix repeated; that whole sequence is
+    encoded, and stateful codecs (correlator, invert) carry their state
+    across each wrap.  Word index i of a flow is entry i of its stream.
+    """
+    highest = highest_word_indices(result, len(flow_words))
+    coded = {}
+    for flow_id, words in flow_words.items():
+        sent = np.resize(words, max(int(highest[flow_id]) + 1, words.size))
+        coded[flow_id] = make_codec(codec_name, width).encode(DataStream(sent, width))
+    return coded
 
 
 def evaluate_coding(
@@ -322,7 +338,7 @@ def evaluate_coding(
     for name in codec_names:
         if name == "none":
             continue
-        coded = encode_flow_words(flow_words, name, width)
+        coded = encode_flow_words(flow_words, name, width, result)
         reports = network_energy_reports(result, cap2d, cap3d, tech, coded=coded)
         total = sum(r.energy_per_cycle_fj for r in reports.values())
         out[name] = {

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noclink.cli import main
+from noclink.codecs import make_codec
 from noclink.energy import save_capacitance_model, template_2d_bus, template_3d_tsv
 from noclink.streams import DataStream, write_stream_binary
 
@@ -314,3 +315,36 @@ class TestSelfContainedRun:
         ]) == 0
         after = json.loads((elsewhere / "post" / "energy_gray.json").read_text())
         assert after == before
+
+
+class TestCodingAcrossPayloadWrap:
+    """Both flows recycle short payloads.  Coding the recorded run
+    afterwards must equal simulating with the payloads coded at the
+    sources, where a stateful codec runs on across each wrap."""
+
+    @pytest.mark.parametrize("codec", ["correlator", "correlator+inv", "gray"])
+    def test_post_coding_equals_source_coding(self, tmp_path, monkeypatch, codec):
+        rng = np.random.default_rng(8)
+        for src, size in (("A", 5), ("B", 7)):
+            short = DataStream(rng.integers(0, 1 << 16, size, dtype=np.uint64), 16)
+            unrolled = DataStream(np.resize(short.words, 4000), 16)
+            write_stream_binary(tmp_path / f"short{src}.bin", short)
+            write_stream_binary(tmp_path / f"coded{src}.bin",
+                                make_codec(codec, 16).encode(unrolled))
+        monkeypatch.chdir(tmp_path)
+        for name in ("short", "coded"):
+            flows = "".join(
+                f'    <flow src="{src}" dst="C" rate="0.02" payload="stream"'
+                f' file="{name}{src}.bin"/>\n' for src in "AB")
+            (tmp_path / f"{name}.xml").write_text(
+                CONFIG.split("  <traffic>")[0]
+                + f"  <traffic>\n{flows}  </traffic>\n</simulation>\n")
+            assert run_simulate(f"{name}.xml", name) == 0
+        with np.load(tmp_path / "short" / "traces.npz") as data:
+            assert data["payload.0"].size == 5
+            assert data["A__B.indices"].max() >= 10  # wrapped at least twice
+        assert main(["analyze", "--run", "short", "--codec", codec]) == 0
+        assert main(["analyze", "--run", "coded"]) == 0
+        post = json.loads((tmp_path / "short" / f"energy_{codec}.json").read_text())
+        at_source = json.loads((tmp_path / "coded" / "energy.json").read_text())
+        assert post == at_source

@@ -188,6 +188,40 @@ class TestConservation:
         assert result.in_flight_flits == 0
 
 
+class TestRepeatedRuns:
+    def net(self):
+        flow = FlowSpec(0, 0, "A", "B", 0.05, 4, ramp_payload())
+        return two_node_net(flows=[flow], seed=3)
+
+    def test_result_covers_every_run(self):
+        net = self.net()
+        first = net.run(1_000, check_invariants=True)
+        result = net.run(1_000, check_invariants=True)
+        assert result is first
+        assert result.cycles == 2_000
+        for trace in result.link_traces.values():
+            assert trace.types.size == result.cycles
+        summary = result.summary()
+        assert summary["injected_flits"] > 0
+        assert summary["injected_flits"] == (
+            summary["ejected_flits"] + summary["in_flight_flits"])
+        assert summary["flit_latency"]["count"] == summary["ejected_flits"]
+        assert min(result.flit_latencies) >= 0
+
+    def test_two_runs_equal_one_run(self):
+        net = self.net()
+        net.run(700)
+        split = net.run(1_300)
+        whole = self.net().run(2_000)
+        assert split.summary() == whole.summary()
+        assert split.flit_latencies == whole.flit_latencies
+        for link, dfm in whole.data_flow.items():
+            assert np.array_equal(split.data_flow[link].m, dfm.m)
+            for column in ("types", "words", "flows", "indices"):
+                assert np.array_equal(getattr(split.link_traces[link], column),
+                                      getattr(whole.link_traces[link], column))
+
+
 class TestObserverConsistency:
     def test_matrices_match_trace_recount(self):
         result = case_net(4, rate=0.02, seed=6).run(8_000)
