@@ -28,9 +28,7 @@ from .config import ConfigError, build_simulation, parse_config
 from .energy import CapacitanceError, load_capacitance_model
 from .linkmodel import LinkModelError
 from .oracle import LinkTrace, TraceError, exact_energy, replay_link_protocol, write_link_protocol
-from .reporting import (
-    ReportingError, data_flow_from_states, data_flow_matrix, emit_reports, link_file_name,
-)
+from .reporting import LinkObserver, ReportingError, emit_reports, link_file_name
 from .simnet import TRACE_COLUMNS, ConfigurationError, SimulationResult, TraceColumns
 from .streams import (
     StreamError,
@@ -85,11 +83,12 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
         for link_id, vertical in meta["links"].items():
             key = link_file_name(link_id)
             trace = TraceColumns(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS))
-            counts = data_flow_from_states(trace.types, n, link_id)
+            observer = LinkObserver(link_id, n)
+            observer.record(trace.types)
             result.link_traces[link_id] = trace
             result.link_vertical[link_id] = bool(vertical)
-            result.data_flow[link_id] = data_flow_matrix(counts, n, link_id)
-            result.link_flit_counts[link_id] = counts[:, :n].sum(axis=0)
+            result.data_flow[link_id] = observer.finalize()
+            result.link_flit_counts[link_id] = observer.type_flit_counts()
         payloads = {i: data[f"payload.{i}"] for i in range(meta["flows"])}
     return result, payloads
 

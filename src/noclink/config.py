@@ -107,8 +107,6 @@ class NodeTypeConfig:
     type_id: int
     model: str
     clock_delay: int
-    routing: str = "xyz"
-    selection: str = "round_robin"
     arbitration: str = "fair"
 
 
@@ -124,11 +122,14 @@ class SimulationConfig:
     node_types: dict[int, NodeTypeConfig] = field(default_factory=dict)
 
 
-_ROUTING = {"XYZ": "xyz"}
-_SELECTION = {"RoundRobin": "round_robin"}
-_ARBITRATION = {"fair": "fair", "priority": "priority"}
+# accepted values of a router's single-valued children
+_ROUTER_VALUES = {
+    "routing": ("XYZ",),
+    "selection": ("RoundRobin",),
+    "arbitration": ("fair", "priority"),
+}
 
-_ROUTER_CHILDREN = {"model", "routing", "selection", "arbitration", "clockDelay"}
+_ROUTER_CHILDREN = {"model", "clockDelay", *_ROUTER_VALUES}
 _PE_CHILDREN = {"model", "clockDelay"}
 _TOP_LEVEL = {
     "nodeTypes", "topology", "flitWidth", "bufferDepth", "vcCount",
@@ -154,19 +155,13 @@ def _parse_node_type(elem: ET.Element) -> NodeTypeConfig:
     delay = _int_of(_value_of(elem, "clockDelay"), elem, "clockDelay")
     if model == "ProcessingElementVC":
         return NodeTypeConfig(type_id, model, delay)
-    cfg = NodeTypeConfig(type_id, model, delay)
-    for tag, table, attr in (
-        ("routing", _ROUTING, "routing"),
-        ("selection", _SELECTION, "selection"),
-        ("arbitration", _ARBITRATION, "arbitration"),
-    ):
+    for tag, known in _ROUTER_VALUES.items():
         raw = _value_of(elem, tag)
-        if raw not in table:
+        if raw not in known:
             raise ConfigError(
                 f"unknown {tag} {raw!r} in nodeType id={type_id} at {_line(elem)}"
             )
-        setattr(cfg, attr, table[raw])
-    return cfg
+    return NodeTypeConfig(type_id, model, delay, _value_of(elem, "arbitration"))
 
 
 def _int_of(raw: str, elem: ET.Element, what: str) -> int:
@@ -237,8 +232,6 @@ def parse_config(path) -> SimulationConfig:
     router_cfg = RouterConfig(
         vc_count=vc_count,
         buffer_depth=buffer_depth,
-        routing=router_type.routing,
-        selection=router_type.selection,
         arbitration=router_type.arbitration,
         clock_delay=router_type.clock_delay,
     )

@@ -104,11 +104,8 @@ def mux_switching(sx: BitStats, sy: BitStats) -> SwitchingMatrix:
     if sx.width != sy.width:
         raise LinkModelError("mux switching needs equal stream widths")
     px, py = sx.p, sy.p
-    corr = sy.s + sx.s - np.outer(py, px) - np.outer(px, py)
-    ts = np.diag(corr).copy()  # p^y + p^x - 2 p^y p^x
-    t = ts[:, None] - corr
-    np.fill_diagonal(t, ts)
-    return SwitchingMatrix(t)
+    return SwitchingMatrix.from_products(
+        sy.s + sx.s - np.outer(py, px) - np.outer(px, py))
 
 
 def _component_switching(stats: LinkTypeStats, x: int, y: int) -> np.ndarray:

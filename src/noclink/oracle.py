@@ -70,12 +70,7 @@ def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:
     if len(trace) < 2:
         return SwitchingMatrix(np.zeros((trace.width, trace.width))), p
     d = np.diff(b, axis=0).astype(np.float64)
-    m = len(trace) - 1
-    corr = (d.T @ d) / m
-    ts = np.diag(corr).copy()
-    t = ts[:, None] - corr
-    np.fill_diagonal(t, ts)
-    return SwitchingMatrix(t), p
+    return SwitchingMatrix.from_products((d.T @ d) / (len(trace) - 1)), p
 
 
 @dataclass(frozen=True)
@@ -127,14 +122,12 @@ def exact_energy(
         c = cap.c
     if len(trace) >= 2:
         d = np.diff(b, axis=0).astype(np.float64)
-        a = d.T @ d  # a[i,i] = sum db_i^2, a[i,j] = sum db_i db_j
-        ts = np.diag(a).copy()
-        total = float(np.sum(np.diag(c) * ts))
-        off = ts[:, None] - a
-        np.fill_diagonal(off, 0.0)
+        # unnormalized switching: summed over the transitions, not averaged
+        t = SwitchingMatrix.from_products(d.T @ d).t
+        total = float(np.sum(np.diag(c) * np.diag(t)))
         c_off = c.copy()
         np.fill_diagonal(c_off, 0.0)
-        total += float(np.sum(off * c_off))
+        total += float(np.sum(t * c_off))
     else:
         total = 0.0
     cycles = len(trace)

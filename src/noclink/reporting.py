@@ -1,8 +1,10 @@
 """Per-link data-flow accumulation and result serialization.
 
-A ``LinkObserver`` consumes one state per link cycle (a data-type index
-or idle) and maintains the 2n x 2n transition count matrix in O(n^2)
-memory, independent of the simulated cycle count.
+A ``LinkObserver`` folds segments of a link's per-cycle types (a
+data-type index or idle) into the 2n x 2n transition count matrix.  It
+carries only the last state between segments, so its memory is O(n^2)
+however many cycles it counts, and any split of a type sequence into
+segments gives the same counts.
 """
 from __future__ import annotations
 
@@ -38,68 +40,47 @@ class LinkObserver:
         self.n = n_types
         self.counts = np.zeros((2 * n_types, 2 * n_types), dtype=np.int64)
         self.cycles = 0
-        self._prev: int | None = None
-        self._held = n_types - 1  # head type by convention
+        self._last: int | None = None  # state of the last counted cycle
 
-    def record(self, type_or_idle: int) -> None:
-        if type_or_idle == IDLE:
-            state = self.n + self._held
-        else:
-            if not 0 <= type_or_idle < self.n:
-                raise ReportingError(
-                    f"{self.link_id}: type {type_or_idle} out of range (n={self.n})"
-                )
-            state = type_or_idle
-            self._held = type_or_idle
-        if self._prev is not None:
-            self.counts[self._prev, state] += 1
-        self._prev = state
-        self.cycles += 1
-
-    def active_flits(self) -> int:
-        """Flits that traversed the link within the counted transitions."""
-        return int(self.counts[:, : self.n].sum())
+    def record(self, types) -> None:
+        """Fold the next cycles' types, ``IDLE`` on idle cycles, into the counts."""
+        t = np.asarray(types, dtype=np.int64)
+        if t.size == 0:
+            return
+        n = self.n
+        active = t != IDLE
+        bad = active & ((t < 0) | (t >= n))
+        if bad.any():
+            raise ReportingError(f"{self.link_id}: type {int(t[bad][0])} out of range (n={n})")
+        held = n - 1 if self._last is None else self._last % n
+        state = np.where(active, t, n + forward_fill(t, active, held))
+        if self._last is not None:
+            state = np.concatenate(([self._last], state))
+        k = 2 * n
+        self.counts += np.bincount(state[:-1] * k + state[1:], minlength=k * k).reshape(k, k)
+        self._last = int(state[-1])
+        self.cycles += t.size
 
     def type_flit_counts(self) -> np.ndarray:
+        """Flits of each type that traversed the link within the counted transitions."""
         return self.counts[:, : self.n].sum(axis=0)
 
     def finalize(self) -> DataFlowMatrix:
-        if self.counts.sum() != max(self.cycles - 1, 0):
+        """The counts normalized into a data-flow matrix."""
+        total = self.counts.sum()
+        if total != max(self.cycles - 1, 0):
             raise SimulationError(
-                f"{self.link_id}: {self.counts.sum()} transitions in {self.cycles} cycles")
-        return data_flow_matrix(self.counts, self.n, self.link_id)
-
-
-def data_flow_matrix(counts: np.ndarray, n_types: int, link_id: str) -> DataFlowMatrix:
-    """Normalize transition counts into a data-flow matrix."""
-    total = counts.sum()
-    if total < 1:
-        raise ReportingError(f"{link_id}: need at least two observed cycles")
-    return DataFlowMatrix(counts / total, n_types)
-
-
-def data_flow_from_states(states, n_types: int, link_id: str = "trace") -> np.ndarray:
-    """Transition counts of a whole state sequence at once.
-
-    Equal to the counts a ``LinkObserver`` accumulates when fed the
-    states one by one: idle cycles hold the last transmitted type,
-    starting from the head type, and consecutive state pairs are
-    counted into the 2n x 2n matrix.
-    """
-    s = np.asarray(states, dtype=np.int64)
-    active = s != IDLE
-    bad = active & ((s < 0) | (s >= n_types))
-    if bad.any():
-        raise ReportingError(f"{link_id}: type {int(s[bad][0])} out of range (n={n_types})")
-    state = np.where(active, s, n_types + forward_fill(s, active, n_types - 1))
-    k = 2 * n_types
-    pairs = np.bincount(state[:-1] * k + state[1:], minlength=k * k)
-    return pairs.reshape(k, k).astype(np.int64)
+                f"{self.link_id}: {total} transitions in {self.cycles} cycles")
+        if total < 1:
+            raise ReportingError(f"{self.link_id}: need at least two observed cycles")
+        return DataFlowMatrix(self.counts / total, self.n)
 
 
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:
     """Convenience: build a DataFlowMatrix from an explicit state sequence."""
-    return data_flow_matrix(data_flow_from_states(states, n_types, link_id), n_types, link_id)
+    obs = LinkObserver(link_id, n_types)
+    obs.record(states)
+    return obs.finalize()
 
 
 # --- latency ------------------------------------------------------------------

@@ -13,7 +13,13 @@ Update order within one base cycle is fixed and fully deterministic:
 2. routers due this cycle tick (send, then VC allocation, then route
    computation, so information advances one stage per cycle),
 3. sink NIs drain, PEs inject, source NIs send,
-4. links record their state (type id or idle) for observation.
+4. links that hold a flit record its type; idle cycles keep the
+   record's ``IDLE`` fill and cost nothing.
+
+Each link records its types into an array that its observer folds into
+M every ``CHUNK`` cycles and at the end of a run: the link's trace
+columns when traces are collected, otherwise a buffer of at most
+``CHUNK`` cycles that exists only while ``Network.run`` runs.
 """
 from __future__ import annotations
 
@@ -34,6 +40,9 @@ PORT_DELTAS = {
 }
 
 FREE, ACTIVE, DRAINING = 0, 1, 2
+
+# cycles between folds of the links' recorded types into their observers
+CHUNK = 4096
 
 
 class ConfigurationError(ValueError):
@@ -86,8 +95,6 @@ class Flit:
 class RouterConfig:
     vc_count: int = 1
     buffer_depth: int = 4
-    routing: str = "xyz"
-    selection: str = "round_robin"
     arbitration: str = "fair"
     clock_delay: int = 1
 
@@ -96,10 +103,6 @@ class RouterConfig:
             raise ConfigurationError("vc_count must be >= 1")
         if self.buffer_depth < 1:
             raise ConfigurationError("buffer_depth must be >= 1")
-        if self.routing != "xyz":
-            raise ConfigurationError(f"unknown routing {self.routing!r}")
-        if self.selection != "round_robin":
-            raise ConfigurationError(f"unknown selection {self.selection!r}")
         if self.arbitration not in ("fair", "priority"):
             raise ConfigurationError(f"unknown arbitration {self.arbitration!r}")
         if self.clock_delay < 1:
@@ -127,12 +130,17 @@ class FlowSpec:
 
 class Link:
     """One-cycle register between an upstream and a downstream port,
-    with a one-cycle reverse credit channel and an observer."""
+    with a one-cycle reverse credit channel and an observer.
+
+    During a run, ``types[cycle - base]`` records the type of the flit in
+    the register at ``cycle``; the trace's type column (``base`` 0) on
+    traced links, a per-run buffer of at most ``CHUNK`` cycles otherwise.
+    """
 
     __slots__ = (
         "link_id", "upstream", "up_port", "downstream", "down_port",
         "observer", "vertical", "reg_flit", "reg_vc",
-        "credit_fly", "credit_stage", "trace",
+        "credit_fly", "credit_stage", "trace", "types", "base",
     )
 
     def __init__(self, link_id, upstream, up_port, downstream, down_port,
@@ -149,6 +157,8 @@ class Link:
         self.credit_fly: list[int] = []
         self.credit_stage: list[int] = []
         self.trace = TraceColumns.idle(0) if collect_trace else None
+        self.types: np.ndarray | None = None
+        self.base = 0
 
     def put(self, flit: Flit, vc: int) -> None:
         if self.reg_flit is not None:
@@ -169,20 +179,24 @@ class Link:
             self.downstream.accept(self.down_port, self.reg_vc, self.reg_flit)
             self.reg_flit = None
 
-    def observe(self) -> None:
+    def observe(self, cycle: int) -> None:
+        """Record the flit in the register; called only when there is one."""
         f = self.reg_flit
-        if f is None:
-            self.observer.record(IDLE)
-        else:
-            self.observer.record(f.type_id)
-            tr = self.trace
-            if tr is not None:
-                # idle cycles keep the columns' fill values
-                i = self.observer.cycles - 1
-                tr.types[i] = f.type_id
-                tr.words[i] = f.word
-                tr.flows[i] = f.flow_id
-                tr.indices[i] = f.word_index
+        i = cycle - self.base
+        self.types[i] = f.type_id
+        tr = self.trace
+        if tr is not None:
+            tr.words[i] = f.word
+            tr.flows[i] = f.flow_id
+            tr.indices[i] = f.word_index
+
+    def fold(self, end: int) -> None:
+        """Fold the types recorded since the last fold, up to cycle ``end``,
+        into the observer; an untraced link's buffer then starts afresh."""
+        self.observer.record(self.types[self.observer.cycles - self.base:end - self.base])
+        if self.trace is None:
+            self.types.fill(IDLE)
+            self.base = end
 
 
 class InputVC:
@@ -621,33 +635,44 @@ class Network:
         for link in self.links:
             if link.trace is not None:
                 link.trace = link.trace.extended(cycles)
+                link.types, link.base = link.trace.types, 0
+            else:
+                link.types = np.full(min(cycles, CHUNK), IDLE, dtype=np.int64)
+                link.base = start
 
         # cycles count from the network's start, so that latencies and clock
         # phases carry across runs
-        for cycle in range(start, start + cycles):
+        for lo in range(start, start + cycles, CHUNK):
+            hi = min(lo + CHUNK, start + cycles)
+            for cycle in range(lo, hi):
+                for link in self.links:
+                    link.deliver()
+                for router in router_list:
+                    if cycle % router.cfg.clock_delay == 0:
+                        router.tick()
+                for sink in sink_list:
+                    if cycle % sink.clock_delay == 0:
+                        sink.tick(cycle)
+                for pe in pe_list:
+                    if cycle % pe.clock_delay == 0:
+                        pe.tick(cycle, self.dest_coords)
+                for src in source_list:
+                    if cycle % src.clock_delay == 0:
+                        src.tick()
+                for link in self.links:
+                    if link.reg_flit is not None:
+                        link.observe(cycle)
+                if check_invariants:
+                    self.check_credit_invariant()
+                    if self._flit_balance() != balance:
+                        raise SimulationError(
+                            f"flit conservation violated at cycle {cycle}: injected"
+                            f" minus ejected minus in flight moved from {balance}"
+                            f" to {self._flit_balance()}")
             for link in self.links:
-                link.deliver()
-            for router in router_list:
-                if cycle % router.cfg.clock_delay == 0:
-                    router.tick()
-            for sink in sink_list:
-                if cycle % sink.clock_delay == 0:
-                    sink.tick(cycle)
-            for pe in pe_list:
-                if cycle % pe.clock_delay == 0:
-                    pe.tick(cycle, self.dest_coords)
-            for src in source_list:
-                if cycle % src.clock_delay == 0:
-                    src.tick()
-            for link in self.links:
-                link.observe()
-            if check_invariants:
-                self.check_credit_invariant()
-                if self._flit_balance() != balance:
-                    raise SimulationError(
-                        f"flit conservation violated at cycle {cycle}: injected"
-                        f" minus ejected minus in flight moved from {balance}"
-                        f" to {self._flit_balance()}")
+                link.fold(hi)
+        for link in self.links:
+            link.types = None
 
         result.injected_flits = sum(pe.injected_flits for pe in pe_list)
         result.injected_packets = sum(pe.injected_packets for pe in pe_list)

@@ -104,6 +104,15 @@ class SwitchingMatrix:
         if not np.all(np.isfinite(t)):
             raise StreamError("switching matrix entries must be finite")
 
+    @classmethod
+    def from_products(cls, corr: np.ndarray) -> SwitchingMatrix:
+        """Switching from bit-difference products ``corr[i, j] = E{db_i db_j}``
+        (or their sums): ``corr_ii`` on the diagonal, ``corr_ii - corr_ij`` off it."""
+        ts = np.diag(corr)
+        t = ts[:, None] - corr
+        np.fill_diagonal(t, ts)
+        return cls(t)
+
     @property
     def width(self) -> int:
         return self.t.shape[0]
@@ -242,11 +251,7 @@ def compute_sequential_switching(stream: DataStream) -> SwitchingMatrix:
         raise StreamError("sequential switching needs at least two words")
     d = np.diff(stream.bits(), axis=0).astype(np.float64)
     m = len(stream) - 1
-    corr = (d.T @ d) / m  # corr[i, j] = E{db_i db_j}; diag = E{db_i^2}
-    ts = np.diag(corr).copy()
-    t = ts[:, None] - corr
-    np.fill_diagonal(t, ts)
-    return SwitchingMatrix(t)
+    return SwitchingMatrix.from_products((d.T @ d) / m)
 
 
 # --- stream / matrix serialization -------------------------------------------

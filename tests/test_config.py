@@ -44,8 +44,6 @@ class TestNodeTypes:
         cfg = parse_config(minimal(tmp_path))
         router = cfg.node_types[0]
         assert router.model == "RouterVC"
-        assert router.routing == "xyz"
-        assert router.selection == "round_robin"
         assert router.arbitration == "fair"
         assert router.clock_delay == 1
         assert cfg.node_types[1].model == "ProcessingElementVC"
@@ -66,6 +64,20 @@ class TestNodeTypes:
     def test_unknown_arbitration_rejected(self, tmp_path):
         body = NODE_TYPES.replace('value="fair"', 'value="lottery"')
         with pytest.raises(ConfigError, match="lottery"):
+            parse_config(minimal(tmp_path, node_types=body))
+
+    @pytest.mark.parametrize("original, value", [
+        ('"XYZ"', "West"), ('"XYZ"', "xyz"),
+        ('"RoundRobin"', "Random"), ('"RoundRobin"', "round_robin"),
+    ])
+    def test_unknown_routing_or_selection_rejected(self, tmp_path, original, value):
+        body = NODE_TYPES.replace(original, f'"{value}"')
+        with pytest.raises(ConfigError, match=f"'{value}' in nodeType id=0"):
+            parse_config(minimal(tmp_path, node_types=body))
+
+    def test_missing_routing_rejected(self, tmp_path):
+        body = NODE_TYPES.replace('<routing value="XYZ"/>', "")
+        with pytest.raises(ConfigError, match="missing <routing>"):
             parse_config(minimal(tmp_path, node_types=body))
 
     def test_unknown_child_rejected_with_line(self, tmp_path):

@@ -9,7 +9,7 @@ from noclink.reporting import (
     IDLE,
     LinkObserver,
     ReportingError,
-    data_flow_from_states,
+    SimulationError,
     data_flow_from_trace,
     emit_reports,
     latency_stats,
@@ -17,49 +17,99 @@ from noclink.reporting import (
 from noclink.simnet import FlowSpec, RouterConfig, build_network
 
 
+def reference_counts(states, n):
+    """Transition counts by the per-state state machine that ``record``
+    replaced: idle cycles hold the last type, starting from the head type."""
+    counts = np.zeros((2 * n, 2 * n), dtype=np.int64)
+    prev, held = None, n - 1
+    for s in states:
+        if s == IDLE:
+            state = n + held
+        else:
+            if not 0 <= s < n:
+                raise ReportingError(f"type {s} out of range (n={n})")
+            state = held = s
+        if prev is not None:
+            counts[prev, state] += 1
+        prev = state
+    return counts
+
+
+def observed(states, n, cuts=()):
+    """An observer fed ``states`` in the segments between sorted ``cuts``."""
+    obs = LinkObserver("L", n)
+    bounds = [0, *cuts, len(states)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        obs.record(np.asarray(states[lo:hi], dtype=np.int64))
+    return obs
+
+
+@st.composite
+def segmented_states(draw):
+    """n, a state sequence (with a leading idle run, possibly all idle)
+    and sorted cut points, repeats giving empty segments."""
+    n = draw(st.integers(1, 4))
+    states = [IDLE] * draw(st.integers(0, 20)) + draw(
+        st.lists(st.integers(-1, n - 1), max_size=200))
+    cuts = sorted(draw(st.lists(st.integers(0, len(states)), max_size=12)))
+    return n, states, cuts
+
+
 class TestLinkObserver:
     def test_mixed_trace_counts(self):
         # states A(0), A, idle-holding-A, B(1): transitions
-        # (A,A), (A,idleA), (idleA,B)
-        obs = LinkObserver("L", 2)
-        for state in (0, 0, IDLE, 1):
-            obs.record(state)
+        # (A,A), (A,idleA), (idleA,B); the second segment holds A across the cut
+        obs = observed([0, 0, IDLE, 1], 2, cuts=[2])
         assert obs.counts[0, 0] == 1
         assert obs.counts[0, 2] == 1  # idle holding type 0
         assert obs.counts[2, 1] == 1
         assert obs.counts.sum() == 3
 
     def test_all_idle_holds_initial_head_type(self):
-        obs = LinkObserver("L", 3)
-        for _ in range(10):
-            obs.record(IDLE)
+        obs = observed([IDLE] * 10, 3, cuts=[1, 5])
         # initial hold is the head type (index n-1)
         assert obs.counts[5, 5] == 9
 
     def test_memory_constant_in_cycle_count(self):
         obs = LinkObserver("L", 4)
-        for i in range(100_000):
-            obs.record(i % 4)
+        for lo in range(0, 100_000, 1_000):
+            obs.record(np.arange(lo, lo + 1_000) % 4)
         assert obs.counts.shape == (8, 8)
         assert obs.counts.sum() == 99_999
+        assert obs.cycles == 100_000
 
     def test_type_out_of_range(self):
         obs = LinkObserver("L", 2)
         with pytest.raises(ReportingError):
-            obs.record(2)
+            obs.record([2])
+
+    def test_vectorized_counts_reject_out_of_range(self):
+        obs = LinkObserver("L", 2)
+        obs.record([0, IDLE])
+        before = obs.counts.copy()
+        for bad in ([2], [0, -2], [IDLE, 1, 5]):
+            with pytest.raises(ReportingError):
+                obs.record(bad)
+        # a rejected segment counts nothing
+        assert np.array_equal(obs.counts, before)
+        assert obs.cycles == 2
 
     def test_finalize_normalization(self):
-        obs = LinkObserver("L", 1)
-        for state in (0, 0, 0, 0, IDLE):
-            obs.record(state)
+        obs = observed([0, 0, 0, 0, IDLE], 1, cuts=[1, 1, 4])
         m = obs.finalize()
         assert m.m[0, 0] == pytest.approx(0.75)
         assert m.m[0, 1] == pytest.approx(0.25)
 
     def test_finalize_needs_two_cycles(self):
         obs = LinkObserver("L", 1)
-        obs.record(0)
+        obs.record([0])
         with pytest.raises(ReportingError):
+            obs.finalize()
+
+    def test_finalize_checks_transition_count(self):
+        obs = observed([0, 1, IDLE], 2)
+        obs.cycles += 1
+        with pytest.raises(SimulationError):
             obs.finalize()
 
     @given(st.lists(st.integers(-1, 2), min_size=2, max_size=300))
@@ -68,36 +118,23 @@ class TestLinkObserver:
         m = data_flow_from_trace(states, 3)
         assert m.m.sum() == pytest.approx(1.0, abs=1e-12)
 
-    @given(
-        st.integers(1, 4).flatmap(lambda n: st.tuples(
-            st.just(n),
-            st.integers(0, 20),
-            st.lists(st.integers(-1, n - 1), max_size=200),
-        ))
-    )
-    @settings(max_examples=200, deadline=None)
+    @given(segmented_states())
+    @settings(max_examples=300, deadline=None)
     def test_vectorized_counts_equal_online_counts(self, case):
-        # a leading idle run (possibly the whole sequence) holds the head type
-        n, lead, rest = case
-        states = [IDLE] * lead + rest
-        obs = LinkObserver("L", n)
-        for s in states:
-            obs.record(s)
-        counts = data_flow_from_states(states, n)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, obs.counts)
-
-    def test_vectorized_counts_reject_out_of_range(self):
-        with pytest.raises(ReportingError):
-            data_flow_from_states([0, 2], 2)
+        # any split into segments, empty and one-cycle ones included,
+        # counts like the per-state loop
+        n, states, cuts = case
+        obs = observed(states, n, cuts)
+        assert obs.counts.dtype == np.int64
+        assert np.array_equal(obs.counts, reference_counts(states, n))
+        assert obs.cycles == len(states)
 
     def test_active_flits_match(self):
-        obs = LinkObserver("L", 2)
         states = [0, 1, IDLE, 1, 0, 0, IDLE]
-        for s in states:
-            obs.record(s)
-        active = sum(1 for s in states[1:] if s != IDLE)
-        assert obs.active_flits() == active
+        obs = observed(states, 2, cuts=[3])
+        # flits in the counted transitions: every cycle after the first
+        expect = [sum(1 for s in states[1:] if s == x) for x in range(2)]
+        assert list(obs.type_flit_counts()) == expect == [2, 2]
 
 
 class TestLatencyStats:

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from noclink.linkmodel import DataFlowMatrix
 from noclink.reporting import IDLE, data_flow_from_trace
 from noclink.simnet import (
+    CHUNK,
     LOCAL,
     XN,
     XP,
@@ -248,6 +250,53 @@ class TestObserverConsistency:
             expect = np.zeros((2 * n, 2 * n))
             expect[2 * n - 1, 2 * n - 1] = 1.0
             assert np.array_equal(dfm.m, expect), link
+
+
+class TestChunkedObservation:
+    """Untraced links fold a per-run buffer of at most CHUNK cycles, traced
+    links their trace columns; both must count like one fold of the trace."""
+
+    def net(self, collect_traces, rate=0.05):
+        flows = [FlowSpec(0, 0, "A", "B", rate, 4, ramp_payload()),
+                 FlowSpec(1, 1, "B", "A", rate / 2, 3, ramp_payload())]
+        return two_node_net(flows=flows, collect_traces=collect_traces, seed=5)
+
+    def assert_same_counts(self, untraced, traced):
+        assert not untraced.link_traces
+        assert untraced.summary() == traced.summary()
+        for link, dfm in traced.data_flow.items():
+            assert np.array_equal(untraced.data_flow[link].m, dfm.m), link
+            assert np.array_equal(untraced.link_flit_counts[link],
+                                  traced.link_flit_counts[link]), link
+            types = traced.link_traces[link].types
+            recount = data_flow_from_trace(types, traced.n_types, link)
+            assert np.array_equal(dfm.m, recount.m), link
+
+    @pytest.mark.parametrize("cycles", [CHUNK - 1, CHUNK, CHUNK + 1, 5 * CHUNK // 2])
+    def test_untraced_equals_traced(self, cycles):
+        self.assert_same_counts(self.net(False).run(cycles), self.net(True).run(cycles))
+
+    def test_runs_straddling_a_chunk_boundary(self):
+        results = []
+        for traced in (False, True):
+            net = self.net(traced)
+            net.run(CHUNK - 100)
+            results.append(net.run(CHUNK + 200))
+        self.assert_same_counts(*results)
+
+    def test_untraced_run_memory_is_bounded_by_the_chunk(self):
+        net = self.net(False, rate=0.01)
+        cycles = 10 * CHUNK
+        tracemalloc.start()
+        try:
+            net.run(cycles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        whole_run_columns = len(net.links) * cycles * np.dtype(np.int64).itemsize
+        assert peak < whole_run_columns / 4
+        # the buffers live only while the run does
+        assert all(link.types is None for link in net.links)
 
 
 class TestFlowOrdering:
