@@ -1,3 +1,5 @@
+import hashlib
+import json
 import subprocess
 import sys
 import textwrap
@@ -164,6 +166,57 @@ class TestDeterminism:
         a = case_net(4, seed=1).run(5_000)
         b = case_net(4, seed=2).run(5_000)
         assert a.injected_flits != b.injected_flits or a.flit_latencies != b.flit_latencies
+
+
+class TestPinnedOutputs:
+    """Outputs recorded before the router and source-NI output stages were
+    merged, over configurations the benchmark pins do not reach: both
+    arbitrations at 1, 2 and 4 VCs, slow router and PE clocks, and a
+    source NI whose flows share its VCs."""
+
+    @staticmethod
+    def digest(result):
+        h = hashlib.sha256()
+        h.update(np.asarray(result.flit_latencies, dtype=np.int64).tobytes())
+        h.update(np.asarray(result.packet_latencies, dtype=np.int64).tobytes())
+        for link in sorted(result.data_flow):
+            h.update(link.encode())
+            h.update(result.data_flow[link].m.tobytes())
+            h.update(np.asarray(result.link_flit_counts[link], dtype=np.int64).tobytes())
+        h.update(json.dumps(result.summary(), sort_keys=True).encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("arbitration, vc_count, expect", [
+        ("priority", 1, "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb"),
+        ("priority", 2, "76b05371c7ab2fdbf72bd276a466772349f7e23abe977f77424f32383e05d909"),
+        ("priority", 4, "b4ce4d31f410635e76d015bc5d59150667b03a1e45cf3d3b525f919d802d4490"),
+        ("fair", 1, "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb"),
+        ("fair", 2, "47aa46991720eb98de76534d452d5e0f2b153a43909ee57ad8360e43cca4071a"),
+        ("fair", 4, "fdbe0e17ef4b10c2be5b1bb397aaad89da6690804b23446427c893a740f30ed0"),
+    ])
+    def test_case_study_arbitration(self, arbitration, vc_count, expect):
+        cfg = RouterConfig(vc_count=vc_count, buffer_depth=4, arbitration=arbitration)
+        result = case_net(vc_count, rate=0.03, seed=21, router_cfg=cfg).run(
+            3_000, check_invariants=True)
+        assert self.digest(result) == expect
+
+    def test_slow_clocks(self):
+        cfg = RouterConfig(vc_count=2, buffer_depth=4, clock_delay=2)
+        result = case_net(2, rate=0.01, seed=22, router_cfg=cfg, pe_clock_delay=4).run(
+            4_000, check_invariants=True)
+        assert self.digest(result) == (
+            "4dbe3e1b4accd54a53b91df3a6c74706cc33bcd92919137eb8ffc132d454aceb")
+
+    @pytest.mark.parametrize("arbitration, expect", [
+        ("priority", "2fff0868b2aaf4eca4b1939fa10ab01a3b4efbab6216e327ff39e4b3a0b3c3e0"),
+        ("fair", "b048147ae9046711dc8c52729ae4026460e4416a1af5cdbfcf9956e701d7b197"),
+    ])
+    def test_flows_sharing_a_source(self, arbitration, expect):
+        flows = [FlowSpec(i, i % 2, "A", "B", 0.04, 5, ramp_payload()) for i in range(3)]
+        cfg = RouterConfig(vc_count=2, buffer_depth=3, arbitration=arbitration)
+        result = two_node_net(flows=flows, seed=23, router_cfg=cfg).run(
+            3_000, check_invariants=True)
+        assert self.digest(result) == expect
 
 
 class TestConservation:
