@@ -54,7 +54,7 @@ class GrayCodec(Codec):
     def encode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_in)
         w = stream.words
-        return DataStream(w ^ (w >> np.uint64(1)), self.width_in, stream.type_id)
+        return DataStream(w ^ (w >> np.uint64(1)), self.width_in)
 
     def decode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_out)
@@ -63,7 +63,7 @@ class GrayCodec(Codec):
         while shift < self.width_in:
             w ^= w >> np.uint64(shift)
             shift *= 2
-        return DataStream(w, self.width_in, stream.type_id)
+        return DataStream(w, self.width_in)
 
 
 class CorrelatorCodec(Codec):
@@ -86,7 +86,7 @@ class CorrelatorCodec(Codec):
         c[1:] = d[1:] ^ d[:-1]
         if self.invert_output:
             c = ~c & self._mask
-        return DataStream(c, self.width_in, stream.type_id)
+        return DataStream(c, self.width_in)
 
     def decode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_out)
@@ -94,7 +94,7 @@ class CorrelatorCodec(Codec):
         if self.invert_output:
             c = ~c & self._mask
         d = np.bitwise_xor.accumulate(c)
-        return DataStream(d, self.width_in, stream.type_id)
+        return DataStream(d, self.width_in)
 
 
 class InvertCodec(Codec):
@@ -123,7 +123,7 @@ class InvertCodec(Codec):
         inverted = ((toggles - at_tie) & 1).astype(bool)
         mask = np.uint64((1 << n) - 1)
         code = np.where(inverted, (~w & mask) | np.uint64(1 << n), w)
-        return DataStream(code, self.width_out, stream.type_id)
+        return DataStream(code, self.width_out)
 
     def decode(self, stream: DataStream) -> DataStream:
         self._check(stream, self.width_out)
@@ -132,7 +132,7 @@ class InvertCodec(Codec):
         inverted = (stream.words >> np.uint64(n)) & np.uint64(1)
         low = stream.words & mask
         out = np.where(inverted.astype(bool), ~low & mask, low)
-        return DataStream(out.astype(np.uint64), self.width_in, stream.type_id)
+        return DataStream(out.astype(np.uint64), self.width_in)
 
 
 def make_codec(name: str, width: int) -> Codec:

@@ -9,7 +9,8 @@ data-flow matrices fall out of a run for free.
 
 Update order within one base cycle is fixed and fully deterministic:
 
-1. links deliver flits downstream and credits upstream,
+1. links deliver flits into the downstream buffers and return credits
+   to the upstream :class:`OutputPort`,
 2. routers due this cycle tick (send, then VC allocation, then route
    computation, so information advances one stage per cycle),
 3. sink NIs drain, PEs inject, source NIs send,
@@ -129,8 +130,13 @@ class FlowSpec:
 
 
 class Link:
-    """One-cycle register between an upstream and a downstream port,
-    with a one-cycle reverse credit channel and an observer.
+    """One-cycle register from an upstream :class:`OutputPort` into the
+    downstream per-VC ``buffers``, with a one-cycle reverse credit channel
+    and an observer.
+
+    The output port sets ``out_port`` and the downstream router input or
+    sink NI sets ``buffers``, so a link delivers flits and returns credits
+    without going through either end.
 
     During a run, ``types[cycle - base]`` records the type of the flit in
     the register at ``cycle``; the trace's type column (``base`` 0) on
@@ -138,18 +144,14 @@ class Link:
     """
 
     __slots__ = (
-        "link_id", "upstream", "up_port", "downstream", "down_port",
-        "observer", "vertical", "reg_flit", "reg_vc",
-        "credit_fly", "credit_stage", "trace", "types", "base",
+        "link_id", "out_port", "buffers", "observer", "vertical", "reg_flit",
+        "reg_vc", "credit_fly", "credit_stage", "trace", "types", "base",
     )
 
-    def __init__(self, link_id, upstream, up_port, downstream, down_port,
-                 n_types, vertical=False, collect_trace=False):
+    def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
         self.link_id = link_id
-        self.upstream = upstream
-        self.up_port = up_port
-        self.downstream = downstream
-        self.down_port = down_port
+        self.out_port: OutputPort | None = None
+        self.buffers: list[deque[Flit]] = []
         self.observer = LinkObserver(link_id, n_types)
         self.vertical = vertical
         self.reg_flit: Flit | None = None
@@ -171,12 +173,18 @@ class Link:
 
     def deliver(self) -> None:
         if self.credit_fly:
+            accept_credit = self.out_port.accept_credit
             for vc in self.credit_fly:
-                self.upstream.accept_credit(self.up_port, vc)
+                accept_credit(vc)
             self.credit_fly.clear()
         self.credit_fly, self.credit_stage = self.credit_stage, self.credit_fly
-        if self.reg_flit is not None:
-            self.downstream.accept(self.down_port, self.reg_vc, self.reg_flit)
+        flit = self.reg_flit
+        if flit is not None:
+            buf = self.buffers[self.reg_vc]
+            if len(buf) >= self.out_port.depth:
+                raise SimulationError(
+                    f"{self.link_id}: buffer overflow on vc {self.reg_vc}")
+            buf.append(flit)
             self.reg_flit = None
 
     def observe(self, cycle: int) -> None:
@@ -209,23 +217,66 @@ class InputVC:
 
 
 class OutputVC:
-    __slots__ = ("state", "credits", "depth", "in_port", "in_vc")
+    """One VC of an output stage.  ``flits`` is the deque it sends from: a
+    source NI's own per-VC deque, or in a router the buffer of the input VC
+    (``in_port``, ``in_vc``) that holds the VC.  A source NI stores the
+    flow of the packet it carries in ``flow_id``."""
+
+    __slots__ = ("state", "credits", "flits", "in_port", "in_vc", "flow_id")
 
     def __init__(self, depth):
         self.state = FREE
         self.credits = depth
-        self.depth = depth
+        self.flits: deque[Flit] | None = None
         self.in_port = -1
         self.in_vc = -1
+        self.flow_id = -1
 
 
 class OutputPort:
-    __slots__ = ("link", "vcs", "rr")
+    """The VCs feeding one link, with their credits and arbitration.
 
-    def __init__(self, link, vc_count, downstream_depth):
+    ``orders[rr]`` is the VC order tried after ``rr`` last sent: round
+    robin under ``fair``, always the lowest VC first under ``priority``.
+    """
+
+    __slots__ = ("link", "vcs", "depth", "orders", "rr")
+
+    def __init__(self, link: Link, vc_count: int, downstream_depth: int, arbitration: str):
+        link.out_port = self
         self.link = link
         self.vcs = [OutputVC(downstream_depth) for _ in range(vc_count)]
+        self.depth = downstream_depth
+        if arbitration == "fair":
+            self.orders = [tuple((rr + 1 + k) % vc_count for k in range(vc_count))
+                           for rr in range(vc_count)]
+        else:
+            self.orders = [tuple(range(vc_count))] * vc_count
         self.rr = 0
+
+    def accept_credit(self, vc: int) -> None:
+        ov = self.vcs[vc]
+        ov.credits += 1
+        if ov.credits > self.depth:
+            raise SimulationError(f"{self.link.link_id}: credit overflow on vc {vc}")
+        if ov.state == DRAINING and ov.credits == self.depth:
+            ov.state = FREE
+
+    def send(self) -> OutputVC | None:
+        """Put one flit from the first ready VC on the link; return that VC."""
+        vcs = self.vcs
+        for idx in self.orders[self.rr]:
+            ov = vcs[idx]
+            if ov.state != ACTIVE or ov.credits == 0 or not ov.flits:
+                continue
+            flit = ov.flits.popleft()
+            ov.credits -= 1
+            self.link.put(flit, idx)
+            if flit.is_tail:
+                ov.state = DRAINING
+            self.rr = idx
+            return ov
+        return None
 
 
 class Router:
@@ -237,64 +288,33 @@ class Router:
         self.in_links: dict[int, Link] = {}
         self.outputs: dict[int, OutputPort] = {}
         self._in_ports: list[int] = []
-        self._out_ports: list[int] = []
+        self._out_ports: list[OutputPort] = []
 
     def attach_input(self, port: int, link: Link) -> None:
         self.inputs[port] = [InputVC() for _ in range(self.cfg.vc_count)]
+        link.buffers = [ivc.buffer for ivc in self.inputs[port]]
         self.in_links[port] = link
         self._in_ports = sorted(self.inputs)
 
     def attach_output(self, port: int, link: Link, downstream_depth: int) -> None:
-        self.outputs[port] = OutputPort(link, self.cfg.vc_count, downstream_depth)
-        self._out_ports = sorted(self.outputs)
-
-    def accept(self, port: int, vc: int, flit: Flit) -> None:
-        buf = self.inputs[port][vc].buffer
-        if len(buf) >= self.cfg.buffer_depth:
-            raise SimulationError(
-                f"{self.node_id}: buffer overflow on {PORT_NAMES[port]} vc {vc}")
-        buf.append(flit)
-
-    def accept_credit(self, port: int, vc: int) -> None:
-        ov = self.outputs[port].vcs[vc]
-        ov.credits += 1
-        if ov.credits > ov.depth:
-            raise SimulationError(
-                f"{self.node_id}: credit overflow on {PORT_NAMES[port]} vc {vc}")
-        if ov.state == DRAINING and ov.credits == ov.depth:
-            ov.state = FREE
+        self.outputs[port] = OutputPort(
+            link, self.cfg.vc_count, downstream_depth, self.cfg.arbitration)
+        self._out_ports = [self.outputs[p] for p in sorted(self.outputs)]
 
     def occupancy(self) -> int:
         return sum(len(vc.buffer) for vcs in self.inputs.values() for vc in vcs)
 
     def tick(self) -> None:
-        fair = self.cfg.arbitration == "fair"
         # stage 3: output arbitration and sending
-        for port in self._out_ports:
-            op = self.outputs[port]
-            nvc = len(op.vcs)
-            if fair:
-                order = [(op.rr + 1 + k) % nvc for k in range(nvc)]
-            else:
-                order = range(nvc)
-            for idx in order:
-                ov = op.vcs[idx]
-                if ov.state != ACTIVE or ov.credits == 0:
-                    continue
+        for op in self._out_ports:
+            ov = op.send()
+            if ov is None:
+                continue
+            self.in_links[ov.in_port].stage_credit(ov.in_vc)
+            if ov.state == DRAINING:  # the tail just left
                 ivc = self.inputs[ov.in_port][ov.in_vc]
-                if not ivc.buffer:
-                    continue
-                flit = ivc.buffer.popleft()
-                self.in_links[ov.in_port].stage_credit(ov.in_vc)
-                ov.credits -= 1
-                op.link.put(flit, idx)
-                if flit.is_tail:
-                    ov.state = DRAINING
-                    ivc.route = None
-                    ivc.out_vc = None
-                if fair:
-                    op.rr = idx
-                break
+                ivc.route = None
+                ivc.out_vc = None
         # stage 2: VC allocation for heads with a computed route
         for port in self._in_ports:
             for vc, ivc in enumerate(self.inputs[port]):
@@ -305,6 +325,7 @@ class Router:
                 for idx, ov in enumerate(op.vcs):
                     if ov.state == FREE:
                         ov.state = ACTIVE
+                        ov.flits = ivc.buffer
                         ov.in_port = port
                         ov.in_vc = vc
                         ivc.out_vc = idx
@@ -322,37 +343,24 @@ class Router:
                     ivc.route = out
 
 
-class NIVC:
-    __slots__ = ("state", "credits", "depth", "flits", "flow_id")
-
-    def __init__(self, depth):
-        self.state = FREE
-        self.credits = depth
-        self.depth = depth
-        self.flits: deque[Flit] = deque()
-        self.flow_id = -1
-
-
 class SourceNI:
-    """Packet queue feeding the router's local input port.
+    """Packet queue feeding the router's local input port through an
+    :class:`OutputPort`, so it arbitrates and takes credits back exactly
+    like a router output stage.
 
-    Behaves like a router output stage: each queued packet claims the
-    lowest free local VC and holds it until its tail flit is sent and
-    all credits have returned.  Packets of one flow transmit strictly
-    one at a time so flow-level packet order is preserved end to end.
-    Blocking: the queue grows without loss when the router
-    back-pressures."""
+    Each queued packet claims the lowest free local VC and holds it until
+    its tail flit is sent and all credits have returned.  A flow is busy
+    while a VC that is not free carries it, and packets of one flow
+    transmit strictly one at a time, so flow-level packet order is
+    preserved end to end.  Blocking: the queue grows without loss when the
+    router back-pressures."""
 
-    def __init__(self, node_id, link: Link, vc_count, downstream_depth,
-                 clock_delay, arbitration):
-        self.node_id = node_id
-        self.link = link
+    def __init__(self, link: Link, vc_count, downstream_depth, clock_delay, arbitration):
         self.clock_delay = clock_delay
-        self.fair = arbitration == "fair"
-        self.vcs = [NIVC(downstream_depth) for _ in range(vc_count)]
-        self.rr = 0
+        self.out = OutputPort(link, vc_count, downstream_depth, arbitration)
+        for ov in self.out.vcs:
+            ov.flits = deque()
         self.queue: deque[list[Flit]] = deque()
-        self.active_flows: set[int] = set()
         self.enqueued_packets = 0
         self.max_backlog = 0
 
@@ -362,72 +370,39 @@ class SourceNI:
         if len(self.queue) > self.max_backlog:
             self.max_backlog = len(self.queue)
 
-    def accept_credit(self, _port: int, vc: int) -> None:
-        v = self.vcs[vc]
-        v.credits += 1
-        if v.credits > v.depth:
-            raise SimulationError(f"{self.node_id}: NI credit overflow")
-        if v.state == DRAINING and v.credits == v.depth:
-            v.state = FREE
-            self.active_flows.discard(v.flow_id)
-            v.flow_id = -1
-
     def occupancy(self) -> int:
-        return sum(len(p) for p in self.queue) + sum(len(v.flits) for v in self.vcs)
+        return sum(len(p) for p in self.queue) + sum(len(v.flits) for v in self.out.vcs)
 
     def tick(self) -> None:
-        for v in self.vcs:
-            if not self.queue:
-                break
-            if v.state != FREE:
-                continue
-            packet = None
-            for cand in self.queue:
-                if cand[0].flow_id not in self.active_flows:
-                    packet = cand
+        queue = self.queue
+        if queue:
+            vcs = self.out.vcs
+            busy = {ov.flow_id for ov in vcs if ov.state != FREE}
+            for ov in vcs:
+                if ov.state != FREE:
+                    continue
+                packet = next((p for p in queue if p[0].flow_id not in busy), None)
+                if packet is None:
                     break
-            if packet is None:
-                break
-            self.queue.remove(packet)
-            self.active_flows.add(packet[0].flow_id)
-            v.state = ACTIVE
-            v.flow_id = packet[0].flow_id
-            v.flits.extend(packet)
-        nvc = len(self.vcs)
-        if self.fair:
-            order = [(self.rr + 1 + k) % nvc for k in range(nvc)]
-        else:
-            order = range(nvc)
-        for idx in order:
-            v = self.vcs[idx]
-            if v.state != ACTIVE or v.credits == 0 or not v.flits:
-                continue
-            flit = v.flits.popleft()
-            v.credits -= 1
-            self.link.put(flit, idx)
-            if flit.is_tail:
-                v.state = DRAINING
-            if self.fair:
-                self.rr = idx
-            break
+                queue.remove(packet)
+                busy.add(packet[0].flow_id)
+                ov.state = ACTIVE
+                ov.flow_id = packet[0].flow_id
+                ov.flits.extend(packet)
+                if not queue:
+                    break
+        self.out.send()
 
 
 class SinkNI:
     """Consumes ejected flits, returns credits and records latency."""
 
-    def __init__(self, node_id, in_link: Link, vc_count, depth, clock_delay, result):
-        self.node_id = node_id
+    def __init__(self, in_link: Link, vc_count, clock_delay, result):
         self.in_link = in_link
         self.clock_delay = clock_delay
-        self.depth = depth
         self.buffers = [deque() for _ in range(vc_count)]
+        in_link.buffers = self.buffers
         self.result = result
-
-    def accept(self, _port: int, vc: int, flit: Flit) -> None:
-        buf = self.buffers[vc]
-        if len(buf) >= self.depth:
-            raise SimulationError(f"{self.node_id}: sink buffer overflow")
-        buf.append(flit)
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self.buffers)
@@ -591,25 +566,18 @@ class Network:
         return injected - self.result.ejected_flits - self.in_flight()
 
     def check_credit_invariant(self) -> None:
-        """Credits plus downstream occupancy equal buffer depth for
-        every (output, VC) pair; valid at cycle boundaries."""
-        for router in self.routers.values():
-            for port, op in router.outputs.items():
-                link = op.link
-                down = link.downstream
-                for vc, ov in enumerate(op.vcs):
-                    if isinstance(down, Router):
-                        occ = len(down.inputs[link.down_port][vc].buffer)
-                    else:
-                        occ = len(down.buffers[vc])
-                    in_reg = 1 if (link.reg_flit is not None and link.reg_vc == vc) else 0
-                    in_fly = link.credit_fly.count(vc) + link.credit_stage.count(vc)
-                    total = ov.credits + occ + in_reg + in_fly
-                    if total != ov.depth:
-                        raise SimulationError(
-                            f"{router.node_id} {PORT_NAMES[port]} vc {vc}:"
-                            f" credits {ov.credits} + occupancy {occ} + reg {in_reg}"
-                            f" + in-flight {in_fly} != depth {ov.depth}")
+        """Credits plus downstream occupancy equal buffer depth for every
+        link and VC, NI-fed links included; valid at cycle boundaries."""
+        for link in self.links:
+            op = link.out_port
+            for vc, ov in enumerate(op.vcs):
+                occ = len(link.buffers[vc])
+                in_reg = 1 if (link.reg_flit is not None and link.reg_vc == vc) else 0
+                in_fly = link.credit_fly.count(vc) + link.credit_stage.count(vc)
+                if ov.credits + occ + in_reg + in_fly != op.depth:
+                    raise SimulationError(
+                        f"{link.link_id} vc {vc}: credits {ov.credits} + occupancy {occ}"
+                        f" + reg {in_reg} + in-flight {in_fly} != depth {op.depth}")
 
     def run(self, cycles: int, *, check_invariants: bool = False) -> SimulationResult:
         """Advance the network by ``cycles`` cycles.
@@ -740,9 +708,8 @@ def build_network(
             peer = coords_to_id.get(nc)
             if peer is None:
                 continue
-            link = Link(f"{nid}->{peer}", routers[nid], port,
-                        routers[peer], _opposite(port), n_types,
-                        vertical=dz != 0, collect_trace=collect_traces)
+            link = Link(f"{nid}->{peer}", n_types, vertical=dz != 0,
+                        collect_trace=collect_traces)
             links.append(link)
             routers[nid].attach_output(port, link, cfg.buffer_depth)
             routers[peer].attach_input(_opposite(port), link)
@@ -753,19 +720,14 @@ def build_network(
     result = SimulationResult(clock_period=clock_period, n_types=n_types,
                               flit_width=flit_width)
     for nid in sorted(node_coords):
-        up = Link(f"PE_{nid}->{nid}", None, 0, routers[nid], LOCAL,
-                  n_types, collect_trace=collect_traces)
-        down = Link(f"{nid}->PE_{nid}", routers[nid], LOCAL, None, 0,
-                    n_types, collect_trace=collect_traces)
+        up = Link(f"PE_{nid}->{nid}", n_types, collect_trace=collect_traces)
+        down = Link(f"{nid}->PE_{nid}", n_types, collect_trace=collect_traces)
         links.extend([up, down])
         routers[nid].attach_input(LOCAL, up)
-        sink = SinkNI(nid, down, cfg.vc_count, cfg.buffer_depth,
-                      pe_clock_delay, result)
         routers[nid].attach_output(LOCAL, down, cfg.buffer_depth)
-        down.downstream = sink
-        source = SourceNI(nid, up, cfg.vc_count, cfg.buffer_depth,
-                          pe_clock_delay, cfg.arbitration)
-        up.upstream = source
+        sink = SinkNI(down, cfg.vc_count, pe_clock_delay, result)
+        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, pe_clock_delay,
+                          cfg.arbitration)
         node_flows = [f for f in flows if f.src == nid]
         pe = PE(nid, dest_index_of, flit_width, pe_clock_delay,
                 node_flows, source, head_type=n_types - 1,

@@ -38,7 +38,6 @@ def word_bits(words: np.ndarray, width: int) -> np.ndarray:
 class DataStream:
     words: np.ndarray
     width: int
-    type_id: int = 0
 
     def __post_init__(self):
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
@@ -262,23 +261,23 @@ def write_stream_binary(path, stream: DataStream) -> None:
         fh.write(stream.words.astype("<u8").tobytes())
 
 
-def read_stream_binary(path, type_id: int = 0) -> DataStream:
+def read_stream_binary(path) -> DataStream:
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8 or header[:6] != STREAM_MAGIC:
             raise StreamError(f"{path}: not a stream file (bad magic)")
         (width,) = struct.unpack("<H", header[6:])
         words = np.frombuffer(fh.read(), dtype="<u8")
-    return DataStream(words.copy(), width, type_id)
+    return DataStream(words.copy(), width)
 
 
 def write_stream_csv(path, stream: DataStream) -> None:
     np.savetxt(path, stream.words.astype(np.int64), fmt="%d")
 
 
-def read_stream_csv(path, width: int, type_id: int = 0) -> DataStream:
+def read_stream_csv(path, width: int) -> DataStream:
     words = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return DataStream(words.astype(np.uint64), width, type_id)
+    return DataStream(words.astype(np.uint64), width)
 
 
 def save_matrix_csv(path, matrix: np.ndarray, header: str) -> None:

@@ -24,6 +24,7 @@ from noclink.simnet import (
     Flit,
     FlowSpec,
     RouterConfig,
+    SimulationError,
     build_network,
     encode_head_word,
     route_xyz,
@@ -186,19 +187,25 @@ class TestPinnedOutputs:
         h.update(json.dumps(result.summary(), sort_keys=True).encode())
         return h.hexdigest()
 
-    @pytest.mark.parametrize("arbitration, vc_count, expect", [
-        ("priority", 1, "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb"),
-        ("priority", 2, "76b05371c7ab2fdbf72bd276a466772349f7e23abe977f77424f32383e05d909"),
-        ("priority", 4, "b4ce4d31f410635e76d015bc5d59150667b03a1e45cf3d3b525f919d802d4490"),
-        ("fair", 1, "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb"),
-        ("fair", 2, "47aa46991720eb98de76534d452d5e0f2b153a43909ee57ad8360e43cca4071a"),
-        ("fair", 4, "fdbe0e17ef4b10c2be5b1bb397aaad89da6690804b23446427c893a740f30ed0"),
-    ])
-    def test_case_study_arbitration(self, arbitration, vc_count, expect):
+    CASE_STUDY = {
+        ("priority", 1): "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb",
+        ("priority", 2): "76b05371c7ab2fdbf72bd276a466772349f7e23abe977f77424f32383e05d909",
+        ("priority", 4): "b4ce4d31f410635e76d015bc5d59150667b03a1e45cf3d3b525f919d802d4490",
+        ("fair", 1): "89be57bd1978c4b862a1ef4776d447c535af202103e4a0e1408b2c78d0e690fb",
+        ("fair", 2): "47aa46991720eb98de76534d452d5e0f2b153a43909ee57ad8360e43cca4071a",
+        ("fair", 4): "fdbe0e17ef4b10c2be5b1bb397aaad89da6690804b23446427c893a740f30ed0",
+    }
+    SHARED_SOURCE = {
+        "priority": "2fff0868b2aaf4eca4b1939fa10ab01a3b4efbab6216e327ff39e4b3a0b3c3e0",
+        "fair": "b048147ae9046711dc8c52729ae4026460e4416a1af5cdbfcf9956e701d7b197",
+    }
+
+    @pytest.mark.parametrize("arbitration, vc_count", list(CASE_STUDY))
+    def test_case_study_arbitration(self, arbitration, vc_count):
         cfg = RouterConfig(vc_count=vc_count, buffer_depth=4, arbitration=arbitration)
         result = case_net(vc_count, rate=0.03, seed=21, router_cfg=cfg).run(
             3_000, check_invariants=True)
-        assert self.digest(result) == expect
+        assert self.digest(result) == self.CASE_STUDY[arbitration, vc_count]
 
     def test_slow_clocks(self):
         cfg = RouterConfig(vc_count=2, buffer_depth=4, clock_delay=2)
@@ -207,16 +214,13 @@ class TestPinnedOutputs:
         assert self.digest(result) == (
             "4dbe3e1b4accd54a53b91df3a6c74706cc33bcd92919137eb8ffc132d454aceb")
 
-    @pytest.mark.parametrize("arbitration, expect", [
-        ("priority", "2fff0868b2aaf4eca4b1939fa10ab01a3b4efbab6216e327ff39e4b3a0b3c3e0"),
-        ("fair", "b048147ae9046711dc8c52729ae4026460e4416a1af5cdbfcf9956e701d7b197"),
-    ])
-    def test_flows_sharing_a_source(self, arbitration, expect):
+    @pytest.mark.parametrize("arbitration", list(SHARED_SOURCE))
+    def test_flows_sharing_a_source(self, arbitration):
         flows = [FlowSpec(i, i % 2, "A", "B", 0.04, 5, ramp_payload()) for i in range(3)]
         cfg = RouterConfig(vc_count=2, buffer_depth=3, arbitration=arbitration)
         result = two_node_net(flows=flows, seed=23, router_cfg=cfg).run(
             3_000, check_invariants=True)
-        assert self.digest(result) == expect
+        assert self.digest(result) == self.SHARED_SOURCE[arbitration]
 
 
 class TestConservation:
@@ -418,29 +422,70 @@ class TestValidation:
 
 class TestInvariantErrors:
     def test_link_overflow_raises_under_optimization(self):
-        # invariants must hold with assertions stripped (python -O)
+        # invariants must hold with assertions stripped (python -O); every
+        # check names the link: the register, a full router input buffer,
+        # a full sink buffer, and an extra credit back to a router port and
+        # to a source-NI port
         script = textwrap.dedent("""
             import sys
             from noclink.simnet import Flit, RouterConfig, SimulationError, build_network
-            net = build_network({"A": (0, 0, 0), "B": (1, 0, 0)}, [],
-                                router_cfg=RouterConfig(), seed=0)
-            link = net.links[0]
             flit = Flit(0, 0, 0, True, True, 0, (1, 0, 0), -1, 0)
-            link.put(flit, 0)
-            try:
-                link.put(flit, 0)
-            except SimulationError as exc:
-                print(exc)
-                sys.exit(0)
-            sys.exit(1)
+
+            def link(link_id):
+                net = build_network({"A": (0, 0, 0), "B": (1, 0, 0)}, [],
+                                    router_cfg=RouterConfig(), seed=0)
+                return next(lk for lk in net.links if lk.link_id == link_id)
+
+            def busy_register(lk):
+                lk.put(flit, 0)
+                lk.put(flit, 0)
+
+            def full_buffer(lk):
+                lk.buffers[0].extend([flit] * lk.out_port.depth)
+                lk.put(flit, 0)
+                lk.deliver()
+
+            def extra_credit(lk):
+                lk.credit_fly.append(0)
+                lk.deliver()
+
+            for check, link_id in [(busy_register, "A->B"), (full_buffer, "A->B"),
+                                   (full_buffer, "B->PE_B"), (extra_credit, "A->B"),
+                                   (extra_credit, "PE_A->A")]:
+                try:
+                    check(link(link_id))
+                except SimulationError as exc:
+                    print(exc)
+                else:
+                    print(f"{check.__name__} on {link_id}: not caught")
+                    sys.exit(1)
         """)
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],
             env={"PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "link register busy" in proc.stdout
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            "A->B: link register busy",
+            "A->B: buffer overflow on vc 0",
+            "B->PE_B: buffer overflow on vc 0",
+            "A->B: credit overflow on vc 0",
+            "PE_A->A: credit overflow on vc 0",
+        ]
+
+    def test_credit_lost_on_an_ni_fed_link_is_caught(self):
+        flow = FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())
+        net = two_node_net(
+            flows=[flow], router_cfg=RouterConfig(vc_count=2, buffer_depth=4))
+        link = next(lk for lk in net.links if lk.link_id == "PE_A->A")
+        net.run(2)
+        while not link.credit_fly:
+            assert net.result.cycles < 200, "no credit came back to the source NI"
+            net.run(1)
+        link.credit_fly.pop()
+        with pytest.raises(SimulationError, match=r"^PE_A->A vc \d: credits"):
+            net.run(2_000, check_invariants=True)
 
 
 class TestClockDelays:
