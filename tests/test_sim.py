@@ -223,6 +223,57 @@ class TestPinnedOutputs:
         assert self.digest(result) == self.SHARED_SOURCE[arbitration]
 
 
+def mesh_net(vc_count, rate, seed):
+    """A 3x3 mesh in which every node sources two flows to destinations
+    drawn uniformly from the other nodes."""
+    nodes = {f"N{x}{y}": (x, y, 0) for y in range(3) for x in range(3)}
+    ids = sorted(nodes)
+    rng = np.random.default_rng(31)
+    flows = []
+    for i, src in enumerate(ids):
+        for _ in range(2):
+            dst = int(rng.integers(0, len(ids) - 1))
+            dst += dst >= i
+            flows.append(FlowSpec(len(flows), len(flows) % 3, src, ids[dst], rate, 4,
+                                  ramp_payload()))
+    return build_network(nodes, flows, flit_width=W,
+                         router_cfg=RouterConfig(vc_count=vc_count, buffer_depth=4),
+                         pe_clock_delay=2, seed=seed)
+
+
+def ordered_digest(result):
+    """sha256 of a result's outputs, each list and dict in its own order."""
+    h = hashlib.sha256()
+    h.update(np.asarray(result.flit_latencies, dtype=np.int64).tobytes())
+    h.update(np.asarray(result.packet_latencies, dtype=np.int64).tobytes())
+    h.update(json.dumps(list(result.consumed_words.items())).encode())
+    for link in sorted(result.data_flow):
+        h.update(link.encode())
+        h.update(result.data_flow[link].m.tobytes())
+        h.update(np.asarray(result.link_flit_counts[link], dtype=np.int64).tobytes())
+    h.update(json.dumps(result.summary(), sort_keys=True).encode())
+    h.update(json.dumps(sorted(result.max_backlogs.items())).encode())
+    return h.hexdigest()
+
+
+class TestPinnedMesh:
+    """Outputs recorded before the simulator became activity-driven, on a
+    mesh with nine sinks that receive in the same cycles, near saturation
+    at 2 VCs and far past it at 1 VC, where source-NI backlogs grow to
+    hundreds of packets.  Latency lists and consumed words are hashed in
+    their own order, so the order in which sinks drain is pinned too."""
+
+    PINS = {
+        (2, 0.07): "2fa673dfa801f9876486f6d90fbcb1d155076c1f1d352ab8eff0dc96118e65a4",
+        (1, 0.2): "f94631b4345bf509be4e6350d9f29a891239b5378a49f34a17a047bf3adb65de",
+    }
+
+    @pytest.mark.parametrize("vc_count, rate", list(PINS))
+    def test_mesh(self, vc_count, rate):
+        result = mesh_net(vc_count, rate, seed=41).run(3_000, check_invariants=True)
+        assert ordered_digest(result) == self.PINS[vc_count, rate]
+
+
 class TestConservation:
     def test_flit_conservation_and_credit_invariant(self):
         # elevated rate so buffers fill and back-pressure is exercised;
@@ -279,6 +330,57 @@ class TestRepeatedRuns:
             for column in ("types", "words", "flows", "indices"):
                 assert np.array_equal(getattr(split.link_traces[link], column),
                                       getattr(whole.link_traces[link], column))
+
+
+    # a first run needs two cycles: M counts transitions between cycles
+    SPLITS = (7, 1, 613) * 3
+
+    @staticmethod
+    def assert_same_result(split, whole):
+        assert split.summary() == whole.summary()
+        assert split.flit_latencies == whole.flit_latencies
+        assert split.packet_latencies == whole.packet_latencies
+        assert list(split.consumed_words.items()) == list(whole.consumed_words.items())
+        for link, dfm in whole.data_flow.items():
+            assert np.array_equal(split.data_flow[link].m, dfm.m), link
+            assert np.array_equal(split.link_flit_counts[link], whole.link_flit_counts[link])
+            for column in ("types", "words", "flows", "indices"):
+                assert np.array_equal(getattr(split.link_traces[link], column),
+                                      getattr(whole.link_traces[link], column)), link
+
+    @pytest.mark.parametrize("vc_count, clock_delay, pe_clock_delay",
+                             [(1, 1, 1), (1, 2, 3), (4, 1, 1), (4, 2, 3)])
+    def test_split_runs_equal_one_run(self, vc_count, clock_delay, pe_clock_delay):
+        def net():
+            cfg = RouterConfig(vc_count=vc_count, buffer_depth=4, clock_delay=clock_delay)
+            return case_net(vc_count, rate=0.03, seed=24, router_cfg=cfg,
+                            pe_clock_delay=pe_clock_delay)
+
+        split = net()
+        for cycles in self.SPLITS:
+            result = split.run(cycles, check_invariants=True)
+        whole = net().run(sum(self.SPLITS), check_invariants=True)
+        assert whole.injected_packets > 0
+        self.assert_same_result(result, whole)
+
+    def test_rate_change_between_runs(self):
+        # a PE draws its uniforms ahead of time; a rate set between runs
+        # must apply to every tick of the next run, drawn or not
+        def net():
+            net = case_net(2, rate=0.03, seed=25, pe_clock_delay=3)
+            net.run(500)
+            for pe in net.pes.values():
+                for flow in pe.flows:
+                    flow.rate = 0.0 if flow.flow_id % 2 else 0.08
+            return net
+
+        split = net()
+        for cycles in self.SPLITS:
+            result = split.run(cycles, check_invariants=True)
+        whole = net().run(sum(self.SPLITS), check_invariants=True)
+        self.assert_same_result(result, whole)
+        assert ordered_digest(whole) == (
+            "84baeedcf814c1e84713d356056b503dd5f880bc43b9f533a19f71bfdca3f47f")
 
 
 class TestObserverConsistency:
