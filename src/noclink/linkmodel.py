@@ -52,13 +52,16 @@ class DataFlowMatrix:
             raise LinkModelError("M entries must be non-negative")
         if abs(m.sum() - 1.0) > max(atol, 1e-9):
             raise LinkModelError(f"M entries must sum to 1, got {m.sum()}")
-        for x in range(n):
-            for y in range(n):
-                if y != x:
-                    if m[x + n, y + n] > atol:
-                        raise LinkModelError("idle cycles cannot change the held type")
-                    if m[x, y + n] > atol:
-                        raise LinkModelError("entering idle must preserve the held type")
+        # off the diagonal, M[n + x, n + y] (idle to idle) and M[x, n + y]
+        # (active to idle) must be zero; the first (x, y) in row-major
+        # order that breaks either names the error, idle to idle first
+        off = ~np.eye(n, dtype=bool)
+        idle = (m[n:, n:] > atol) & off
+        bad = idle | ((m[:n, n:] > atol) & off)
+        if bad.any():
+            if idle.flat[bad.argmax()]:
+                raise LinkModelError("idle cycles cannot change the held type")
+            raise LinkModelError("entering idle must preserve the held type")
 
     def active_fraction(self) -> float:
         """Fraction of link cycles that transmit a flit."""

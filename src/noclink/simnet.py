@@ -7,15 +7,34 @@ including the local links between network interfaces and their router,
 feeds a :class:`noclink.reporting.LinkObserver` so that per-link
 data-flow matrices fall out of a run for free.
 
+The simulator is activity-driven: each phase of a cycle visits only
+the components of its wake set, the ones that hold work.
+
+- A link is awake while its register or either credit list is
+  non-empty; ``put`` and ``stage_credit`` wake it.
+- A router or sink NI is woken when a link delivers a flit into its
+  buffers, and a router stays awake while any input buffer holds one.
+- A source NI is woken when a packet is enqueued, and stays awake while
+  its queue or a VC deque holds flits.
+- A PE draws its uniforms in small blocks, in the order of per-tick
+  scalar draws, and acts only on the ticks on which some flow injects.
+
 Update order within one base cycle is fixed and fully deterministic:
 
-1. links deliver flits into the downstream buffers and return credits
-   to the upstream :class:`OutputPort`,
-2. routers due this cycle tick (send, then VC allocation, then route
-   computation, so information advances one stage per cycle),
-3. sink NIs drain, PEs inject, source NIs send,
-4. links that hold a flit record its type; idle cycles keep the
+1. awake links deliver flits into the downstream buffers and return
+   credits to the upstream :class:`OutputPort`,
+2. awake routers due this cycle tick (send, then VC allocation and
+   route computation in one pass, so information advances one stage per
+   cycle),
+3. awake sink NIs due this cycle drain, in build order; PEs due to
+   inject do so; awake source NIs due this cycle send,
+4. awake links that hold a flit record its type; idle cycles keep the
    record's ``IDLE`` fill and cost nothing.
+
+Routers, source NIs and PEs touch disjoint state within a cycle, so
+their order within a phase does not change a result.  The order in
+which sinks drain fixes the order of the latency lists, so it does.
+Each run starts by rebuilding the wake sets from the network's state.
 
 Each link records its types into an array that its observer folds into
 M every ``CHUNK`` cycles and at the end of a run: the link's trace
@@ -24,8 +43,10 @@ columns when traces are collected, otherwise a buffer of at most
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +65,8 @@ FREE, ACTIVE, DRAINING = 0, 1, 2
 
 # cycles between folds of the links' recorded types into their observers
 CHUNK = 4096
+# PE ticks of uniforms drawn at once; rows a run does not reach wait for the next
+BLOCK = 32
 
 
 class ConfigurationError(ValueError):
@@ -138,20 +161,25 @@ class Link:
     sink NI sets ``buffers``, so a link delivers flits and returns credits
     without going through either end.
 
+    ``down`` is the router or sink NI that owns ``buffers``; a delivery
+    wakes it.  A link is in its network's link wake set (``wakes``) while
+    ``awake``.
+
     During a run, ``types[cycle - base]`` records the type of the flit in
     the register at ``cycle``; the trace's type column (``base`` 0) on
     traced links, a per-run buffer of at most ``CHUNK`` cycles otherwise.
     """
 
     __slots__ = (
-        "link_id", "out_port", "buffers", "observer", "vertical", "reg_flit",
-        "reg_vc", "credit_fly", "credit_stage", "trace", "types", "base",
+        "link_id", "out_port", "buffers", "down", "observer", "vertical", "reg_flit",
+        "reg_vc", "credit_fly", "credit_stage", "trace", "types", "base", "awake", "wakes",
     )
 
     def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
         self.link_id = link_id
         self.out_port: OutputPort | None = None
         self.buffers: list[deque[Flit]] = []
+        self.down: Router | SinkNI | None = None
         self.observer = LinkObserver(link_id, n_types)
         self.vertical = vertical
         self.reg_flit: Flit | None = None
@@ -161,15 +189,26 @@ class Link:
         self.trace = TraceColumns.idle(0) if collect_trace else None
         self.types: np.ndarray | None = None
         self.base = 0
+        self.awake = False
+        self.wakes: list[Link] = []
+
+    def holds_work(self) -> bool:
+        return self.reg_flit is not None or bool(self.credit_fly or self.credit_stage)
 
     def put(self, flit: Flit, vc: int) -> None:
         if self.reg_flit is not None:
             raise SimulationError(f"{self.link_id}: link register busy")
         self.reg_flit = flit
         self.reg_vc = vc
+        if not self.awake:
+            self.awake = True
+            self.wakes.append(self)
 
     def stage_credit(self, vc: int) -> None:
         self.credit_stage.append(vc)
+        if not self.awake:
+            self.awake = True
+            self.wakes.append(self)
 
     def deliver(self) -> None:
         if self.credit_fly:
@@ -186,6 +225,10 @@ class Link:
                     f"{self.link_id}: buffer overflow on vc {self.reg_vc}")
             buf.append(flit)
             self.reg_flit = None
+            down = self.down
+            if not down.awake:
+                down.awake = True
+                down.wakes.append(down)
 
     def observe(self, cycle: int) -> None:
         """Record the flit in the register; called only when there is one."""
@@ -238,9 +281,11 @@ class OutputPort:
 
     ``orders[rr]`` is the VC order tried after ``rr`` last sent: round
     robin under ``fair``, always the lowest VC first under ``priority``.
+    ``active`` counts the VCs in state ``ACTIVE``; whoever claims a VC
+    counts it, and ``send`` uncounts it with the tail.
     """
 
-    __slots__ = ("link", "vcs", "depth", "orders", "rr")
+    __slots__ = ("link", "vcs", "depth", "orders", "rr", "active")
 
     def __init__(self, link: Link, vc_count: int, downstream_depth: int, arbitration: str):
         link.out_port = self
@@ -253,6 +298,7 @@ class OutputPort:
         else:
             self.orders = [tuple(range(vc_count))] * vc_count
         self.rr = 0
+        self.active = 0
 
     def accept_credit(self, vc: int) -> None:
         ov = self.vcs[vc]
@@ -274,27 +320,38 @@ class OutputPort:
             self.link.put(flit, idx)
             if flit.is_tail:
                 ov.state = DRAINING
+                self.active -= 1
             self.rr = idx
             return ov
         return None
 
 
 class Router:
+    """Input-buffered VC router.  It is in its network's router wake set
+    (``wakes``) while ``awake``; ``holding`` tells, after a tick, whether
+    an input buffer still holds a flit."""
+
     def __init__(self, node_id: str, coords: tuple[int, int, int], cfg: RouterConfig):
         self.node_id = node_id
         self.coords = coords
         self.cfg = cfg
+        self.clock_delay = cfg.clock_delay
         self.inputs: dict[int, list[InputVC]] = {}
         self.in_links: dict[int, Link] = {}
         self.outputs: dict[int, OutputPort] = {}
-        self._in_ports: list[int] = []
+        self._in_vcs: list[tuple[int, int, InputVC]] = []
         self._out_ports: list[OutputPort] = []
+        self.holding = False
+        self.awake = False
+        self.wakes: list[Router] = []
 
     def attach_input(self, port: int, link: Link) -> None:
         self.inputs[port] = [InputVC() for _ in range(self.cfg.vc_count)]
         link.buffers = [ivc.buffer for ivc in self.inputs[port]]
+        link.down = self
         self.in_links[port] = link
-        self._in_ports = sorted(self.inputs)
+        self._in_vcs = [(p, vc, ivc) for p in sorted(self.inputs)
+                        for vc, ivc in enumerate(self.inputs[p])]
 
     def attach_output(self, port: int, link: Link, downstream_depth: int) -> None:
         self.outputs[port] = OutputPort(
@@ -304,9 +361,14 @@ class Router:
     def occupancy(self) -> int:
         return sum(len(vc.buffer) for vcs in self.inputs.values() for vc in vcs)
 
+    def holds_work(self) -> bool:
+        return self.occupancy() > 0
+
     def tick(self) -> None:
-        # stage 3: output arbitration and sending
+        # stage 3: output arbitration and sending, on ports with an active VC
         for op in self._out_ports:
+            if not op.active:
+                continue
             ov = op.send()
             if ov is None:
                 continue
@@ -315,32 +377,35 @@ class Router:
                 ivc = self.inputs[ov.in_port][ov.in_vc]
                 ivc.route = None
                 ivc.out_vc = None
-        # stage 2: VC allocation for heads with a computed route
-        for port in self._in_ports:
-            for vc, ivc in enumerate(self.inputs[port]):
-                if (ivc.route is None or ivc.out_vc is not None
-                        or not ivc.buffer or not ivc.buffer[0].is_head):
-                    continue
-                op = self.outputs[ivc.route]
-                for idx, ov in enumerate(op.vcs):
-                    if ov.state == FREE:
-                        ov.state = ACTIVE
-                        ov.flits = ivc.buffer
-                        ov.in_port = port
-                        ov.in_vc = vc
-                        ivc.out_vc = idx
-                        break
-        # stage 1: route computation for newly arrived heads
-        for port in self._in_ports:
-            for ivc in self.inputs[port]:
-                if ivc.route is None and ivc.buffer and ivc.buffer[0].is_head:
-                    out = route_xyz(self.coords, ivc.buffer[0].dest)
-                    if out not in self.outputs:
-                        raise SimulationError(
-                            f"{self.node_id}: no {PORT_NAMES[out]} link toward"
-                            f" {ivc.buffer[0].dest}"
-                        )
-                    ivc.route = out
+        # stages 2 and 1 in one pass: VC allocation for heads routed in an
+        # earlier tick, route computation for newly arrived heads (which
+        # are allocated in a later tick at the earliest)
+        holding = False
+        for port, vc, ivc in self._in_vcs:
+            buf = ivc.buffer
+            if not buf:
+                continue
+            holding = True
+            if ivc.out_vc is not None or not buf[0].is_head:
+                continue
+            if ivc.route is None:
+                out = route_xyz(self.coords, buf[0].dest)
+                if out not in self.outputs:
+                    raise SimulationError(
+                        f"{self.node_id}: no {PORT_NAMES[out]} link toward {buf[0].dest}")
+                ivc.route = out
+                continue
+            op = self.outputs[ivc.route]
+            for idx, ov in enumerate(op.vcs):
+                if ov.state == FREE:
+                    ov.state = ACTIVE
+                    op.active += 1
+                    ov.flits = buf
+                    ov.in_port = port
+                    ov.in_vc = vc
+                    ivc.out_vc = idx
+                    break
+        self.holding = holding
 
 
 class SourceNI:
@@ -348,64 +413,96 @@ class SourceNI:
     :class:`OutputPort`, so it arbitrates and takes credits back exactly
     like a router output stage.
 
-    Each queued packet claims the lowest free local VC and holds it until
-    its tail flit is sent and all credits have returned.  A flow is busy
-    while a VC that is not free carries it, and packets of one flow
-    transmit strictly one at a time, so flow-level packet order is
-    preserved end to end.  Blocking: the queue grows without loss when the
-    router back-pressures."""
+    Queued packets wait in one FIFO per flow.  Each free local VC, lowest
+    first, claims the packet enqueued first among the flows that have no
+    packet on a VC, and holds it until its tail flit is sent and all
+    credits have returned.  A flow is busy while a VC that is not free
+    carries it, and packets of one flow transmit strictly one at a time,
+    so flow-level packet order is preserved end to end.  Blocking: the
+    queue grows without loss when the router back-pressures.
+
+    Enqueueing a packet wakes the NI; ``holding`` tells, after a tick,
+    whether the queue or a VC deque still holds flits."""
 
     def __init__(self, link: Link, vc_count, downstream_depth, clock_delay, arbitration):
         self.clock_delay = clock_delay
         self.out = OutputPort(link, vc_count, downstream_depth, arbitration)
         for ov in self.out.vcs:
             ov.flits = deque()
-        self.queue: deque[list[Flit]] = deque()
+        # flow id -> (enqueue number, flits) of that flow's queued packets
+        self.fifos: dict[int, deque[tuple[int, list[Flit]]]] = {}
+        self.backlog = 0
         self.enqueued_packets = 0
         self.max_backlog = 0
+        self.holding = False
+        self.awake = False
+        self.wakes: list[SourceNI] = []
 
     def enqueue_packet(self, flits: list[Flit]) -> None:
-        self.queue.append(flits)
+        fifo = self.fifos.setdefault(flits[0].flow_id, deque())
+        fifo.append((self.enqueued_packets, flits))
         self.enqueued_packets += 1
-        if len(self.queue) > self.max_backlog:
-            self.max_backlog = len(self.queue)
+        self.backlog += 1
+        if self.backlog > self.max_backlog:
+            self.max_backlog = self.backlog
+        if not self.awake:
+            self.awake = True
+            self.wakes.append(self)
 
     def occupancy(self) -> int:
-        return sum(len(p) for p in self.queue) + sum(len(v.flits) for v in self.out.vcs)
+        queued = sum(len(p) for fifo in self.fifos.values() for _, p in fifo)
+        return queued + sum(len(v.flits) for v in self.out.vcs)
+
+    def holds_work(self) -> bool:
+        return self.occupancy() > 0
 
     def tick(self) -> None:
-        queue = self.queue
-        if queue:
-            vcs = self.out.vcs
+        out = self.out
+        if self.backlog:
+            vcs = out.vcs
             busy = {ov.flow_id for ov in vcs if ov.state != FREE}
             for ov in vcs:
                 if ov.state != FREE:
                     continue
-                packet = next((p for p in queue if p[0].flow_id not in busy), None)
-                if packet is None:
+                first = min(((fifo[0][0], flow) for flow, fifo in self.fifos.items()
+                             if fifo and flow not in busy), default=None)
+                if first is None:
                     break
-                queue.remove(packet)
-                busy.add(packet[0].flow_id)
+                flow = first[1]
+                ov.flits.extend(self.fifos[flow].popleft()[1])
+                self.backlog -= 1
+                busy.add(flow)
                 ov.state = ACTIVE
-                ov.flow_id = packet[0].flow_id
-                ov.flits.extend(packet)
-                if not queue:
+                out.active += 1
+                ov.flow_id = flow
+                if not self.backlog:
                     break
-        self.out.send()
+        if out.active:
+            out.send()
+        self.holding = self.backlog > 0 or any(ov.flits for ov in out.vcs)
 
 
 class SinkNI:
-    """Consumes ejected flits, returns credits and records latency."""
+    """Consumes ejected flits, returns credits and records latency.  A
+    delivery wakes it; ``rank`` is its place in build order, the order in
+    which woken sinks drain."""
 
     def __init__(self, in_link: Link, vc_count, clock_delay, result):
         self.in_link = in_link
         self.clock_delay = clock_delay
         self.buffers = [deque() for _ in range(vc_count)]
         in_link.buffers = self.buffers
+        in_link.down = self
         self.result = result
+        self.rank = 0
+        self.awake = False
+        self.wakes: list[SinkNI] = []
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self.buffers)
+
+    def holds_work(self) -> bool:
+        return self.occupancy() > 0
 
     def tick(self, cycle: int) -> None:
         res = self.result
@@ -425,7 +522,16 @@ class SinkNI:
 
 
 class PE:
-    """Bernoulli packet injector for the flows sourced at this node."""
+    """Bernoulli packet injector for the flows sourced at this node.
+
+    Tick k falls on cycle k * ``clock_delay``, and on each tick every flow
+    draws one uniform, in flow order, and injects a packet if it is below
+    the flow's rate.  The uniforms are drawn ``BLOCK`` ticks at a time, in
+    the same order; ``rows[pos]`` holds those of tick ``next_tick``.
+    ``hits`` lists, last first, the rows at or after ``pos`` on which some
+    flow injects at the rates set by ``plan``, so the PE acts only on
+    those ticks.
+    """
 
     def __init__(self, node_id, dest_index_of, flit_width, clock_delay,
                  flows: list[FlowSpec], ni: SourceNI, head_type: int, seed):
@@ -441,10 +547,54 @@ class PE:
         self.word_cursor = {f.flow_id: 0 for f in flows}
         self.injected_flits = 0
         self.injected_packets = 0
+        self.rows = np.empty((0, len(flows)))
+        self.pos = 0
+        self.next_tick = 0
+        self.rates = np.empty(len(flows))
+        self.hits: list[int] = []
+
+    def _find_hits(self) -> None:
+        injects = (self.rows[self.pos:] < self.rates).any(axis=1)
+        self.hits = (np.flatnonzero(injects)[::-1] + self.pos).tolist()
+
+    def plan(self) -> None:
+        """Take the flows' current rates for the rows already drawn and
+        for those drawn later."""
+        self.rates = np.array([f.rate for f in self.flows])
+        self._find_hits()
+
+    def next_injection(self, end: int) -> int | None:
+        """The cycle before ``end`` of the next tick on which some flow
+        injects, or None; ticks before it, and up to ``end`` if there is
+        none, are passed over."""
+        if not self.flows:
+            return None
+        stop = -(-end // self.clock_delay)  # the first tick at or after end
+        while True:
+            if self.pos == len(self.rows):
+                if self.next_tick >= stop:
+                    return None
+                self.rows = self.rng.random((BLOCK, len(self.flows)))
+                self.pos = 0
+                self._find_hits()
+            row = self.hits[-1] if self.hits else len(self.rows)
+            tick = self.next_tick + row - self.pos
+            if tick >= stop:
+                self.pos += stop - self.next_tick
+                self.next_tick = stop
+                return None
+            self.pos, self.next_tick = row, tick
+            if self.hits:
+                return tick * self.clock_delay
 
     def tick(self, cycle: int, dest_coords) -> None:
-        for flow in self.flows:
-            if self.rng.random() >= flow.rate:
+        """Inject on tick ``next_tick``, found by ``next_injection``."""
+        draws = self.rows[self.pos].tolist()
+        self.pos += 1
+        self.next_tick += 1
+        self.hits.pop()
+        for flow, u in zip(self.flows, draws):
+            if u >= flow.rate:
                 continue
             pid = self.packet_counter[flow.flow_id]
             self.packet_counter[flow.flow_id] = pid + 1
@@ -538,7 +688,8 @@ class SimulationResult:
 
 
 class Network:
-    """A built mesh: routers, NIs, PEs and observed links."""
+    """A built mesh: routers, NIs, PEs and observed links, with the wake
+    sets of an activity-driven run."""
 
     def __init__(self, routers, sources, sinks, pes, links, n_types,
                  flit_width, clock_period, dest_coords, result):
@@ -552,6 +703,40 @@ class Network:
         self.clock_period = clock_period
         self.dest_coords = dest_coords
         self.result = result
+        self._router_list = [routers[k] for k in sorted(routers)]
+        self._sink_list = [sinks[k] for k in sorted(sinks)]
+        self._source_list = [sources[k] for k in sorted(sources)]
+        self._pe_list = [pes[k] for k in sorted(pes)]
+        for rank, sink in enumerate(self._sink_list):
+            sink.rank = rank
+        self._links_awake: list[Link] = []
+        self._routers_awake: list[Router] = []
+        self._sinks_awake: list[SinkNI] = []
+        self._sources_awake: list[SourceNI] = []
+        self._wake_sets = ((self._links_awake, links),
+                           (self._routers_awake, self._router_list),
+                           (self._sinks_awake, self._sink_list),
+                           (self._sources_awake, self._source_list))
+        for wakes, parts in self._wake_sets:
+            for part in parts:
+                part.wakes = wakes
+
+    def _wake_holders(self) -> None:
+        """Wake exactly the components that hold work: state may have
+        changed between runs."""
+        for wakes, parts in self._wake_sets:
+            for part in parts:
+                part.awake = part.holds_work()
+            wakes[:] = [part for part in parts if part.awake]
+
+    def check_wake_invariant(self) -> None:
+        """No component sleeps while it holds work."""
+        links = {link.link_id: link for link in self.links}
+        for kind, parts in (("link", links), ("router", self.routers),
+                            ("sink NI", self.sinks), ("source NI", self.sources)):
+            for name, part in parts.items():
+                if not part.awake and part.holds_work():
+                    raise SimulationError(f"{kind} {name} is asleep while it holds work")
 
     def in_flight(self) -> int:
         total = sum(r.occupancy() for r in self.routers.values())
@@ -590,12 +775,11 @@ class Network:
             raise ConfigurationError("cycles must be >= 1")
         result = self.result
         start = result.cycles
-        result.cycles += cycles
+        end = start + cycles
+        result.cycles = end
 
-        router_list = [self.routers[k] for k in sorted(self.routers)]
-        sink_list = [self.sinks[k] for k in sorted(self.sinks)]
-        pe_list = [self.pes[k] for k in sorted(self.pes)]
-        source_list = [self.sources[k] for k in sorted(self.sources)]
+        pe_list = self._pe_list
+        dest_coords = self.dest_coords
         # flits enqueued directly at a source NI enter without a PE count, so
         # conservation holds this balance fixed rather than at zero
         balance = self._flit_balance()
@@ -607,31 +791,57 @@ class Network:
             else:
                 link.types = np.full(min(cycles, CHUNK), IDLE, dtype=np.int64)
                 link.base = start
+        self._wake_holders()
+        links_awake, routers_awake = self._links_awake, self._routers_awake
+        sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
+        # (cycle, index) of each PE's next injecting tick in this run
+        pe_due = []
+        for i, pe in enumerate(pe_list):
+            pe.plan()
+            due = pe.next_injection(end)
+            if due is not None:
+                pe_due.append((due, i))
+        heapq.heapify(pe_due)
 
         # cycles count from the network's start, so that latencies and clock
         # phases carry across runs
-        for lo in range(start, start + cycles, CHUNK):
-            hi = min(lo + CHUNK, start + cycles)
+        for lo in range(start, end, CHUNK):
+            hi = min(lo + CHUNK, end)
             for cycle in range(lo, hi):
-                for link in self.links:
+                awake = links_awake[:]
+                links_awake.clear()
+                for link in awake:
                     link.deliver()
-                for router in router_list:
-                    if cycle % router.cfg.clock_delay == 0:
-                        router.tick()
-                for sink in sink_list:
-                    if cycle % sink.clock_delay == 0:
-                        sink.tick(cycle)
-                for pe in pe_list:
-                    if cycle % pe.clock_delay == 0:
-                        pe.tick(cycle, self.dest_coords)
-                for src in source_list:
-                    if cycle % src.clock_delay == 0:
-                        src.tick()
-                for link in self.links:
+                    if link.credit_fly:
+                        links_awake.append(link)
+                    else:
+                        link.awake = False
+                _tick_due(routers_awake, cycle)
+                if sinks_awake:
+                    awake = sorted(sinks_awake, key=_RANK)
+                    sinks_awake.clear()
+                    for sink in awake:
+                        if cycle % sink.clock_delay == 0:
+                            sink.tick(cycle)
+                            sink.awake = False
+                        else:
+                            sinks_awake.append(sink)
+                while pe_due and pe_due[0][0] == cycle:
+                    i = pe_due[0][1]
+                    pe = pe_list[i]
+                    pe.tick(cycle, dest_coords)
+                    due = pe.next_injection(end)
+                    if due is None:
+                        heapq.heappop(pe_due)
+                    else:
+                        heapq.heapreplace(pe_due, (due, i))
+                _tick_due(sources_awake, cycle)
+                for link in links_awake:
                     if link.reg_flit is not None:
                         link.observe(cycle)
                 if check_invariants:
                     self.check_credit_invariant()
+                    self.check_wake_invariant()
                     if self._flit_balance() != balance:
                         raise SimulationError(
                             f"flit conservation violated at cycle {cycle}: injected"
@@ -654,6 +864,23 @@ class Network:
         result.max_backlogs = {
             nid: src.max_backlog for nid, src in self.sources.items()}
         return result
+
+
+_RANK = attrgetter("rank")
+
+
+def _tick_due(awake: list[Router] | list[SourceNI], cycle: int) -> None:
+    """Tick the awake routers or source NIs that are due at ``cycle``; one
+    that holds no flit after its tick falls asleep."""
+    parts = awake[:]
+    awake.clear()
+    for part in parts:
+        if cycle % part.clock_delay == 0:
+            part.tick()
+            if not part.holding:
+                part.awake = False
+                continue
+        awake.append(part)
 
 
 def build_network(

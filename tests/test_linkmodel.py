@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noclink.energy import TechnologyParams, template_2d_bus, template_3d_tsv
 from noclink.linkmodel import (
@@ -220,7 +221,61 @@ class TestBitProbabilities:
         assert np.allclose(p, 1.0)  # all-ones p with weights summing to exactly 1
 
 
+def reference_validate(m, n, atol=1e-9):
+    """The loop form of ``DataFlowMatrix.validate``, kept as its reference."""
+    if m.shape != (2 * n, 2 * n):
+        raise LinkModelError(f"M must be {2 * n}x{2 * n}, got {m.shape}")
+    if m.min() < -atol:
+        raise LinkModelError("M entries must be non-negative")
+    if abs(m.sum() - 1.0) > max(atol, 1e-9):
+        raise LinkModelError(f"M entries must sum to 1, got {m.sum()}")
+    for x in range(n):
+        for y in range(n):
+            if y != x:
+                if m[x + n, y + n] > atol:
+                    raise LinkModelError("idle cycles cannot change the held type")
+                if m[x, y + n] > atol:
+                    raise LinkModelError("entering idle must preserve the held type")
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except LinkModelError as exc:
+        return str(exc)
+    return None
+
+
 class TestDataFlowMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.integers(0, 4),
+                                   st.sampled_from([1e-10, 1e-9, 2e-9, 1e-3, 0.1])),
+                         max_size=4),
+    )
+    def test_array_check_equals_loop(self, n, seed, planted):
+        # a valid M (the held-type blocks diagonal), then violations planted
+        # off the diagonal of the idle-to-idle block, the active-to-idle
+        # block or both; some sit at or below the tolerance
+        rng = np.random.default_rng(seed)
+        m = rng.random((2 * n, 2 * n)) * (rng.random((2 * n, 2 * n)) < 0.5) + 1e-3
+        off = ~np.eye(n, dtype=bool)
+        m[n:, n:][off] = 0.0
+        m[:n, n:][off] = 0.0
+        m *= 0.5 / m.sum()
+        for idle_block, x, dy, value in planted:
+            x %= n
+            y = (x + 1 + dy) % n
+            if y != x:
+                m[x + n if idle_block else x, y + n] = value
+        m[-1, -1] += 1.0 - m.sum()
+        expected = outcome(reference_validate, m, n)
+        assert outcome(DataFlowMatrix, m, n) == expected
+        if not planted:
+            assert expected is None
+
     def test_invariant_violations(self):
         m = np.zeros((4, 4))
         m[2, 3] = 1.0  # idle changes held type

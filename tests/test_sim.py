@@ -23,6 +23,7 @@ from noclink.simnet import (
     ConfigurationError,
     Flit,
     FlowSpec,
+    Link,
     RouterConfig,
     SimulationError,
     build_network,
@@ -588,6 +589,19 @@ class TestInvariantErrors:
         link.credit_fly.pop()
         with pytest.raises(SimulationError, match=r"^PE_A->A vc \d: credits"):
             net.run(2_000, check_invariants=True)
+
+    def test_sleeping_link_with_a_flit_is_caught(self, monkeypatch):
+        # a link that is not woken when a flit enters its register would
+        # never deliver it; the check names the link
+        def put_without_wake(link, flit, vc):
+            link.reg_flit = flit
+            link.reg_vc = vc
+
+        monkeypatch.setattr(Link, "put", put_without_wake)
+        net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
+        with pytest.raises(SimulationError,
+                           match=r"^link PE_A->A is asleep while it holds work$"):
+            net.run(200, check_invariants=True)
 
 
 class TestClockDelays:
