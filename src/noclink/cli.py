@@ -29,7 +29,7 @@ from .energy import CapacitanceError, load_capacitance_model
 from .linkmodel import LinkModelError
 from .oracle import LinkTrace, TraceError, exact_energy, replay_link_protocol, write_link_protocol
 from .reporting import LinkObserver, ReportingError, emit_reports, link_file_name
-from .simnet import TRACE_COLUMNS, ConfigurationError, SimulationResult, TraceColumns
+from .simnet import ConfigurationError, SimulationResult
 from .streams import (
     StreamError,
     StreamSpec,
@@ -50,9 +50,10 @@ VALIDATION_ERRORS = (
 
 # --- shared helpers -----------------------------------------------------------
 
-# Run directory layout version; version 2 records each flow's consumed payload
-# in traces.npz, so that ``analyze`` needs nothing outside the run directory.
-RUN_FORMAT = 2
+# Run directory layout version; version 3 stores in traces.npz each link's
+# TRACE_COLUMNS, one entry per flit, and each flow's consumed payload.
+RUN_FORMAT = 3
+TRACE_COLUMNS = ("cycles", "types", "words", "flows", "indices")
 
 
 def _save_traces(result: SimulationResult, payloads: dict, out: Path) -> None:
@@ -70,8 +71,8 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     """The recorded result and each flow's consumed payload words."""
     meta = json.loads((run_dir / "meta.json").read_text())
     if meta.get("format") != RUN_FORMAT:
-        raise ReportingError(f"{run_dir} was written by an earlier noclink without"
-                             " the recorded payloads; re-run `noclink simulate`")
+        raise ReportingError(f"{run_dir} was written by an earlier noclink, not in"
+                             f" run-directory format {RUN_FORMAT}; re-run `noclink simulate`")
     result = SimulationResult(
         cycles=meta["cycles"],
         clock_period=meta["clock_period_s"],
@@ -82,9 +83,10 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     with np.load(run_dir / "traces.npz") as data:
         for link_id, vertical in meta["links"].items():
             key = link_file_name(link_id)
-            trace = TraceColumns(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS))
+            trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
+                              length=result.cycles, width=result.flit_width)
             observer = LinkObserver(link_id, n)
-            observer.record(trace.types)
+            observer.record(trace.cycles, trace.types, len(trace))
             result.link_traces[link_id] = trace
             result.link_vertical[link_id] = bool(vertical)
             result.data_flow[link_id] = observer.finalize()
@@ -156,10 +158,7 @@ def cmd_simulate(args) -> int:
         proto = out / "protocols"
         proto.mkdir(exist_ok=True)
         for link_id, trace in result.link_traces.items():
-            write_link_protocol(
-                proto / f"{link_file_name(link_id)}.protocol",
-                LinkTrace(trace.words, trace.types, result.flit_width),
-            )
+            write_link_protocol(proto / f"{link_file_name(link_id)}.protocol", trace)
     print(f"simulated {result.cycles} cycles; reports in {out}")
     return 0
 
@@ -202,7 +201,7 @@ def cmd_oracle(args) -> int:
     payload = {
         "trace": str(args.trace),
         "kind": kind,
-        "cycles": int(trace.words.size),
+        "cycles": len(trace),
         "energy_per_cycle_fj": report.energy_per_cycle_fj,
         "normalized_per_cycle_af": report.normalized_per_cycle_af,
     }

@@ -1,13 +1,14 @@
-"""Bit-level reference: exact switching and energy from explicit traces.
+"""Bit-level reference: exact switching and energy from a link's flits.
 
 This is the slow, trusted path used to validate the statistical link
-model: it walks every transmitted word of a link and accumulates the
-true transition quantities.  Idle cycles hold the last transmitted word
-(no switching); the held value before the first flit is all-zeros.
+model.  A :class:`LinkTrace` holds one event per flit a link carried.
+Idle cycles hold the last transmitted word (no switching), all-zeros
+before the first flit, so the oracle sums the true transition quantities
+over these held runs without visiting idle cycles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,55 +23,78 @@ class TraceError(ValueError):
     """Malformed link trace or protocol file."""
 
 
-def forward_fill(values: np.ndarray, active: np.ndarray, initial) -> np.ndarray:
-    """Each entry's value at the last active position up to it, and
-    ``initial`` before the first active position."""
-    last = np.where(active, np.arange(active.size), -1)
-    np.maximum.accumulate(last, out=last)
-    return np.where(last >= 0, values[np.maximum(last, 0)], initial)
-
-
 @dataclass(frozen=True)
 class LinkTrace:
-    """Per-cycle link record: a (word, type) pair or an idle marker."""
+    """The flits one link carried over ``length`` cycles, one entry each, on
+    the ascending ``cycles`` within [0, ``length``).  Simulated traces also
+    hold each flit's flow id and payload word index (-1 for head flits)."""
 
-    words: np.ndarray  # uint64; ignored on idle cycles
-    types: np.ndarray  # int64; IDLE (-1) marks an idle cycle
-    width: int
+    cycles: np.ndarray  # int64
+    types: np.ndarray  # int64
+    words: np.ndarray  # uint64
+    flows: Optional[np.ndarray] = None  # int64
+    indices: Optional[np.ndarray] = None  # int64
+    length: int = field(kw_only=True)
+    width: int = field(kw_only=True)
 
     def __post_init__(self):
-        words = np.ascontiguousarray(self.words, dtype=np.uint64)
-        types = np.ascontiguousarray(self.types, dtype=np.int64)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "types", types)
-        if words.shape != types.shape or words.ndim != 1:
-            raise TraceError("trace words and types must be 1-d and equal length")
-        if words.size < 1:
-            raise TraceError("trace must contain at least one cycle")
-        active = types >= 0
-        if self.width < 64 and active.any():
-            if int(words[active].max()) >= (1 << self.width):
-                raise TraceError(f"trace word out of range for width {self.width}")
+        columns = []
+        for name, dtype in (("cycles", np.int64), ("types", np.int64), ("words", np.uint64),
+                            ("flows", np.int64), ("indices", np.int64)):
+            if getattr(self, name) is not None:
+                column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+                object.__setattr__(self, name, column)
+                columns.append(column)
+        if any(c.ndim != 1 or c.size != self.cycles.size for c in columns):
+            raise TraceError("trace columns must be 1-d and of equal length")
+        c = self.cycles
+        if self.length < 1 or c.size and (c[0] < 0 or c[-1] >= self.length
+                                          or (np.diff(c) <= 0).any()):
+            raise TraceError(f"trace cycles must ascend within [0, {self.length})")
+        if self.types.size and self.types.min() < 0:
+            raise TraceError(f"trace type {int(self.types.min())} is negative")
+        if self.width < 64 and self.words.size and int(self.words.max()) >= (1 << self.width):
+            raise TraceError(f"trace word out of range for width {self.width}")
+
+    @classmethod
+    def from_cycles(cls, words, types, width: int) -> LinkTrace:
+        """The flits of a per-cycle record: the cycles whose type is not ``IDLE``."""
+        words = np.asarray(words, dtype=np.uint64)
+        types = np.asarray(types, dtype=np.int64)
+        if words.shape != types.shape or types.ndim != 1:
+            raise TraceError("per-cycle words and types must be 1-d and equal length")
+        cycles = np.flatnonzero(types != IDLE)
+        if cycles.size == types.size:  # every cycle carries a flit, as in a stream
+            return cls(cycles, types, words, length=types.size, width=width)
+        return cls(cycles, types[cycles], words[cycles], length=types.size, width=width)
 
     def __len__(self) -> int:
-        return int(self.words.size)
+        return self.length
 
-    def held_words(self) -> np.ndarray:
-        """Value on the wires each cycle: last transmitted word, initially 0."""
-        return forward_fill(self.words, self.types >= 0, np.uint64(0))
 
-    def active_count(self) -> int:
-        return int((self.types >= 0).sum())
+def _held_runs(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The held words and their run lengths: all-zeros, then each flit's word."""
+    starts, words = trace.cycles, trace.words
+    if not starts.size or starts[0] > 0:
+        starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
+        words = np.concatenate((np.zeros(1, dtype=np.uint64), words))
+    return words, np.diff(starts, append=trace.length)
+
+
+def _held_products(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Bit-difference products summed over cycle pairs, and bit probabilities."""
+    # every sum is an exact integer, so these equal the per-cycle sums bit for bit
+    words, runs = _held_runs(trace)
+    bits = word_bits(words, trace.width)
+    p = np.einsum("i,ij->j", runs, bits) / len(trace)
+    d = np.diff(bits, axis=0).astype(np.float64)
+    return d.T @ d, p
 
 
 def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:
     """True per-cycle switching matrix and held-value bit probabilities."""
-    b = word_bits(trace.held_words(), trace.width)
-    p = b.mean(axis=0)
-    if len(trace) < 2:
-        return SwitchingMatrix(np.zeros((trace.width, trace.width))), p
-    d = np.diff(b, axis=0).astype(np.float64)
-    return SwitchingMatrix.from_products((d.T @ d) / (len(trace) - 1)), p
+    products, p = _held_products(trace)
+    return SwitchingMatrix.from_products(products / max(len(trace) - 1, 1)), p
 
 
 @dataclass(frozen=True)
@@ -112,28 +136,23 @@ def exact_energy(
         raise TraceError(
             f"trace width {trace.width} does not match capacitance width {cap.width}"
         )
-    b = word_bits(trace.held_words(), trace.width)
-    p = b.mean(axis=0)
+    products, p = _held_products(trace)
     if isinstance(cap, Capacitance3D):
         kind = "3d"
         c = cap.ct0 + cap.dct * (p[:, None] + p[None, :])
     else:
         kind = "2d"
         c = cap.c
-    if len(trace) >= 2:
-        d = np.diff(b, axis=0).astype(np.float64)
-        # unnormalized switching: summed over the transitions, not averaged
-        t = SwitchingMatrix.from_products(d.T @ d).t
-        total = float(np.sum(np.diag(c) * np.diag(t)))
-        c_off = c.copy()
-        np.fill_diagonal(c_off, 0.0)
-        total += float(np.sum(t * c_off))
-    else:
-        total = 0.0
+    # unnormalized switching: summed over the transitions, not averaged
+    t = SwitchingMatrix.from_products(products).t
+    total = float(np.sum(np.diag(c) * np.diag(t)))
+    c_off = c.copy()
+    np.fill_diagonal(c_off, 0.0)
+    total += float(np.sum(t * c_off))
     cycles = len(trace)
     per_cycle = total / max(cycles - 1, 1)
     e_cyc = absolute_energy_fj(per_cycle, tech)
-    active = trace.active_count()
+    active = int(trace.cycles.size)
     return OracleEnergyReport(
         link=link,
         kind=kind,
@@ -165,13 +184,16 @@ def _digits(values: np.ndarray, base: int, width: int = 1) -> tuple[np.ndarray, 
 
 
 def write_link_protocol(path, trace: LinkTrace) -> None:
-    """One record per cycle: ``cycle,type_id|IDLE,hexword``."""
-    n, idle = len(trace), trace.types < 0
-    tag, tag_keep = _digits(np.maximum(trace.types, 0), 10, width=4)
+    """One record per cycle: ``cycle,type_id|IDLE,hexword`` of the held word."""
+    n = len(trace)
+    types = np.full(n, IDLE, dtype=np.int64)
+    types[trace.cycles] = trace.types
+    idle = types < 0
+    tag, tag_keep = _digits(np.maximum(types, 0), 10, width=4)
     tag[idle, -4:] = np.frombuffer(b"IDLE", dtype=np.uint8)
     tag_keep[idle] = np.arange(tag.shape[1]) >= tag.shape[1] - 4
     cycle, cycle_keep = _digits(np.arange(n), 10)
-    word, word_keep = _digits(trace.held_words(), 16)
+    word, word_keep = _digits(np.repeat(*_held_runs(trace)), 16)
     comma, newline = (np.full((n, 1), ord(c), dtype=np.uint8) for c in ",\n")
     sep = np.ones((n, 1), dtype=bool)
     chars = np.hstack([cycle, comma, tag, comma, word, newline])
@@ -181,7 +203,7 @@ def write_link_protocol(path, trace: LinkTrace) -> None:
 
 
 def replay_link_protocol(path, width: int) -> LinkTrace:
-    """Reconstruct a per-cycle trace, including idle cycles, from a protocol file."""
+    """The flits of a protocol file, whose records number cycles 0, 1, 2, ..."""
     words: list[int] = []
     types: list[int] = []
     with open(path) as fh:
@@ -192,16 +214,17 @@ def replay_link_protocol(path, width: int) -> LinkTrace:
             parts = line.split(",")
             if len(parts) != 3:
                 raise TraceError(f"{path}:{lineno}: malformed protocol record")
-            _, tag, hexword = parts
+            cycle, tag, hexword = parts
+            if cycle != str(len(words)):
+                raise TraceError(
+                    f"{path}:{lineno}: record of cycle {cycle!r}, expected {len(words)}")
             try:
                 word = int(hexword, 16)
                 t = IDLE if tag == "IDLE" else int(tag)
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: malformed protocol record") from exc
-            if width < 64 and word >= (1 << width):
-                raise TraceError(f"{path}:{lineno}: word exceeds width {width}")
             words.append(word)
             types.append(t)
     if not words:
         raise TraceError(f"{path}: empty protocol file")
-    return LinkTrace(np.array(words, dtype=np.uint64), np.array(types), width)
+    return LinkTrace.from_cycles(words, types, width)

@@ -1,10 +1,10 @@
 """Per-link data-flow accumulation and result serialization.
 
-A ``LinkObserver`` folds segments of a link's per-cycle types (a
-data-type index or idle) into the 2n x 2n transition count matrix.  It
-carries only the last state between segments, so its memory is O(n^2)
-however many cycles it counts, and any split of a type sequence into
-segments gives the same counts.
+A ``LinkObserver`` folds a link's flits, one (cycle, data type) event
+each, into the 2n x 2n transition count matrix of its cycle states in
+closed form, without visiting idle cycles.  It carries only the last
+state between segments of cycles, so its memory is O(n^2) however many
+cycles it counts, and any split into segments gives the same counts.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .linkmodel import DataFlowMatrix, save_data_flow_matrix
-from .oracle import IDLE, forward_fill
+from .oracle import IDLE, LinkTrace  # noqa: F401 (IDLE is part of this module's API)
 
 
 class ReportingError(ValueError):
@@ -42,24 +42,34 @@ class LinkObserver:
         self.cycles = 0
         self._last: int | None = None  # state of the last counted cycle
 
-    def record(self, types) -> None:
-        """Fold the next cycles' types, ``IDLE`` on idle cycles, into the counts."""
-        t = np.asarray(types, dtype=np.int64)
-        if t.size == 0:
+    def record(self, cycles, types, end: int) -> None:
+        """Fold cycles ``self.cycles`` to ``end`` - 1 into the counts: a flit of
+        type ``types[i]`` on each of the ascending ``cycles``, idle cycles
+        between.  Flits on c and c' make t -> t' if c' = c + 1, else
+        t -> held(t), (c' - c - 2) x held(t) -> held(t) and held(t) -> t'."""
+        if end <= self.cycles:
             return
-        n = self.n
-        active = t != IDLE
-        bad = active & ((t < 0) | (t >= n))
+        n, k = self.n, 2 * self.n
+        t = np.asarray(types, dtype=np.int64)
+        bad = (t < 0) | (t >= n)
         if bad.any():
             raise ReportingError(f"{self.link_id}: type {int(t[bad][0])} out of range (n={n})")
-        held = n - 1 if self._last is None else self._last % n
-        state = np.where(active, t, n + forward_fill(t, active, held))
-        if self._last is not None:
-            state = np.concatenate(([self._last], state))
-        k = 2 * n
-        self.counts += np.bincount(state[:-1] * k + state[1:], minlength=k * k).reshape(k, k)
-        self._last = int(state[-1])
-        self.cycles += t.size
+        # the cycle before this segment and each flit: state, idle cycles after
+        at = np.concatenate(([self.cycles - 1], np.asarray(cycles, dtype=np.int64)))
+        state = np.concatenate(([k - 1 if self._last is None else self._last], t))
+        held = n + state % n
+        gap = np.diff(at, append=end) - 1
+        into = np.where(gap[:-1] == 0, state[:-1], held[:-1])
+        counts = np.bincount(into * k + t, minlength=k * k)
+        idle = gap > 0
+        np.add.at(counts, state[idle] * k + held[idle], 1)
+        np.add.at(counts, held[idle] * (k + 1), gap[idle] - 1)
+        if self._last is None:
+            # no transition precedes the link's first cycle (held head type or a flit)
+            counts[(k - 1) * k + (int(t[0]) if gap[0] == 0 else k - 1)] -= 1
+        self.counts += counts.reshape(k, k)
+        self._last = int(state[-1] if gap[-1] == 0 else held[-1])
+        self.cycles = end
 
     def type_flit_counts(self) -> np.ndarray:
         """Flits of each type that traversed the link within the counted transitions."""
@@ -77,9 +87,10 @@ class LinkObserver:
 
 
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:
-    """Convenience: build a DataFlowMatrix from an explicit state sequence."""
+    """Convenience: a DataFlowMatrix from per-cycle types, ``IDLE`` when idle."""
+    trace = LinkTrace.from_cycles(np.zeros(len(states), dtype=np.uint64), states, 1)
     obs = LinkObserver(link_id, n_types)
-    obs.record(states)
+    obs.record(trace.cycles, trace.types, len(trace))
     return obs.finalize()
 
 

@@ -28,18 +28,17 @@ Update order within one base cycle is fixed and fully deterministic:
    cycle),
 3. awake sink NIs due this cycle drain, in build order; PEs due to
    inject do so; awake source NIs due this cycle send,
-4. awake links that hold a flit record its type; idle cycles keep the
-   record's ``IDLE`` fill and cost nothing.
+4. awake links that hold a flit record it; idle cycles cost nothing.
 
 Routers, source NIs and PEs touch disjoint state within a cycle, so
 their order within a phase does not change a result.  The order in
 which sinks drain fixes the order of the latency lists, so it does.
 Each run starts by rebuilding the wake sets from the network's state.
 
-Each link records its types into an array that its observer folds into
-M every ``CHUNK`` cycles and at the end of a run: the link's trace
-columns when traces are collected, otherwise a buffer of at most
-``CHUNK`` cycles that exists only while ``Network.run`` runs.
+A link records one event per flit it carries and folds the events into
+its observer's M every ``CHUNK`` cycles and at the end of a run.  An
+untraced link then drops them, so it holds at most one chunk's events; a
+traced link keeps them for its :class:`noclink.oracle.LinkTrace`.
 """
 from __future__ import annotations
 
@@ -51,7 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .reporting import IDLE, LinkObserver, SimulationError, latency_stats
+from .oracle import LinkTrace
+from .reporting import LinkObserver, SimulationError, latency_stats
 
 LOCAL, XP, XN, YP, YN, ZP, ZN = range(7)
 PORT_NAMES = ("local", "x+", "x-", "y+", "y-", "z+", "z-")
@@ -63,7 +63,7 @@ PORT_DELTAS = {
 
 FREE, ACTIVE, DRAINING = 0, 1, 2
 
-# cycles between folds of the links' recorded types into their observers
+# cycles between folds of the links' recorded events into their observers
 CHUNK = 4096
 # PE ticks of uniforms drawn at once; rows a run does not reach wait for the next
 BLOCK = 32
@@ -165,14 +165,15 @@ class Link:
     wakes it.  A link is in its network's link wake set (``wakes``) while
     ``awake``.
 
-    During a run, ``types[cycle - base]`` records the type of the flit in
-    the register at ``cycle``; the trace's type column (``base`` 0) on
-    traced links, a per-run buffer of at most ``CHUNK`` cycles otherwise.
+    ``observe`` appends the flit's cycle and type to the current chunk's
+    lists, and on a traced link its word, flow and word index; ``fold``
+    turns them into arrays, which a traced link keeps in ``chunks``.
     """
 
     __slots__ = (
         "link_id", "out_port", "buffers", "down", "observer", "vertical", "reg_flit",
-        "reg_vc", "credit_fly", "credit_stage", "trace", "types", "base", "awake", "wakes",
+        "reg_vc", "credit_fly", "credit_stage", "chunk_cycles", "chunk_types",
+        "chunk_words", "chunk_flows", "chunk_indices", "chunks", "awake", "wakes",
     )
 
     def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
@@ -186,9 +187,8 @@ class Link:
         self.reg_vc = 0
         self.credit_fly: list[int] = []
         self.credit_stage: list[int] = []
-        self.trace = TraceColumns.idle(0) if collect_trace else None
-        self.types: np.ndarray | None = None
-        self.base = 0
+        self.chunks: list[tuple[np.ndarray, ...]] | None = [] if collect_trace else None
+        self._start_chunk()
         self.awake = False
         self.wakes: list[Link] = []
 
@@ -233,21 +233,28 @@ class Link:
     def observe(self, cycle: int) -> None:
         """Record the flit in the register; called only when there is one."""
         f = self.reg_flit
-        i = cycle - self.base
-        self.types[i] = f.type_id
-        tr = self.trace
-        if tr is not None:
-            tr.words[i] = f.word
-            tr.flows[i] = f.flow_id
-            tr.indices[i] = f.word_index
+        self.chunk_cycles.append(cycle)
+        self.chunk_types.append(f.type_id)
+        if self.chunks is not None:
+            self.chunk_words.append(f.word)
+            self.chunk_flows.append(f.flow_id)
+            self.chunk_indices.append(f.word_index)
+
+    def _start_chunk(self) -> None:
+        self.chunk_cycles, self.chunk_types = [], []
+        self.chunk_words, self.chunk_flows, self.chunk_indices = [], [], []
 
     def fold(self, end: int) -> None:
-        """Fold the types recorded since the last fold, up to cycle ``end``,
-        into the observer; an untraced link's buffer then starts afresh."""
-        self.observer.record(self.types[self.observer.cycles - self.base:end - self.base])
-        if self.trace is None:
-            self.types.fill(IDLE)
-            self.base = end
+        """Fold the events recorded since the last fold, up to cycle ``end``,
+        into the observer, and start the next chunk."""
+        cycles = np.array(self.chunk_cycles, dtype=np.int64)
+        types = np.array(self.chunk_types, dtype=np.int64)
+        self.observer.record(cycles, types, end)
+        if self.chunks is not None:
+            self.chunks.append((cycles, types, np.array(self.chunk_words, dtype=np.uint64),
+                                np.array(self.chunk_flows, dtype=np.int64),
+                                np.array(self.chunk_indices, dtype=np.int64)))
+        self._start_chunk()
 
 
 class InputVC:
@@ -616,38 +623,6 @@ class PE:
             self.injected_packets += 1
 
 
-TRACE_COLUMNS = ("types", "words", "flows", "indices")
-
-
-@dataclass
-class TraceColumns:
-    """Per-cycle record of one link register, one array entry per cycle.
-
-    An entry holds the type, word, flow id and payload word index of the
-    flit in the register (word index -1 for head flits).  Idle cycles
-    hold the fill values: type IDLE, word 0, flow -1, word index -1.
-    """
-
-    types: np.ndarray  # int64
-    words: np.ndarray  # uint64
-    flows: np.ndarray  # int64
-    indices: np.ndarray  # int64
-
-    @classmethod
-    def idle(cls, cycles: int) -> TraceColumns:
-        def ints(fill):
-            return np.full(cycles, fill, dtype=np.int64)
-        return cls(ints(IDLE), np.zeros(cycles, dtype=np.uint64), ints(-1), ints(-1))
-
-    def extended(self, cycles: int) -> TraceColumns:
-        """These columns followed by ``cycles`` idle entries."""
-        more = TraceColumns.idle(cycles)
-        return TraceColumns(*(
-            np.concatenate([getattr(self, name), getattr(more, name)])
-            for name in TRACE_COLUMNS
-        ))
-
-
 @dataclass
 class SimulationResult:
     cycles: int = 0
@@ -659,7 +634,7 @@ class SimulationResult:
     data_flow: dict = field(default_factory=dict)
     link_flit_counts: dict = field(default_factory=dict)
     link_vertical: dict = field(default_factory=dict)
-    link_traces: dict = field(default_factory=dict)  # link id -> TraceColumns
+    link_traces: dict = field(default_factory=dict)  # link id -> oracle.LinkTrace
     consumed_words: dict = field(default_factory=dict)
     injected_flits: int = 0
     injected_packets: int = 0
@@ -783,14 +758,6 @@ class Network:
         # flits enqueued directly at a source NI enter without a PE count, so
         # conservation holds this balance fixed rather than at zero
         balance = self._flit_balance()
-        # traces, like the observers, cover every cycle since the network was built
-        for link in self.links:
-            if link.trace is not None:
-                link.trace = link.trace.extended(cycles)
-                link.types, link.base = link.trace.types, 0
-            else:
-                link.types = np.full(min(cycles, CHUNK), IDLE, dtype=np.int64)
-                link.base = start
         self._wake_holders()
         links_awake, routers_awake = self._links_awake, self._routers_awake
         sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
@@ -849,8 +816,6 @@ class Network:
                             f" to {self._flit_balance()}")
             for link in self.links:
                 link.fold(hi)
-        for link in self.links:
-            link.types = None
 
         result.injected_flits = sum(pe.injected_flits for pe in pe_list)
         result.injected_packets = sum(pe.injected_packets for pe in pe_list)
@@ -859,8 +824,13 @@ class Network:
         result.link_flit_counts = {
             link.link_id: link.observer.type_flit_counts() for link in self.links}
         result.link_vertical = {link.link_id: link.vertical for link in self.links}
-        result.link_traces = {
-            link.link_id: link.trace for link in self.links if link.trace is not None}
+        # traces, like the observers, cover every cycle since the network was built
+        result.link_traces = {}
+        for link in self.links:
+            if link.chunks is not None:
+                link.chunks = [tuple(np.concatenate(column) for column in zip(*link.chunks))]
+                result.link_traces[link.link_id] = LinkTrace(
+                    *link.chunks[0], length=end, width=self.flit_width)
         result.max_backlogs = {
             nid: src.max_backlog for nid, src in self.sources.items()}
         return result

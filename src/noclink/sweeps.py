@@ -141,9 +141,7 @@ def link_oracle_energy(
     cap,
     tech: TechnologyParams = TECH,
 ) -> OracleEnergyReport:
-    trace = result.link_traces[link_id]
-    return exact_energy(
-        LinkTrace(trace.words, trace.types, result.flit_width), cap, tech, link=link_id)
+    return exact_energy(result.link_traces[link_id], cap, tech, link=link_id)
 
 
 def network_energy_reports(
@@ -375,8 +373,7 @@ def _accuracy_run(
     mixed = DataStream(mixed.words[:flits], width)
     types = src[:flits].astype(np.int64)
 
-    trace = LinkTrace(mixed.words, types, width)
-    t_oracle, _ = exact_switching(trace)
+    t_oracle, _ = exact_switching(LinkTrace.from_cycles(mixed.words, types, width))
 
     stats = per_type_stats(mixed.words, types, n_streams, width)
     m = data_flow_from_trace(types, n_streams)
@@ -477,7 +474,7 @@ def mux_energy_sweep(
             streams = _two_streams(width, sigma, rho, length, seed + 100 * r)
             mixed, src = multiplex_streams(streams, mp, seed=seed + 100 * r + 7)
             types = src.astype(np.int64)
-            trace = LinkTrace(mixed.words, types, width)
+            trace = LinkTrace.from_cycles(mixed.words, types, width)
             stats = per_type_stats(mixed.words, types, 2, width)
             m = data_flow_from_trace(types, 2)
             bytes_per_cycle = width / 8.0
@@ -532,8 +529,8 @@ def coding_sweep(
                 mixed_cod, _ = multiplex_streams(coded, mp, seed=rs + 7)
                 types = src.astype(np.int64)
                 for cap, acc in ((cap2d, g2), (cap3d, g3)):
-                    eu = exact_energy(LinkTrace(mixed_raw.words, types, wout), cap, tech)
-                    ec = exact_energy(LinkTrace(mixed_cod.words, types, wout), cap, tech)
+                    eu, ec = (exact_energy(LinkTrace.from_cycles(m.words, types, wout), cap, tech)
+                              for m in (mixed_raw, mixed_cod))
                     acc.append(coding_gain(eu.energy_per_cycle_fj, ec.energy_per_cycle_fj))
             rows.append({
                 "codec": name,

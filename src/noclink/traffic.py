@@ -293,16 +293,3 @@ def to_flow_specs(specs: list[InjectionSpec]) -> list[FlowSpec]:
         for i, s in enumerate(specs)
     ]
 
-
-def inject_packets(
-    spec: InjectionSpec, cycles: int, rng: np.random.Generator
-) -> list[tuple[int, np.ndarray]]:
-    """Standalone Bernoulli packet schedule: (PE cycle, body words) pairs.
-
-    Mirrors the simulator's injection process for direct statistical
-    checks without running a network.
-    """
-    take = spec.payload.provider()
-    hits = np.flatnonzero(rng.random(cycles) < spec.rate)
-    body = spec.flits_per_packet - 1
-    return [(int(c), take(body)) for c in hits]

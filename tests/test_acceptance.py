@@ -14,7 +14,7 @@ import pytest
 from noclink.codecs import make_codec
 from noclink.energy import Capacitance2D, Capacitance3D, energy_2d, energy_3d
 from noclink.linkmodel import mux_switching
-from noclink.oracle import LinkTrace, exact_energy
+from noclink.oracle import IDLE, LinkTrace, exact_energy
 from noclink.linkmodel import link_energy_report
 from noclink.reporting import data_flow_from_trace
 from noclink.streams import DataStream, compute_bit_stats, word_bits
@@ -262,6 +262,13 @@ def _check_energy_model_consistency() -> float:
     return worst
 
 
+def _per_cycle_types(trace) -> np.ndarray:
+    """Each cycle's flit type in a recorded trace, IDLE when none arrives."""
+    types = np.full(len(trace), IDLE, dtype=np.int64)
+    types[trace.cycles] = trace.types
+    return types
+
+
 def test_criterion_8_property_suites(packed_run4):
     checks = []
 
@@ -276,7 +283,7 @@ def test_criterion_8_property_suites(packed_run4):
         if not np.array_equal(
             dfm.m,
             data_flow_from_trace(
-                result.link_traces[link].types, result.n_types, link
+                _per_cycle_types(result.link_traces[link]), result.n_types, link
             ).m,
         )
     ]
@@ -309,7 +316,7 @@ def test_criterion_9_model_speed():
     n_cyc = 1_000_000
     types = rng.integers(0, 2, n_cyc).astype(np.int64)
     words = rng.integers(0, 1 << W, n_cyc, dtype=np.uint64)
-    trace = LinkTrace(words, types, W)
+    trace = LinkTrace.from_cycles(words, types, W)
     cap = sweep_cap2d(W)
     # the statistics and M below are what a simulation records online
     stats = per_type_stats(words, types, 2, W)

@@ -151,6 +151,35 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(out)]) == 1
         assert "re-run `noclink simulate`" in capsys.readouterr().err
 
+    def test_format_2_run_exit_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_simulate(config_path, out)
+        meta = json.loads((out / "meta.json").read_text())
+        meta["format"] = 2  # one entry per cycle in each trace column
+        (out / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out)]) == 1
+        assert "re-run `noclink simulate`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["descending", "at_end", "unequal"])
+    def test_tampered_traces_exit_1(self, config_path, tmp_path, capsys, tamper):
+        out = tmp_path / "run"
+        run_simulate(config_path, out)
+        with np.load(out / "traces.npz") as data:
+            arrays = dict(data)
+        cycles = arrays["A__B.cycles"]
+        assert cycles.size >= 2
+        if tamper == "descending":
+            arrays["A__B.cycles"] = cycles[::-1].copy()
+        elif tamper == "at_end":
+            arrays["A__B.cycles"][-1] = 5000  # meta.json's cycles
+        else:
+            arrays["A__B.words"] = arrays["A__B.words"][:-1]
+        np.savez_compressed(out / "traces.npz", **arrays)
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out)]) == 1
+        assert "error: trace" in capsys.readouterr().err
+
 
 class TestOracle:
     def test_protocol_pipeline(self, config_path, tmp_path, capsys):
@@ -162,6 +191,23 @@ class TestOracle:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cycles"] == 5000
         assert payload["energy_per_cycle_fj"] >= 0.0
+
+    def test_cycles_are_the_protocol_records(self, tmp_path, capsys):
+        proto = tmp_path / "link.protocol"
+        proto.write_text("0,IDLE,0\n1,0,5\n2,IDLE,5\n3,IDLE,5\n4,1,a\n")
+        assert main(["oracle", "--trace", str(proto), "--width", "4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cycles"] == len(proto.read_text().splitlines()) == 5
+
+    @pytest.mark.parametrize("records", [
+        "0,0,1\n1,IDLE,1\n5,0,3\n",  # a gap in the cycle numbers
+        "0,0,1\nzz,IDLE,1\n2,0,3\n",  # a cycle that is not a number
+    ])
+    def test_misnumbered_cycles_exit_1(self, tmp_path, capsys, records):
+        proto = tmp_path / "link.protocol"
+        proto.write_text(records)
+        assert main(["oracle", "--trace", str(proto), "--width", "4"]) == 1
+        assert "expected" in capsys.readouterr().err
 
 
 class TestStreams:

@@ -130,7 +130,7 @@ class TestLinkSwitching:
         dfm = data_flow_from_trace(trace, 2)
         model = link_switching(st, dfm)
         oracle, _ = exact_switching(
-            LinkTrace(mux.words, np.zeros(len(mux), dtype=np.int64) + trace, 16)
+            LinkTrace.from_cycles(mux.words, np.zeros(len(mux), dtype=np.int64) + trace, 16)
         )
         rmse = np.sqrt(np.mean((model.t - oracle.t) ** 2))
         assert rmse < 0.01  # 1 percentage point
@@ -181,7 +181,7 @@ class TestStandardModel:
         m[0, 1] = m[1, 0] = 0.5
         dfm = DataFlowMatrix(m, 2)
         mux, trace = multiplex_streams([a, b], 1.0, seed=8)
-        oracle, _ = exact_switching(LinkTrace(mux.words, trace, 16))
+        oracle, _ = exact_switching(LinkTrace.from_cycles(mux.words, trace, 16))
         std_diag = np.diag(standard_link_switching(st, dfm).t).sum()
         oracle_diag = np.diag(oracle.t).sum()
         assert oracle_diag / std_diag >= 2.0

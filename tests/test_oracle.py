@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclink.energy import TechnologyParams, template_2d_bus, template_3d_tsv, energy_2d
+from noclink.energy import (
+    Capacitance3D,
+    TechnologyParams,
+    energy_2d,
+    template_2d_bus,
+    template_3d_tsv,
+)
 from noclink.oracle import (
     IDLE,
     LinkTrace,
@@ -12,13 +18,77 @@ from noclink.oracle import (
     replay_link_protocol,
     write_link_protocol,
 )
-from noclink.streams import StreamSpec, generate_stream, multiplex_streams
+from noclink.streams import (
+    StreamSpec,
+    SwitchingMatrix,
+    generate_stream,
+    multiplex_streams,
+    word_bits,
+)
 
 TECH = TechnologyParams(vdd=1.1, clock_period=1e-9)
 
 
 def trace(words, types, width):
-    return LinkTrace(np.array(words, dtype=np.uint64), np.array(types), width)
+    """The flits of a per-cycle record, IDLE on idle cycles."""
+    return LinkTrace.from_cycles(np.array(words, dtype=np.uint64), np.array(types), width)
+
+
+# --- per-cycle references -----------------------------------------------------
+
+
+def per_cycle(trace):
+    """The per-cycle record of a trace: each cycle's type (IDLE when no
+    flit arrives) and the word held on the wires, all-zeros before the
+    first flit."""
+    types = np.full(len(trace), IDLE, dtype=np.int64)
+    types[trace.cycles] = trace.types
+    words = np.zeros(len(trace), dtype=np.uint64)
+    words[trace.cycles] = trace.words
+    active = types != IDLE
+    last = np.maximum.accumulate(np.where(active, np.arange(len(trace)), -1))
+    held = np.where(last >= 0, words[np.maximum(last, 0)], np.uint64(0))
+    return types, held
+
+
+def reference_switching(trace):
+    """``exact_switching`` over every cycle pair of the held words."""
+    b = word_bits(per_cycle(trace)[1], trace.width)
+    p = b.mean(axis=0)
+    if len(trace) < 2:
+        return SwitchingMatrix(np.zeros((trace.width, trace.width))), p
+    d = np.diff(b, axis=0).astype(np.float64)
+    return SwitchingMatrix.from_products((d.T @ d) / (len(trace) - 1)), p
+
+
+def reference_energy_total(trace, cap):
+    """``exact_energy``'s normalized total over every cycle pair."""
+    b = word_bits(per_cycle(trace)[1], trace.width)
+    p = b.mean(axis=0)
+    c = cap.ct0 + cap.dct * (p[:, None] + p[None, :]) if isinstance(cap, Capacitance3D) else cap.c
+    if len(trace) < 2:
+        return 0.0
+    d = np.diff(b, axis=0).astype(np.float64)
+    t = SwitchingMatrix.from_products(d.T @ d).t
+    total = float(np.sum(np.diag(c) * np.diag(t)))
+    c_off = c.copy()
+    np.fill_diagonal(c_off, 0.0)
+    return total + float(np.sum(t * c_off))
+
+
+@st.composite
+def per_cycle_records(draw):
+    """A width of 1-64 bits, per-cycle words and types with an idle share
+    of 0-1, and sorted cut points that split the record into chunks."""
+    width = draw(st.integers(1, 64))
+    length = draw(st.integers(1, 300))
+    idle_share = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**width, length, dtype=np.uint64)
+    types = np.where(rng.random(length) < idle_share, IDLE, rng.integers(0, 3, length))
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=8)))
+    return width, words, types, cuts
 
 
 class TestExactSwitching:
@@ -52,6 +122,63 @@ class TestExactSwitching:
         assert np.allclose(tc.t, expect)
 
 
+class TestLinkTrace:
+    def test_len_is_the_cycles_covered(self):
+        tr = trace([0, 5, 0, 0], [IDLE, 1, IDLE, IDLE], 4)
+        assert len(tr) == 4
+        assert tr.cycles.tolist() == [1]
+        assert tr.types.tolist() == [1] and tr.words.tolist() == [5]
+
+    @pytest.mark.parametrize("cycles, types, words, length, width", [
+        ([0, 1], [0], [0, 0], 3, 4),          # unequal column lengths
+        ([1, 1], [0, 0], [0, 0], 3, 4),       # a repeated cycle
+        ([2, 1], [0, 0], [0, 0], 3, 4),       # descending cycles
+        ([-1], [0], [0], 3, 4),               # before the first cycle
+        ([3], [0], [0], 3, 4),                # at the end of the trace
+        ([0], [-1], [0], 3, 4),               # an idle marker as a flit type
+        ([0], [0], [16], 3, 4),               # a word wider than the link
+        ([], [], [], 0, 4),                   # no cycle at all
+    ])
+    def test_validation(self, cycles, types, words, length, width):
+        with pytest.raises(TraceError):
+            LinkTrace(cycles, types, words, length=length, width=width)
+
+    def test_simulated_columns_must_match_too(self):
+        with pytest.raises(TraceError):
+            LinkTrace([0, 1], [0, 0], [0, 0], [0, 0], [0], length=2, width=4)
+
+
+class TestAgainstPerCycleReference:
+    @given(per_cycle_records())
+    @settings(max_examples=200, deadline=None)
+    def test_held_runs_equal_every_cycle(self, case):
+        # chunks of the record, converted one at a time and joined as a run
+        # joins its chunks, give the trace of the whole record
+        width, words, types, cuts = case
+        bounds = [0, *cuts, types.size]
+        chunks = [(lo, trace(words[lo:hi], types[lo:hi], width))
+                  for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+        tr = LinkTrace(np.concatenate([c.cycles + lo for lo, c in chunks]),
+                       np.concatenate([c.types for _, c in chunks]),
+                       np.concatenate([c.words for _, c in chunks]),
+                       length=types.size, width=width)
+        whole = trace(words, types, width)
+        for column in ("cycles", "types", "words"):
+            assert np.array_equal(getattr(tr, column), getattr(whole, column))
+
+        t, p = exact_switching(tr)
+        t_ref, p_ref = reference_switching(tr)
+        assert np.array_equal(t.t, t_ref.t)
+        assert np.array_equal(p, p_ref)
+        for cap in (template_2d_bus(width, 100.0, 37.0),
+                    template_3d_tsv(1, width, 40.0, -2.0, 120.0, -6.0)):
+            rep = exact_energy(tr, cap, TECH)
+            assert rep.normalized_total_af == reference_energy_total(tr, cap)
+            assert np.array_equal(rep.p, p_ref)
+            assert rep.cycles == types.size
+            assert rep.active_cycles == int((types != IDLE).sum())
+
+
 class TestExactEnergy:
     def test_constant_trace(self):
         rep = exact_energy(trace([7, 7, 7], [0, 0, 0], 4), template_2d_bus(4, 100.0, 50.0), TECH)
@@ -67,7 +194,7 @@ class TestExactEnergy:
         a = generate_stream(StreamSpec("uniform", 8, 20_000, seed=1))
         b = generate_stream(StreamSpec("gaussian", 8, 20_000, sigma=16.0, rho=0.9, seed=2))
         mux, types = multiplex_streams([a, b], 0.3, seed=3)
-        tr = LinkTrace(mux.words, types, 8)
+        tr = LinkTrace.from_cycles(mux.words, types, 8)
         cap = template_2d_bus(8, 100.0, 60.0, 2)
         rep = exact_energy(tr, cap, TECH)
         t, _ = exact_switching(tr)
@@ -88,10 +215,10 @@ class TestExactEnergy:
 
 def protocol_reference(trace) -> bytes:
     """The protocol format written one record at a time."""
-    held = trace.held_words()
+    types, held = per_cycle(trace)
     return "".join(
         f"{cycle},{'IDLE' if t < 0 else t},{int(held[cycle]):x}\n"
-        for cycle, t in enumerate(trace.types.tolist())
+        for cycle, t in enumerate(types.tolist())
     ).encode()
 
 
@@ -116,8 +243,8 @@ class TestProtocol:
         write_link_protocol(path, tr)
         back = replay_link_protocol(path, 4)
         assert len(back) == 5
-        assert np.array_equal(back.types, tr.types)
-        assert np.array_equal(back.held_words(), tr.held_words())
+        assert np.array_equal(per_cycle(back)[0], per_cycle(tr)[0])
+        assert np.array_equal(per_cycle(back)[1], per_cycle(tr)[1])
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.protocol"
@@ -134,7 +261,7 @@ class TestProtocol:
     def test_exact_switching_consistent_after_roundtrip(self, tmp_path):
         a = generate_stream(StreamSpec("uniform", 8, 500, seed=4))
         types = np.array([0 if i % 3 else IDLE for i in range(500)])
-        tr = LinkTrace(a.words, types, 8)
+        tr = LinkTrace.from_cycles(a.words, types, 8)
         path = tmp_path / "p.protocol"
         write_link_protocol(path, tr)
         back = replay_link_protocol(path, 8)
@@ -142,4 +269,4 @@ class TestProtocol:
         t2, p2 = exact_switching(back)
         assert np.allclose(t1.t, t2.t)
         assert np.allclose(p1, p2)
-        assert back.active_count() == tr.active_count()
+        assert back.cycles.size == tr.cycles.size

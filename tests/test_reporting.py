@@ -35,12 +35,20 @@ def reference_counts(states, n):
     return counts
 
 
+def feed(obs, states):
+    """Record the next cycles from a per-cycle sequence of states, IDLE on
+    idle cycles: the flits are the cycles whose state is not IDLE."""
+    states = np.asarray(states, dtype=np.int64)
+    cycles = np.flatnonzero(states != IDLE)
+    obs.record(obs.cycles + cycles, states[cycles], obs.cycles + states.size)
+
+
 def observed(states, n, cuts=()):
     """An observer fed ``states`` in the segments between sorted ``cuts``."""
     obs = LinkObserver("L", n)
     bounds = [0, *cuts, len(states)]
     for lo, hi in zip(bounds, bounds[1:]):
-        obs.record(np.asarray(states[lo:hi], dtype=np.int64))
+        feed(obs, states[lo:hi])
     return obs
 
 
@@ -73,7 +81,7 @@ class TestLinkObserver:
     def test_memory_constant_in_cycle_count(self):
         obs = LinkObserver("L", 4)
         for lo in range(0, 100_000, 1_000):
-            obs.record(np.arange(lo, lo + 1_000) % 4)
+            feed(obs, np.arange(lo, lo + 1_000) % 4)
         assert obs.counts.shape == (8, 8)
         assert obs.counts.sum() == 99_999
         assert obs.cycles == 100_000
@@ -81,15 +89,15 @@ class TestLinkObserver:
     def test_type_out_of_range(self):
         obs = LinkObserver("L", 2)
         with pytest.raises(ReportingError):
-            obs.record([2])
+            feed(obs, [2])
 
     def test_vectorized_counts_reject_out_of_range(self):
         obs = LinkObserver("L", 2)
-        obs.record([0, IDLE])
+        feed(obs, [0, IDLE])
         before = obs.counts.copy()
         for bad in ([2], [0, -2], [IDLE, 1, 5]):
             with pytest.raises(ReportingError):
-                obs.record(bad)
+                feed(obs, bad)
         # a rejected segment counts nothing
         assert np.array_equal(obs.counts, before)
         assert obs.cycles == 2
@@ -102,7 +110,7 @@ class TestLinkObserver:
 
     def test_finalize_needs_two_cycles(self):
         obs = LinkObserver("L", 1)
-        obs.record([0])
+        feed(obs, [0])
         with pytest.raises(ReportingError):
             obs.finalize()
 

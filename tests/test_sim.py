@@ -34,6 +34,13 @@ from noclink.simnet import (
 W = 16
 
 
+def per_cycle_types(trace):
+    """Each cycle's flit type in a recorded trace, IDLE when none arrives."""
+    types = np.full(len(trace), IDLE, dtype=np.int64)
+    types[trace.cycles] = trace.types
+    return types
+
+
 def ramp_payload():
     pos = [0]
 
@@ -311,7 +318,7 @@ class TestRepeatedRuns:
         assert result is first
         assert result.cycles == 2_000
         for trace in result.link_traces.values():
-            assert trace.types.size == result.cycles
+            assert len(trace) == result.cycles
         summary = result.summary()
         assert summary["injected_flits"] > 0
         assert summary["injected_flits"] == (
@@ -388,7 +395,7 @@ class TestObserverConsistency:
     def test_matrices_match_trace_recount(self):
         result = case_net(4, rate=0.02, seed=6).run(8_000)
         for link, dfm in result.data_flow.items():
-            types = result.link_traces[link].types
+            types = per_cycle_types(result.link_traces[link])
             recount = data_flow_from_trace(types, result.n_types, link)
             assert np.array_equal(dfm.m, recount.m), link
 
@@ -398,7 +405,7 @@ class TestObserverConsistency:
             active = dfm.m[:, : result.n_types].sum() * (result.cycles - 1)
             flits = result.link_flit_counts[link].sum()
             # the first observed cycle is not part of any transition
-            types = result.link_traces[link].types
+            types = per_cycle_types(result.link_traces[link])
             first_active = 1 if types[0] != IDLE else 0
             assert int(round(active)) == flits - first_active, link
 
@@ -413,8 +420,9 @@ class TestObserverConsistency:
 
 
 class TestChunkedObservation:
-    """Untraced links fold a per-run buffer of at most CHUNK cycles, traced
-    links their trace columns; both must count like one fold of the trace."""
+    """Links fold their events every CHUNK cycles; untraced links then
+    drop them, traced links keep them.  Both must count like one fold of
+    the whole trace."""
 
     def net(self, collect_traces, rate=0.05):
         flows = [FlowSpec(0, 0, "A", "B", rate, 4, ramp_payload()),
@@ -428,7 +436,7 @@ class TestChunkedObservation:
             assert np.array_equal(untraced.data_flow[link].m, dfm.m), link
             assert np.array_equal(untraced.link_flit_counts[link],
                                   traced.link_flit_counts[link]), link
-            types = traced.link_traces[link].types
+            types = per_cycle_types(traced.link_traces[link])
             recount = data_flow_from_trace(types, traced.n_types, link)
             assert np.array_equal(dfm.m, recount.m), link
 
@@ -455,8 +463,9 @@ class TestChunkedObservation:
             tracemalloc.stop()
         whole_run_columns = len(net.links) * cycles * np.dtype(np.int64).itemsize
         assert peak < whole_run_columns / 4
-        # the buffers live only while the run does
-        assert all(link.types is None for link in net.links)
+        # an untraced link holds no events after a run
+        assert all(link.chunks is None and not (link.chunk_cycles or link.chunk_types)
+                   for link in net.links)
 
 
 class TestFlowOrdering:

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noclink.simnet import PE
 from noclink.streams import StreamSpec, generate_stream
 from noclink.traffic import (
     InjectionSpec,
     PayloadSource,
     TrafficError,
-    inject_packets,
     load_traffic_spec,
     make_payload_source,
     msb_pixel_source,
@@ -130,27 +130,53 @@ class TestInjectionSpec:
         assert np.array_equal(f1.payload(5), f2.payload(5))
 
 
+class RecordingNI:
+    """Stands in for a PE's source NI: keeps each enqueued packet's
+    injection cycle and body words, not its flits."""
+
+    def __init__(self):
+        self.packets: list[tuple[int, list[int]]] = []
+
+    def enqueue_packet(self, flits):
+        self.packets.append((flits[0].inject_cycle, [f.word for f in flits[1:]]))
+
+
+def inject_packets(spec, cycles, seed):
+    """The (PE cycle, body words) of the packets a PE injects for one flow
+    over ``cycles`` PE cycles, driven tick by tick without a network."""
+    ni = RecordingNI()
+    pe = PE("A", {"A": 0, "B": 1}, 16, 1, to_flow_specs([spec]), ni, head_type=1, seed=seed)
+    pe.plan()
+    cycle = pe.next_injection(cycles)
+    while cycle is not None:
+        pe.tick(cycle, NODES)
+        cycle = pe.next_injection(cycles)
+    return ni.packets
+
+
 class TestInjectPackets:
     def test_binomial_bound(self):
         spec = InjectionSpec("A", "B", 0, 0.2, 32, simple_source(1024))
-        rng = np.random.default_rng(7)
-        packets = inject_packets(spec, 100_000, rng)
+        packets = inject_packets(spec, 100_000, 7)
         assert 19_500 <= len(packets) <= 20_500
+        cycles = [c for c, _ in packets]
+        assert cycles == sorted(set(cycles)) and cycles[-1] < 100_000
 
     def test_zero_rate(self):
         spec = InjectionSpec("A", "B", 0, 0.0, 32, simple_source())
-        assert inject_packets(spec, 10_000, np.random.default_rng(0)) == []
+        assert inject_packets(spec, 10_000, 0) == []
 
     def test_payload_order_preserved(self):
         spec = InjectionSpec("A", "B", 0, 0.5, 4, simple_source(9, 16))
-        packets = inject_packets(spec, 50, np.random.default_rng(1))
+        packets = inject_packets(spec, 50, 1)
+        assert packets
         words = np.concatenate([w for _, w in packets])
         expect = [i % 9 for i in range(len(words))]
         assert list(words) == expect
 
     def test_empirical_rate_converges(self):
         spec = InjectionSpec("A", "B", 0, 0.35, 8, simple_source())
-        packets = inject_packets(spec, 100_000, np.random.default_rng(3))
+        packets = inject_packets(spec, 100_000, 3)
         assert abs(len(packets) / 100_000 - 0.35) < 0.0035
 
     def test_image_sized_payload_consumed_sequentially(self):
