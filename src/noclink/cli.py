@@ -67,12 +67,22 @@ def _save_traces(result: SimulationResult, payloads: dict, out: Path) -> None:
     np.savez_compressed(out / "traces.npz", **arrays)
 
 
+def _require(entries, keys, source: Path) -> None:
+    """Reject a run directory whose ``source`` lacks one of ``keys``."""
+    missing = [k for k in keys if k not in entries]
+    if missing:
+        raise ReportingError(f"incomplete run directory: {source} has no"
+                             f" {', '.join(missing)}; re-run `noclink simulate`")
+
+
 def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     """The recorded result and each flow's consumed payload words."""
     meta = json.loads((run_dir / "meta.json").read_text())
     if meta.get("format") != RUN_FORMAT:
         raise ReportingError(f"{run_dir} was written by an earlier noclink, not in"
                              f" run-directory format {RUN_FORMAT}; re-run `noclink simulate`")
+    _require(meta, ("flows", "cycles", "clock_period_s", "n_types", "flit_width", "links"),
+             run_dir / "meta.json")
     result = SimulationResult(
         cycles=meta["cycles"],
         clock_period=meta["clock_period_s"],
@@ -81,6 +91,10 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     )
     n = result.n_types
     with np.load(run_dir / "traces.npz") as data:
+        entries = [f"{link_file_name(link)}.{name}"
+                   for link in meta["links"] for name in TRACE_COLUMNS]
+        entries += [f"payload.{i}" for i in range(meta["flows"])]
+        _require(data, entries, run_dir / "traces.npz")
         for link_id, vertical in meta["links"].items():
             key = link_file_name(link_id)
             trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),

@@ -40,8 +40,8 @@ import xml.parsers.expat as expat
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .simnet import Network, RouterConfig, build_network
-from .traffic import InjectionSpec, TrafficError, load_traffic_spec, to_flow_specs
+from .simnet import ConfigurationError, FlowSpec, Network, RouterConfig, build_network
+from .traffic import TrafficError, load_traffic_spec
 
 
 class ConfigError(ValueError):
@@ -118,7 +118,7 @@ class SimulationConfig:
     flit_width: int
     flits_per_packet: int
     clock_period: float
-    traffic: list[InjectionSpec] = field(repr=False, default_factory=list)
+    traffic: list[FlowSpec] = field(repr=False, default_factory=list)
     node_types: dict[int, NodeTypeConfig] = field(default_factory=dict)
 
 
@@ -245,7 +245,7 @@ def parse_config(path) -> SimulationConfig:
             flows.append(_attrs(elem))
     try:
         specs = load_traffic_spec(flows, nodes, flit_width, flits_per_packet)
-    except TrafficError as exc:
+    except (TrafficError, ConfigurationError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     return SimulationConfig(
@@ -264,15 +264,13 @@ def build_simulation(
     cfg: SimulationConfig, *, seed: int = 0, collect_traces: bool = False
 ) -> Network:
     """Instantiate a network from a parsed configuration."""
-    n_payload_types = max((s.type_id for s in cfg.traffic), default=-1) + 1
     return build_network(
         cfg.nodes,
-        to_flow_specs(cfg.traffic),
+        cfg.traffic,
         flit_width=cfg.flit_width,
         router_cfg=cfg.router_cfg,
         pe_clock_delay=cfg.pe_clock_delay,
         clock_period=cfg.clock_period,
-        n_payload_types=max(n_payload_types, 1),
         collect_traces=collect_traces,
         seed=seed,
     )

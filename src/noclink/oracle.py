@@ -203,7 +203,11 @@ def write_link_protocol(path, trace: LinkTrace) -> None:
 
 
 def replay_link_protocol(path, width: int) -> LinkTrace:
-    """The flits of a protocol file, whose records number cycles 0, 1, 2, ..."""
+    """The flits of a protocol file, whose records number cycles 0, 1, 2, ...
+
+    A type tag is ``IDLE`` or a non-negative decimal, and an ``IDLE``
+    record holds the word the link holds: zero before the first flit,
+    then the last flit's word."""
     words: list[int] = []
     types: list[int] = []
     with open(path) as fh:
@@ -218,13 +222,31 @@ def replay_link_protocol(path, width: int) -> LinkTrace:
             if cycle != str(len(words)):
                 raise TraceError(
                     f"{path}:{lineno}: record of cycle {cycle!r}, expected {len(words)}")
+            if tag == "IDLE":
+                t = IDLE
+            elif tag.isdecimal():
+                t = int(tag)
+            else:
+                raise TraceError(f"{path}:{lineno}: type tag {tag!r} is neither IDLE"
+                                 " nor a non-negative integer")
             try:
                 word = int(hexword, 16)
-                t = IDLE if tag == "IDLE" else int(tag)
             except ValueError as exc:
                 raise TraceError(f"{path}:{lineno}: malformed protocol record") from exc
             words.append(word)
             types.append(t)
     if not words:
         raise TraceError(f"{path}: empty protocol file")
-    return LinkTrace.from_cycles(words, types, width)
+    try:
+        words = np.asarray(words, dtype=np.uint64)
+    except OverflowError as exc:
+        raise TraceError(f"{path}: a protocol word is negative or wider than 64 bits") from exc
+    types = np.asarray(types, dtype=np.int64)
+    trace = LinkTrace.from_cycles(words, types, width)
+    held = np.repeat(*_held_runs(trace))
+    bad = np.flatnonzero((types == IDLE) & (words != held))
+    if bad.size:
+        c = int(bad[0])
+        raise TraceError(f"{path}: IDLE record of cycle {c} has word {int(words[c]):x},"
+                         f" not the held word {int(held[c]):x}")
+    return trace

@@ -133,11 +133,9 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
         save_data_flow_matrix(path, dfm, result.cycles, link_id)
         written.append(path)
 
-    latency = {}
-    if result.flit_latencies:
-        latency["flit"] = latency_stats(result.flit_latencies, result.clock_period)
-    if result.packet_latencies:
-        latency["packet"] = latency_stats(result.packet_latencies, result.clock_period)
+    summary = result.summary()
+    latency = {kind: summary[f"{kind}_latency"] for kind in ("flit", "packet")
+               if f"{kind}_latency" in summary}
     lat_path = out / "latency.json"
     lat_path.write_text(json.dumps(latency, indent=2))
     written.append(lat_path)
@@ -168,7 +166,7 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
     written.append(counts_path)
 
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(result.summary(), indent=2))
+    summary_path.write_text(json.dumps(summary, indent=2))
     written.append(summary_path)
 
     if energy_reports:

@@ -46,12 +46,15 @@ import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .oracle import LinkTrace
 from .reporting import LinkObserver, SimulationError, latency_stats
+
+if TYPE_CHECKING:
+    from .traffic import PayloadSource
 
 LOCAL, XP, XN, YP, YN, ZP, ZN = range(7)
 PORT_NAMES = ("local", "x+", "x-", "y+", "y-", "z+", "z-")
@@ -135,21 +138,25 @@ class RouterConfig:
 
 @dataclass
 class FlowSpec:
-    """One typed traffic flow from a source PE to a destination PE."""
+    """One typed traffic flow from a source PE to a destination PE.  The
+    body flits of its packets carry the ``payload`` words in order, read
+    at the PE's own position."""
 
     flow_id: int
     type_id: int
     src: str
     dst: str
-    rate: float
+    rate: float  # packets per PE tick
     flits_per_packet: int
-    payload: Callable[[int], Sequence[int]]
+    payload: PayloadSource = field(repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
-            raise ConfigurationError("injection rate must lie in [0, 1]")
-        if self.flits_per_packet < 1:
-            raise ConfigurationError("flits_per_packet must be >= 1")
+            raise ConfigurationError(f"injection rate {self.rate} outside [0, 1]")
+        if self.flits_per_packet < 2:
+            raise ConfigurationError("packets need a head flit and at least one body flit")
+        if self.type_id < 0:
+            raise ConfigurationError("type_id must be non-negative")
 
 
 class Link:
@@ -610,14 +617,12 @@ class PE:
             head_word = encode_head_word(
                 self.dest_index_of[flow.dst], pid, self.flit_width)
             flits = [Flit(flow.flow_id, self.head_type, head_word, True,
-                          n_body == 0, pid, dest, -1, cycle)]
-            if n_body:
-                words = flow.payload(n_body)
-                base = self.word_cursor[flow.flow_id]
-                self.word_cursor[flow.flow_id] = base + n_body
-                for k, w in enumerate(words):
-                    flits.append(Flit(flow.flow_id, flow.type_id, int(w), False,
-                                      k == n_body - 1, pid, dest, base + k, cycle))
+                          False, pid, dest, -1, cycle)]
+            base = self.word_cursor[flow.flow_id]
+            self.word_cursor[flow.flow_id] = base + n_body
+            for k, w in enumerate(flow.payload.take(base, n_body).tolist()):
+                flits.append(Flit(flow.flow_id, flow.type_id, w, False,
+                                  k == n_body - 1, pid, dest, base + k, cycle))
             self.ni.enqueue_packet(flits)
             self.injected_flits += len(flits)
             self.injected_packets += 1
@@ -890,7 +895,7 @@ def build_network(
         if n_payload_types < 1:
             n_payload_types = 1
     for flow in flows:
-        if not 0 <= flow.type_id < n_payload_types:
+        if flow.type_id >= n_payload_types:
             raise ConfigurationError(
                 f"flow {flow.flow_id}: type {flow.type_id} out of range")
     n_types = n_payload_types + 1  # payload types plus the head type

@@ -35,7 +35,7 @@ from .linkmodel import (
 )
 from .oracle import LinkTrace, OracleEnergyReport, exact_energy, exact_switching
 from .reporting import data_flow_from_trace
-from .simnet import RouterConfig, SimulationResult, build_network
+from .simnet import FlowSpec, RouterConfig, SimulationResult, build_network
 from .streams import (
     DISTRIBUTIONS,
     DataStream,
@@ -45,7 +45,7 @@ from .streams import (
     generate_stream,
     multiplex_streams,
 )
-from .traffic import InjectionSpec, msb_pixel_source, packed_pixel_source, to_flow_specs
+from .traffic import make_payload_source
 
 
 class SweepError(ValueError):
@@ -190,11 +190,6 @@ CASE_STUDY_FLITS_PER_PACKET = 32
 CASE_STUDY_RATE = 0.2 / CASE_STUDY_FLITS_PER_PACKET
 CASE_STUDY_VC_LINKS = ("R2->R5", "R5->R7")
 
-_PAYLOAD_BUILDERS = {
-    "pixel-packed": packed_pixel_source,
-    "pixel-msb": msb_pixel_source,
-}
-
 
 def case_study_traffic(
     *,
@@ -204,30 +199,25 @@ def case_study_traffic(
     rho: float = 0.995,
     stream_seed: int = 100,
     length: int = 1 << 20,
-) -> list[InjectionSpec]:
+) -> list[FlowSpec]:
     """Six sensor flows towards the memory node, one data type each."""
-    try:
-        build = _PAYLOAD_BUILDERS[payload_kind]
-    except KeyError as exc:
-        raise SweepError(f"unknown case-study payload kind {payload_kind!r}") from exc
-    specs = []
-    for i, src in enumerate(CASE_STUDY_SOURCES):
-        payload = build(
-            CASE_STUDY_FLIT_WIDTH, length, sigma, rho, stream_seed + i,
-            name=f"{payload_kind}:{src}",
+    return [
+        FlowSpec(
+            i, i, src, CASE_STUDY_DEST, rate, CASE_STUDY_FLITS_PER_PACKET,
+            make_payload_source(
+                {"payload": payload_kind, "sigma": sigma, "rho": rho,
+                 "seed": stream_seed + i, "length": length},
+                CASE_STUDY_FLIT_WIDTH,
+            ),
         )
-        specs.append(
-            InjectionSpec(
-                src, CASE_STUDY_DEST, i, rate, CASE_STUDY_FLITS_PER_PACKET, payload
-            )
-        )
-    return specs
+        for i, src in enumerate(CASE_STUDY_SOURCES)
+    ]
 
 
 @dataclass
 class CaseStudyRun:
     result: SimulationResult
-    traffic: list[InjectionSpec]
+    traffic: list[FlowSpec]
 
 
 def run_case_study(
@@ -251,7 +241,7 @@ def run_case_study(
     )
     net = build_network(
         CASE_STUDY_NODES,
-        to_flow_specs(traffic),
+        traffic,
         flit_width=CASE_STUDY_FLIT_WIDTH,
         router_cfg=RouterConfig(
             vc_count=vc_count, buffer_depth=buffer_depth,
@@ -277,13 +267,14 @@ def highest_word_indices(result: SimulationResult, flows: int) -> np.ndarray:
 
 
 def consumed_prefixes(
-    traffic: list[InjectionSpec], result: SimulationResult
+    traffic: list[FlowSpec], result: SimulationResult
 ) -> dict[int, np.ndarray]:
     """Each flow's payload words up to the highest index any link carried.
 
     This is all of a flow's payload that the recorded traces refer to
     (at least one word per flow; a whole source that recycled).  Flow
-    ids are positions in ``traffic``, as ``to_flow_specs`` numbers them.
+    ids are positions in ``traffic``, as ``load_traffic_spec`` and
+    ``case_study_traffic`` number them.
     """
     highest = highest_word_indices(result, len(traffic))
     return {

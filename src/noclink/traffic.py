@@ -1,21 +1,21 @@
-"""Typed statistical traffic injection.
+"""Typed statistical traffic: payload word sources and flow loading.
 
-An :class:`InjectionSpec` describes one flow: source and destination
-nodes, a payload word source, a Bernoulli packet-injection rate per PE
-cycle and a packet length in flits.  Payload sources are infinite word
-generators built from synthetic stream specs or from files (raw bytes,
-PGM images, stored streams); finite sources recycle from the start with
-a logged notice.
+``load_traffic_spec`` turns a configuration's flat flow mappings into
+:class:`noclink.simnet.FlowSpec` records: source and destination nodes,
+a payload word source, a Bernoulli packet-injection rate per PE tick
+and a packet length in flits.  Payload sources are word arrays built
+from synthetic stream specs or from files (raw bytes, PGM images,
+stored streams); a flow that reads past the end recycles from the start
+with a logged notice.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simnet import FlowSpec
-from .streams import DataStream, StreamSpec, generate_stream, read_stream_binary
+from .streams import StreamSpec, generate_stream, read_stream_binary
 
 log = logging.getLogger(__name__)
 
@@ -30,9 +30,9 @@ class TrafficError(ValueError):
 class PayloadSource:
     """Infinite, order-preserving word source of a fixed bit width.
 
-    Wraps a finite word array; requests past the end wrap around to the
-    start (logged once).  ``provider()`` returns a fresh stateful cursor
-    suitable for :class:`noclink.simnet.FlowSpec`.
+    Wraps a finite word array; ``take`` reads words at any position, and
+    positions past the end wrap around to the start (logged).  The
+    source holds no cursor: each PE keeps its own position per flow.
     """
 
     def __init__(self, words: np.ndarray, width: int, name: str = "payload"):
@@ -58,17 +58,6 @@ class PayloadSource:
         log.info("payload source %s exhausted at word %d; recycling", self.name, n)
         idx = (start + np.arange(count)) % n
         return self.words[idx]
-
-    def provider(self):
-        pos = 0
-
-        def take(count: int) -> np.ndarray:
-            nonlocal pos
-            out = self.take(pos, count)
-            pos += count
-            return out
-
-        return take
 
 
 def source_from_spec(spec: StreamSpec, name: str = "synthetic") -> PayloadSource:
@@ -211,39 +200,19 @@ def _file_of(cfg: dict, kind: str) -> str:
         raise TrafficError(f"{kind} payload needs a file attribute") from exc
 
 
-# --- injection specs --------------------------------------------------------
-
-
-@dataclass
-class InjectionSpec:
-    """One traffic flow: Bernoulli packet injection at a fixed rate."""
-
-    src: str
-    dst: str
-    type_id: int
-    rate: float  # packets per PE cycle
-    flits_per_packet: int
-    payload: PayloadSource = field(repr=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.rate <= 1.0:
-            raise TrafficError(f"injection rate {self.rate} outside [0, 1]")
-        if self.flits_per_packet < 2:
-            raise TrafficError("packets need a head flit and at least one body flit")
-        if self.type_id < 0:
-            raise TrafficError("type_id must be non-negative")
+# --- flows ------------------------------------------------------------------
 
 
 def load_traffic_spec(
     flows: list[dict], nodes: dict, flit_width: int, flits_per_packet: int
-) -> list[InjectionSpec]:
-    """Validate flat flow mappings into injection specs.
+) -> list[FlowSpec]:
+    """Validate flat flow mappings into flow specs, numbered by position.
 
     Data types are assigned per (source, payload) pair in listed order
     unless a flow names its ``typeId`` explicitly; the type after the
     last payload type is reserved for head flits by the simulator.
     """
-    specs: list[InjectionSpec] = []
+    specs: list[FlowSpec] = []
     assigned: dict[tuple, int] = {}
     next_type = 0
     for cfg in flows:
@@ -270,26 +239,9 @@ def load_traffic_spec(
                 next_type += 1
             type_id = assigned[key]
         specs.append(
-            InjectionSpec(
-                src, dst, type_id, rate,
+            FlowSpec(
+                len(specs), type_id, src, dst, rate,
                 int(cfg.get("flitsPerPacket", flits_per_packet)), payload,
             )
         )
     return specs
-
-
-def to_flow_specs(specs: list[InjectionSpec]) -> list[FlowSpec]:
-    """Convert injection specs to simulator flow specs (fresh cursors)."""
-    return [
-        FlowSpec(
-            flow_id=i,
-            type_id=s.type_id,
-            src=s.src,
-            dst=s.dst,
-            rate=s.rate,
-            flits_per_packet=s.flits_per_packet,
-            payload=s.payload.provider(),
-        )
-        for i, s in enumerate(specs)
-    ]
-

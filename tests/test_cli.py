@@ -180,6 +180,24 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(out)]) == 1
         assert "error: trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["A__B.words", "payload.0", "links"])
+    def test_incomplete_run_exit_1(self, config_path, tmp_path, capsys, entry):
+        out = tmp_path / "run"
+        run_simulate(config_path, out)
+        if entry == "links":
+            meta = json.loads((out / "meta.json").read_text())
+            del meta[entry]
+            (out / "meta.json").write_text(json.dumps(meta))
+        else:
+            with np.load(out / "traces.npz") as data:
+                arrays = dict(data)
+            del arrays[entry]
+            np.savez_compressed(out / "traces.npz", **arrays)
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert entry in err and "re-run `noclink simulate`" in err
+
 
 class TestOracle:
     def test_protocol_pipeline(self, config_path, tmp_path, capsys):

@@ -246,6 +246,48 @@ class TestProtocol:
         assert np.array_equal(per_cycle(back)[0], per_cycle(tr)[0])
         assert np.array_equal(per_cycle(back)[1], per_cycle(tr)[1])
 
+    @given(
+        st.integers(1, 64).flatmap(lambda width: st.lists(
+            st.tuples(st.integers(-1, 40), st.integers(0, 2**width - 1)),
+            min_size=1, max_size=150,
+        ).map(lambda rows: (width, rows)))
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_written_files_replay_unchanged(self, tmp_path_factory, case):
+        width, rows = case
+        tr = trace([w for _, w in rows], [t for t, _ in rows], width)
+        path = tmp_path_factory.mktemp("proto") / "link.protocol"
+        write_link_protocol(path, tr)
+        back = replay_link_protocol(path, width)
+        for name in ("cycles", "types", "words"):
+            assert np.array_equal(getattr(back, name), getattr(tr, name))
+        assert len(back) == len(tr)
+
+    @pytest.mark.parametrize("text", [
+        "0,IDLE,5\n1,0,5\n",  # before the first flit the link holds zero
+        "0,0,5\n1,IDLE,5\n2,IDLE,6\n",  # afterwards it holds the last flit's word
+        "0,0,5\n1,1,7\n2,IDLE,5\n",
+    ])
+    def test_idle_record_must_hold_the_held_word(self, tmp_path, text):
+        path = tmp_path / "link.protocol"
+        path.write_text(text)
+        with pytest.raises(TraceError, match="IDLE record"):
+            replay_link_protocol(path, 4)
+
+    @pytest.mark.parametrize("tag", ["-1", "+1"])
+    def test_type_tag_is_idle_or_non_negative_decimal(self, tmp_path, tag):
+        path = tmp_path / "link.protocol"
+        path.write_text(f"0,0,5\n1,{tag},5\n")
+        with pytest.raises(TraceError, match="type tag"):
+            replay_link_protocol(path, 4)
+
+    @pytest.mark.parametrize("word", ["-1", "1" + "0" * 16])
+    def test_word_outside_64_bits(self, tmp_path, word):
+        path = tmp_path / "link.protocol"
+        path.write_text(f"0,0,{word}\n")
+        with pytest.raises(TraceError, match="64 bits"):
+            replay_link_protocol(path, 64)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.protocol"
         path.write_text("")

@@ -15,6 +15,7 @@ from noclink.reporting import (
     latency_stats,
 )
 from noclink.simnet import FlowSpec, RouterConfig, build_network
+from noclink.traffic import PayloadSource
 
 
 def reference_counts(states, n):
@@ -168,9 +169,7 @@ class TestEmitReports:
     def make_result(self):
         nodes = {"A": (0, 0, 0), "B": (1, 0, 0)}
 
-        def payload(n):
-            return np.zeros(n, dtype=np.uint64)
-
+        payload = PayloadSource(np.zeros(1024, dtype=np.uint64), 16, "zeros")
         flows = [FlowSpec(0, 0, "A", "B", 0.05, 4, payload)]
         net = build_network(
             nodes, flows, flit_width=16,

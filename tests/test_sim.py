@@ -30,6 +30,7 @@ from noclink.simnet import (
     encode_head_word,
     route_xyz,
 )
+from noclink.traffic import PayloadSource
 
 W = 16
 
@@ -42,14 +43,7 @@ def per_cycle_types(trace):
 
 
 def ramp_payload():
-    pos = [0]
-
-    def take(n):
-        start = pos[0]
-        pos[0] = start + n
-        return np.arange(start, start + n, dtype=np.uint64) % (1 << W)
-
-    return take
+    return PayloadSource(np.arange(1 << W, dtype=np.uint64), W, "ramp")
 
 
 def two_node_net(**kwargs):

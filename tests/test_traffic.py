@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclink.simnet import PE
+from noclink.simnet import PE, ConfigurationError, FlowSpec
 from noclink.streams import StreamSpec, generate_stream
 from noclink.traffic import (
-    InjectionSpec,
     PayloadSource,
     TrafficError,
     load_traffic_spec,
@@ -15,7 +14,6 @@ from noclink.traffic import (
     pgm_source,
     raw_byte_source,
     source_from_spec,
-    to_flow_specs,
 )
 
 NODES = {"A": (0, 0, 0), "B": (1, 0, 0)}
@@ -27,14 +25,13 @@ def simple_source(n=64, width=16):
 
 class TestPayloadSource:
     def test_provider_preserves_order(self):
-        take = simple_source().provider()
-        chunks = [take(5) for _ in range(3)]
+        src = simple_source()
+        chunks = [src.take(5 * k, 5) for k in range(3)]
         assert np.array_equal(np.concatenate(chunks), np.arange(15))
 
     def test_recycles_from_start(self):
         src = PayloadSource(np.array([1, 2, 3], dtype=np.uint64), 4, "tiny")
-        take = src.provider()
-        assert list(take(7)) == [1, 2, 3, 1, 2, 3, 1]
+        assert list(src.take(0, 7)) == [1, 2, 3, 1, 2, 3, 1]
 
     def test_width_overflow_rejected(self):
         with pytest.raises(TrafficError):
@@ -48,8 +45,7 @@ class TestPayloadSource:
     @settings(max_examples=50, deadline=None)
     def test_take_matches_modular_indexing(self, count, values):
         src = PayloadSource(np.array(values, dtype=np.uint64), 8, "p")
-        take = src.provider()
-        got = np.concatenate([take(count), take(count)])
+        got = np.concatenate([src.take(0, count), src.take(count, count)])
         want = [values[i % len(values)] for i in range(2 * count)]
         assert list(got) == want
 
@@ -103,9 +99,19 @@ class TestBuilders:
 
 
 class TestInjectionSpec:
+    """A flow's checks, made once by FlowSpec, and the loading of flows."""
+
     def test_rate_out_of_range(self):
-        with pytest.raises(TrafficError):
-            InjectionSpec("A", "B", 0, 1.5, 32, simple_source())
+        with pytest.raises(ConfigurationError, match="1.5"):
+            FlowSpec(0, 0, "A", "B", 1.5, 32, simple_source())
+
+    def test_packet_needs_a_body_flit(self):
+        with pytest.raises(ConfigurationError, match="body flit"):
+            FlowSpec(0, 0, "A", "B", 0.5, 1, simple_source())
+
+    def test_negative_type_rejected(self):
+        with pytest.raises(ConfigurationError, match="type_id"):
+            FlowSpec(0, -1, "A", "B", 0.5, 32, simple_source())
 
     def test_load_assigns_types_per_source(self):
         flows = [
@@ -114,6 +120,7 @@ class TestInjectionSpec:
         ]
         specs = load_traffic_spec(flows, NODES, 16, 32)
         assert [s.type_id for s in specs] == [0, 1]
+        assert [s.flow_id for s in specs] == [0, 1]
 
     def test_load_unknown_node(self):
         flows = [{"src": "Z", "dst": "B", "rate": "0.1", "payload": "uniform"}]
@@ -124,10 +131,10 @@ class TestInjectionSpec:
         assert load_traffic_spec([], NODES, 16, 32) == []
 
     def test_to_flow_specs_fresh_cursors(self):
-        spec = InjectionSpec("A", "B", 0, 0.5, 4, simple_source())
-        f1, = to_flow_specs([spec])
-        f2, = to_flow_specs([spec])
-        assert np.array_equal(f1.payload(5), f2.payload(5))
+        # the cursor is the PE's, so two PEs given one FlowSpec inject the same words
+        spec = FlowSpec(0, 0, "A", "B", 0.5, 4, simple_source())
+        first = inject_packets(spec, 50, 1)
+        assert first and inject_packets(spec, 50, 1) == first
 
 
 class RecordingNI:
@@ -145,7 +152,7 @@ def inject_packets(spec, cycles, seed):
     """The (PE cycle, body words) of the packets a PE injects for one flow
     over ``cycles`` PE cycles, driven tick by tick without a network."""
     ni = RecordingNI()
-    pe = PE("A", {"A": 0, "B": 1}, 16, 1, to_flow_specs([spec]), ni, head_type=1, seed=seed)
+    pe = PE("A", {"A": 0, "B": 1}, 16, 1, [spec], ni, head_type=1, seed=seed)
     pe.plan()
     cycle = pe.next_injection(cycles)
     while cycle is not None:
@@ -156,18 +163,18 @@ def inject_packets(spec, cycles, seed):
 
 class TestInjectPackets:
     def test_binomial_bound(self):
-        spec = InjectionSpec("A", "B", 0, 0.2, 32, simple_source(1024))
+        spec = FlowSpec(0, 0, "A", "B", 0.2, 32, simple_source(1024))
         packets = inject_packets(spec, 100_000, 7)
         assert 19_500 <= len(packets) <= 20_500
         cycles = [c for c, _ in packets]
         assert cycles == sorted(set(cycles)) and cycles[-1] < 100_000
 
     def test_zero_rate(self):
-        spec = InjectionSpec("A", "B", 0, 0.0, 32, simple_source())
+        spec = FlowSpec(0, 0, "A", "B", 0.0, 32, simple_source())
         assert inject_packets(spec, 10_000, 0) == []
 
     def test_payload_order_preserved(self):
-        spec = InjectionSpec("A", "B", 0, 0.5, 4, simple_source(9, 16))
+        spec = FlowSpec(0, 0, "A", "B", 0.5, 4, simple_source(9, 16))
         packets = inject_packets(spec, 50, 1)
         assert packets
         words = np.concatenate([w for _, w in packets])
@@ -175,7 +182,7 @@ class TestInjectPackets:
         assert list(words) == expect
 
     def test_empirical_rate_converges(self):
-        spec = InjectionSpec("A", "B", 0, 0.35, 8, simple_source())
+        spec = FlowSpec(0, 0, "A", "B", 0.35, 8, simple_source())
         packets = inject_packets(spec, 100_000, 3)
         assert abs(len(packets) / 100_000 - 0.35) < 0.0035
 
@@ -186,6 +193,5 @@ class TestInjectPackets:
         words = (pixels[0::2].astype(np.uint64) << np.uint64(8)) | pixels[1::2]
         src = PayloadSource(words, 16, "image")
         assert len(src) == 131_072
-        take = src.provider()
-        drained = np.concatenate([take(31) for _ in range(1000)])
+        drained = np.concatenate([src.take(31 * k, 31) for k in range(1000)])
         assert np.array_equal(drained, words[: 31 * 1000])
