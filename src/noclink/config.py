@@ -131,6 +131,9 @@ _ROUTER_VALUES = {
 
 _ROUTER_CHILDREN = {"model", "clockDelay", *_ROUTER_VALUES}
 _PE_CHILDREN = {"model", "clockDelay"}
+# a <flow>'s attributes, as the README lists them
+_FLOW_REQUIRED = {"src", "dst", "rate", "payload"}
+_FLOW_OPTIONAL = {"seed", "sigma", "rho", "length", "file", "typeId", "flitsPerPacket"}
 _TOP_LEVEL = {
     "nodeTypes", "topology", "flitWidth", "bufferDepth", "vcCount",
     "flitsPerPacket", "clockPeriod", "traffic",
@@ -242,7 +245,7 @@ def parse_config(path) -> SimulationConfig:
         for elem in traffic_elem:
             if elem.tag != "flow":
                 raise ConfigError(f"unknown element <{elem.tag}> at {_line(elem)}")
-            flows.append(_attrs(elem))
+            flows.append(_require_attrs(elem, _FLOW_REQUIRED, _FLOW_OPTIONAL))
     try:
         specs = load_traffic_spec(flows, nodes, flit_width, flits_per_packet)
     except (TrafficError, ConfigurationError) as exc:

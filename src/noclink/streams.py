@@ -13,6 +13,7 @@ stream we derive two kinds of statistics:
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,14 +150,32 @@ class StreamSpec:
                 raise StreamError(f"rho {self.rho} outside [0, 1]")
 
 
-def _ar1(rng: np.random.Generator, length: int, sigma: float, rho: float) -> np.ndarray:
-    """Stationary AR(1) series with variance sigma^2 and lag-1 correlation rho."""
+def _ar1_draw(
+    rng: np.random.Generator, sigma: float, rho: float
+) -> Callable[[int], np.ndarray]:
+    """Stationary AR(1) series with variance sigma^2 and lag-1 correlation rho.
+
+    ``draw(count)`` returns the next ``count`` >= 1 samples; draws made in
+    turn equal one draw of their total length.
+    """
     x0 = rng.normal(0.0, sigma)
-    if rho >= 1.0 or length == 1:
-        return np.full(length, x0)
-    eps = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=length - 1)
-    tail, _ = lfilter([1.0], [1.0, -rho], eps, zi=np.array([rho * x0]))
-    return np.concatenate(([x0], tail))
+    scale = sigma * np.sqrt(1.0 - rho * rho)
+    zi = None  # lfilter state (rho times the last sample), once x0 is returned
+
+    def draw(count: int) -> np.ndarray:
+        nonlocal zi
+        if rho >= 1.0:
+            return np.full(count, x0)
+        head = []
+        if zi is None:
+            head, count, zi = [x0], count - 1, np.array([rho * x0])
+            if count == 0:  # lfilter returns a wrong final state for no input
+                return np.array(head)
+        eps = rng.normal(0.0, scale, size=count)
+        tail, zi = lfilter([1.0], [1.0, -rho], eps, zi=zi)
+        return np.concatenate((head, tail))
+
+    return draw
 
 
 def _quantize(x: np.ndarray, width: int) -> np.ndarray:
@@ -164,26 +183,39 @@ def _quantize(x: np.ndarray, width: int) -> np.ndarray:
     return np.clip(np.rint(x), 0.0, top).astype(np.uint64)
 
 
+def _offset(width: int) -> float:
+    return float(1 << (width - 1)) if width > 1 else 0.5
+
+
+def stream_draw(spec: StreamSpec) -> Callable[[int], np.ndarray]:
+    """``draw(count)``: the next ``count`` >= 1 words of a ``uniform`` or
+    ``gaussian`` stream, unbounded by ``spec.length``.
+
+    A ``lognormal`` stream is normalized by its whole mean and standard
+    deviation, so it is only generated whole.
+    """
+    rng = np.random.default_rng(spec.seed)
+    width = spec.width
+    if spec.distribution == "uniform":
+        return lambda count: rng.integers(0, 1 << width, size=count, dtype=np.uint64)
+    if spec.distribution == "gaussian":
+        ar1, offset = _ar1_draw(rng, spec.sigma, spec.rho), _offset(width)
+        return lambda count: _quantize(ar1(count) + offset, width)
+    raise StreamError(f"a {spec.distribution} stream is generated whole, not drawn")
+
+
 def generate_stream(spec: StreamSpec) -> DataStream:
     """Generate a synthetic stream; deterministic for a given spec."""
-    rng = np.random.default_rng(spec.seed)
+    if spec.distribution != "lognormal":
+        return DataStream(stream_draw(spec)(spec.length), spec.width)
     n, width = spec.length, spec.width
-    offset = float(1 << (width - 1)) if width > 1 else 0.5
-    if spec.distribution == "uniform":
-        words = rng.integers(0, 1 << width, size=n, dtype=np.uint64)
-    elif spec.distribution == "gaussian":
-        x = _ar1(rng, n, spec.sigma, spec.rho)
-        words = _quantize(x + offset, width)
-    else:  # lognormal
-        z = _ar1(rng, n, 1.0, spec.rho)
-        w = np.exp(z)
-        std = w.std()
-        if std == 0.0:
-            x = np.full(n, offset)
-        else:
-            x = (w - w.mean()) / std * spec.sigma + offset
-        words = _quantize(x, width)
-    return DataStream(words, width)
+    w = np.exp(_ar1_draw(np.random.default_rng(spec.seed), 1.0, spec.rho)(n))
+    std = w.std()
+    if std == 0.0:
+        x = np.full(n, _offset(width))
+    else:
+        x = (w - w.mean()) / std * spec.sigma + _offset(width)
+    return DataStream(_quantize(x, width), width)
 
 
 def multiplex_streams(

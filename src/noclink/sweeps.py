@@ -278,7 +278,7 @@ def consumed_prefixes(
     """
     highest = highest_word_indices(result, len(traffic))
     return {
-        i: spec.payload.words[: max(min(len(spec.payload), int(highest[i]) + 1), 1)]
+        i: spec.payload.take(0, max(min(len(spec.payload), int(highest[i]) + 1), 1))
         for i, spec in enumerate(traffic)
     }
 

@@ -3,19 +3,23 @@
 ``load_traffic_spec`` turns a configuration's flat flow mappings into
 :class:`noclink.simnet.FlowSpec` records: source and destination nodes,
 a payload word source, a Bernoulli packet-injection rate per PE tick
-and a packet length in flits.  Payload sources are word arrays built
-from synthetic stream specs or from files (raw bytes, PGM images,
-stored streams); a flow that reads past the end recycles from the start
-with a logged notice.
+and a packet length in flits.  The ``uniform``, ``gaussian`` and pixel
+payloads draw their words on demand, in growing blocks as the flow
+reaches them, so a run generates about the words it sends; the
+``lognormal`` kind (normalized over its whole length) and the file
+payloads (raw bytes, PGM images, stored streams) are read whole.  A
+flow that reads past a payload's ``length`` recycles it from the start,
+with one logged notice per source.
 """
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 
 import numpy as np
 
 from .simnet import FlowSpec
-from .streams import StreamSpec, generate_stream, read_stream_binary
+from .streams import StreamSpec, generate_stream, read_stream_binary, stream_draw
 
 log = logging.getLogger(__name__)
 
@@ -30,38 +34,74 @@ class TrafficError(ValueError):
 class PayloadSource:
     """Infinite, order-preserving word source of a fixed bit width.
 
-    Wraps a finite word array; ``take`` reads words at any position, and
-    positions past the end wrap around to the start (logged).  The
-    source holds no cursor: each PE keeps its own position per flow.
+    ``take`` reads words at any position; positions past ``length`` wrap
+    around to the start (logged once).  A source built from an array
+    holds all of it.  One built with ``draw`` (which returns the next
+    ``count`` words) grows as ``take`` reaches its words: the first draw
+    is 256 words, and each later one at least doubles the words drawn,
+    capped at ``length``.  The source holds no cursor: each PE keeps its
+    own position per flow.
     """
 
-    def __init__(self, words: np.ndarray, width: int, name: str = "payload"):
-        words = np.ascontiguousarray(words, dtype=np.uint64)
-        if words.ndim != 1 or words.size < 1:
-            raise TrafficError(f"{name}: payload must be a non-empty 1-d word array")
+    FIRST_DRAW = 256
+
+    def __init__(
+        self, words, width: int, name: str = "payload", *,
+        draw: Callable[[int], np.ndarray] | None = None, length: int | None = None,
+    ):
         if width < 1 or width > 64:
             raise TrafficError(f"{name}: unsupported payload width {width}")
-        if words.size and int(words.max()) >> width:
-            raise TrafficError(f"{name}: payload words exceed {width} bits")
-        self.words = words
         self.width = width
         self.name = name
+        self._words = np.empty(0, dtype=np.uint64)
+        self._append(words)
+        self._draw = draw
+        self.length = self._words.size if draw is None else length
+        if self.length is None or self.length < 1:
+            raise TrafficError(f"{name}: payload must be a non-empty 1-d word array")
+        self._recycled = False
 
     def __len__(self) -> int:
-        return int(self.words.size)
+        return self.length
+
+    @property
+    def words(self) -> np.ndarray:
+        """All ``length`` words, drawing the ones not drawn yet."""
+        self._grow(self.length)
+        return self._words
 
     def take(self, start: int, count: int) -> np.ndarray:
         """Words [start, start+count) with wrap-around recycling."""
-        n = self.words.size
-        if start + count <= n:
-            return self.words[start : start + count]
-        log.info("payload source %s exhausted at word %d; recycling", self.name, n)
+        end, n = start + count, self.length
+        if end > self._words.size:
+            self._grow(min(end, n))
+        if end <= n:
+            return self._words[start:end]
+        if not self._recycled:
+            self._recycled = True
+            log.info("payload source %s exhausted at word %d; recycling", self.name, n)
         idx = (start + np.arange(count)) % n
-        return self.words[idx]
+        return self._words[idx]
+
+    def _grow(self, need: int) -> None:
+        have = self._words.size
+        if need > have:
+            total = min(max(need, 2 * have, self.FIRST_DRAW), self.length)
+            self._append(self._draw(total - have))
+
+    def _append(self, words: np.ndarray) -> None:
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        if words.ndim != 1:
+            raise TrafficError(f"{self.name}: payload must be a non-empty 1-d word array")
+        if words.size and int(words.max()) >> self.width:
+            raise TrafficError(f"{self.name}: payload words exceed {self.width} bits")
+        self._words = np.concatenate((self._words, words)) if self._words.size else words
 
 
 def source_from_spec(spec: StreamSpec, name: str = "synthetic") -> PayloadSource:
-    return PayloadSource(generate_stream(spec).words, spec.width, name)
+    if spec.distribution == "lognormal":
+        return PayloadSource(generate_stream(spec).words, spec.width, name)
+    return PayloadSource((), spec.width, name, draw=stream_draw(spec), length=spec.length)
 
 
 def packed_pixel_source(
@@ -77,12 +117,11 @@ def packed_pixel_source(
     if flit_width % 2:
         raise TrafficError("packed-pixel payloads need an even flit width")
     half = flit_width // 2
-    hi = generate_stream(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
-    lo = generate_stream(
+    hi = stream_draw(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
+    lo = stream_draw(
         StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed + 500)
     )
-    words = (hi.words.astype(np.uint64) << np.uint64(half)) | lo.words.astype(np.uint64)
-    return PayloadSource(words, flit_width, name)
+    return _halves_source(hi, lo, flit_width, length, name)
 
 
 def msb_pixel_source(
@@ -93,11 +132,18 @@ def msb_pixel_source(
     if flit_width % 2:
         raise TrafficError("msb-pixel payloads need an even flit width")
     half = flit_width // 2
-    hi = generate_stream(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
-    rng = np.random.default_rng(seed + 5000)
-    lo = rng.integers(0, 1 << half, size=length, dtype=np.uint64)
-    words = (hi.words.astype(np.uint64) << np.uint64(half)) | lo
-    return PayloadSource(words, flit_width, name)
+    hi = stream_draw(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
+    lo = stream_draw(StreamSpec("uniform", half, length, seed=seed + 5000))
+    return _halves_source(hi, lo, flit_width, length, name)
+
+
+def _halves_source(hi, lo, flit_width: int, length: int, name: str) -> PayloadSource:
+    """A source whose words are ``(hi << flit_width/2) | lo`` of two draws."""
+    shift = np.uint64(flit_width // 2)
+    return PayloadSource(
+        (), flit_width, name, draw=lambda count: (hi(count) << shift) | lo(count),
+        length=length,
+    )
 
 
 def raw_byte_source(path, flit_width: int, name: str | None = None) -> PayloadSource:

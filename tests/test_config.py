@@ -2,6 +2,7 @@ import textwrap
 
 import pytest
 
+from noclink.cli import main
 from noclink.config import ConfigError, build_simulation, parse_config
 
 NODE_TYPES = """\
@@ -138,6 +139,27 @@ class TestTraffic:
             "</traffic>\n"
         )
         with pytest.raises(ConfigError, match="1.5"):
+            parse_config(minimal(tmp_path, extra=extra))
+
+    def test_unknown_flow_attribute_rejected(self, tmp_path):
+        extra = (
+            "<traffic>\n"
+            '  <flow src="A" dst="B" rate="0.2" payload="uniform" sede="2"/>\n'
+            "</traffic>\n"
+        )
+        path = minimal(tmp_path, extra=extra)
+        with pytest.raises(ConfigError, match=r"<flow> at line \d+ has unknown attributes \['sede'\]"):
+            parse_config(path)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == 1
+
+    def test_missing_flow_attribute_names_the_line(self, tmp_path):
+        extra = (
+            "<traffic>\n"
+            '  <flow src="A" dst="B" payload="uniform"/>\n'
+            "</traffic>\n"
+        )
+        with pytest.raises(ConfigError, match=r"<flow> at line \d+ is missing \['rate'\]"):
             parse_config(minimal(tmp_path, extra=extra))
 
     def test_empty_traffic_builds_idle_network(self, tmp_path):

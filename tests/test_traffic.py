@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from noclink.simnet import PE, ConfigurationError, FlowSpec
 from noclink.streams import StreamSpec, generate_stream
@@ -96,6 +99,118 @@ class TestBuilders:
     def test_make_payload_source_unknown(self):
         with pytest.raises(TrafficError):
             make_payload_source({"payload": "video"}, 16)
+
+
+def reference_ar1(rng, length, sigma, rho):
+    """The whole-stream AR(1) formula that the payload draws must repeat."""
+    x0 = rng.normal(0.0, sigma)
+    if rho >= 1.0 or length == 1:
+        return np.full(length, x0)
+    eps = rng.normal(0.0, sigma * np.sqrt(1.0 - rho * rho), size=length - 1)
+    tail, _ = lfilter([1.0], [1.0, -rho], eps, zi=np.array([rho * x0]))
+    return np.concatenate(([x0], tail))
+
+
+def reference_words(kind, width, length, sigma, rho, seed):
+    """A payload's ``length`` words, generated whole."""
+
+    def gaussian(w, s):
+        x = reference_ar1(np.random.default_rng(s), length, sigma, rho)
+        offset = float(1 << (w - 1)) if w > 1 else 0.5
+        return np.clip(np.rint(x + offset), 0.0, float((1 << w) - 1)).astype(np.uint64)
+
+    def uniform(w, s):
+        return np.random.default_rng(s).integers(0, 1 << w, size=length, dtype=np.uint64)
+
+    if kind == "uniform":
+        return uniform(width, seed)
+    if kind == "gaussian":
+        return gaussian(width, seed)
+    half = width // 2
+    lo = gaussian(half, seed + 500) if kind == "pixel-packed" else uniform(half, seed + 5000)
+    return (gaussian(half, seed) << np.uint64(half)) | lo
+
+
+@st.composite
+def drawn_payloads(draw):
+    kind = draw(st.sampled_from(["uniform", "gaussian", "pixel-packed", "pixel-msb"]))
+    width = draw(st.integers(8, 32))
+    if kind.startswith("pixel"):
+        width -= width % 2
+    sample_width = width // 2 if kind.startswith("pixel") else width
+    lo, hi = 2.0 ** (sample_width / 10.0), 2.0 ** (sample_width - 1)
+    sigma = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+    rho = draw(st.sampled_from([0.0, 0.9, 0.995, 1.0]))
+    length = draw(st.integers(1, 5000))
+    seed = draw(st.integers(0, 2**16))
+    takes = draw(st.lists(
+        st.tuples(st.integers(0, 3 * length), st.integers(1, 700)), min_size=1, max_size=12))
+    return kind, width, length, sigma, rho, seed, takes
+
+
+class TestOnDemandPayload:
+    """Synthetic payloads are drawn as ``take`` reaches them."""
+
+    @given(drawn_payloads())
+    @settings(max_examples=150, deadline=None)
+    def test_takes_equal_the_whole_stream(self, case):
+        kind, width, length, sigma, rho, seed, takes = case
+        cfg = {"payload": kind, "length": length, "seed": seed}
+        if kind != "uniform":
+            cfg.update(sigma=sigma, rho=rho)
+        src = make_payload_source(cfg, width)
+        want = reference_words(kind, width, length, sigma, rho, seed)
+        for start, count in takes:
+            got = src.take(start, count)
+            assert np.array_equal(got, want[(start + np.arange(count)) % length])
+        assert len(src) == length
+        assert np.array_equal(src.words, want)
+
+    @given(
+        st.integers(1, 5000),
+        st.lists(st.tuples(st.integers(0, 6000), st.integers(1, 700)), min_size=1, max_size=12),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_draws_at_most_twice_the_words_taken(self, length, takes):
+        drawn = []
+
+        def draw(count):
+            drawn.append(count)
+            return np.zeros(count, dtype=np.uint64)
+
+        src = PayloadSource((), 8, "counted", draw=draw, length=length)
+        reached = 0
+        for start, count in takes:
+            src.take(start, count)
+            reached = max(reached, min(start + count, length))
+            assert reached <= sum(drawn) <= min(max(2 * reached, 256), length)
+        assert len(src) == length and len(src.words) == length == sum(drawn)
+
+    def test_sequential_takes_draw_in_doubling_blocks(self):
+        drawn = []
+
+        def draw(count):
+            drawn.append(count)
+            return np.arange(count, dtype=np.uint64) % 256
+
+        src = PayloadSource((), 8, "counted", draw=draw, length=3000)
+        for k in range(100):
+            src.take(31 * k, 31)
+        assert drawn == [256, 256, 512, 1024, 952]
+
+    def test_drawn_words_keep_the_width_check(self):
+        src = PayloadSource(
+            (), 8, "wide", draw=lambda count: np.full(count, 256, np.uint64), length=10)
+        with pytest.raises(TrafficError, match="exceed 8 bits"):
+            src.take(0, 1)
+
+    def test_recycling_logged_once(self, caplog):
+        src = PayloadSource(np.arange(10, dtype=np.uint64), 8, "short")
+        with caplog.at_level(logging.INFO, logger="noclink.traffic"):
+            for k in range(100):
+                src.take(3 * k, 3)
+        assert [r.getMessage() for r in caplog.records] == [
+            "payload source short exhausted at word 10; recycling"]
 
 
 class TestInjectionSpec:
