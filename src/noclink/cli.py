@@ -109,20 +109,16 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     return result, payloads
 
 
-def _load_caps(args, width: int):
-    cap2d = (
-        load_capacitance_model(args.cap2d, "2d")
-        if args.cap2d else sweeps.case_study_cap2d(width)
-    )
-    cap3d = (
-        load_capacitance_model(args.cap3d, "3d")
-        if args.cap3d else sweeps.case_study_cap3d(width)
-    )
-    return cap2d, cap3d
+def _cap_model(path, kind: str, width: int):
+    """The ``kind`` model in ``path``, else the case-study template at ``width``."""
+    if path:
+        return load_capacitance_model(path, kind)
+    return sweeps.case_study_cap2d(width) if kind == "2d" else sweeps.case_study_cap3d(width)
 
 
 def _energy_reports(result, args, coded=None, width=None):
-    cap2d, cap3d = _load_caps(args, width or result.flit_width)
+    width = width or result.flit_width
+    cap2d, cap3d = _cap_model(args.cap2d, "2d", width), _cap_model(args.cap3d, "3d", width)
     return sweeps.network_energy_reports(
         result, cap2d, cap3d, sweeps.TECH,
         coded=coded, eq11_literal=getattr(args, "eq11_literal", False),
@@ -198,19 +194,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     trace = replay_link_protocol(args.trace, args.width)
-    kind = "3d" if args.cap3d else "2d"
     if args.cap2d and args.cap3d:
         raise SweepError("pass exactly one of --cap2d / --cap3d")
-    if args.cap2d:
-        cap = load_capacitance_model(args.cap2d, "2d")
-    elif args.cap3d:
-        cap = load_capacitance_model(args.cap3d, "3d")
-    else:
-        cap = (
-            sweeps.case_study_cap3d(args.width) if args.vertical
-            else sweeps.case_study_cap2d(args.width)
-        )
-        kind = "3d" if args.vertical else "2d"
+    kind = "3d" if args.cap3d or (args.vertical and not args.cap2d) else "2d"
+    cap = _cap_model(args.cap3d if kind == "3d" else args.cap2d, kind, args.width)
     report = exact_energy(trace, cap, sweeps.TECH, link=str(args.trace))
     payload = {
         "trace": str(args.trace),

@@ -23,7 +23,7 @@ The schema follows the node-type listing convention::
       <bufferDepth value="4"/>
       <vcCount value="4"/>
       <flitsPerPacket value="32"/>
-      <clockPeriod value="1e-9"/>     <!-- optional, seconds per base cycle -->
+      <clockPeriod value="1e-9"/>     <!-- optional, seconds per base cycle, > 0 -->
       <traffic>
         <flow src="R1" dst="R7" rate="0.2" payload="gaussian"
               sigma="256" rho="0.99" seed="1"/>
@@ -35,6 +35,7 @@ their source line.
 """
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 import xml.parsers.expat as expat
 from dataclasses import dataclass, field
@@ -176,6 +177,18 @@ def _int_of(raw: str, elem: ET.Element, what: str) -> int:
         ) from exc
 
 
+def _float_of(raw: str, elem: ET.Element, what: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ConfigError(
+            f"{what} {raw!r} in <{elem.tag}> at {_line(elem)} is not a positive number"
+        )
+    return value
+
+
 def parse_config(path) -> SimulationConfig:
     path = Path(path)
     try:
@@ -228,7 +241,7 @@ def parse_config(path) -> SimulationConfig:
     buffer_depth = _int_of(_value_of(root, "bufferDepth", "4"), root, "bufferDepth")
     vc_count = _int_of(_value_of(root, "vcCount", "1"), root, "vcCount")
     flits_per_packet = _int_of(_value_of(root, "flitsPerPacket", "32"), root, "flitsPerPacket")
-    clock_period = float(_value_of(root, "clockPeriod", "1e-9"))
+    clock_period = _float_of(_value_of(root, "clockPeriod", "1e-9"), root, "clockPeriod")
     if not 1 <= flit_width <= 64:
         raise ConfigError(f"flitWidth {flit_width} outside [1, 64]")
 

@@ -168,15 +168,21 @@ def energy_3d(t: SwitchingMatrix, p: np.ndarray, model: Capacitance3D) -> float:
 
 # --- serialization ------------------------------------------------------------
 
+def _model_base(path) -> str:
+    """The stem of a 3d model's ``.ct0.csv`` and ``.dct.csv`` files."""
+    base = str(path)
+    for suffix in (".ct0.csv", ".dct.csv"):
+        if base.endswith(suffix):
+            base = base[: -len(suffix)]
+    return base
+
+
 def save_capacitance_model(path, model: Capacitance2D | Capacitance3D) -> None:
     path = Path(path)
     if isinstance(model, Capacitance2D):
         save_matrix_csv(path, model.c, f"kind=2d units=aF N={model.width}")
     else:
-        base = str(path)
-        for suffix in (".ct0.csv", ".dct.csv"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
+        base = _model_base(path)
         save_matrix_csv(base + ".ct0.csv", model.ct0, f"kind=3d units=aF N={model.width}")
         save_matrix_csv(base + ".dct.csv", model.dct, f"kind=3d units=aF N={model.width}")
 
@@ -186,10 +192,7 @@ def load_capacitance_model(path, kind: str) -> Capacitance2D | Capacitance3D:
         m, _ = load_matrix_csv(path)
         return Capacitance2D(m)
     if kind == "3d":
-        base = str(path)
-        for suffix in (".ct0.csv", ".dct.csv"):
-            if base.endswith(suffix):
-                base = base[: -len(suffix)]
+        base = _model_base(path)
         ct0, _ = load_matrix_csv(base + ".ct0.csv")
         dct, _ = load_matrix_csv(base + ".dct.csv")
         return Capacitance3D(ct0, dct)

@@ -13,7 +13,13 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import Capacitance2D, Capacitance3D, TechnologyParams, absolute_energy_fj
+from .energy import (
+    Capacitance2D,
+    Capacitance3D,
+    TechnologyParams,
+    absolute_energy_fj,
+    effective_tsv_capacitance,
+)
 from .streams import SwitchingMatrix, word_bits
 
 IDLE = -1
@@ -139,7 +145,7 @@ def exact_energy(
     products, p = _held_products(trace)
     if isinstance(cap, Capacitance3D):
         kind = "3d"
-        c = cap.ct0 + cap.dct * (p[:, None] + p[None, :])
+        c = effective_tsv_capacitance(cap, p)
     else:
         kind = "2d"
         c = cap.c

@@ -7,6 +7,12 @@ including the local links between network interfaces and their router,
 feeds a :class:`noclink.reporting.LinkObserver` so that per-link
 data-flow matrices fall out of a run for free.
 
+A router's wiring is one flat record: ``Router.in_vcs`` lists its input
+VCs, each of which knows its port, its link and its VC on that link, and
+``Router.outputs`` holds one :class:`OutputPort` per port.  An output VC
+points at the input VC that holds it, so a sent flit's credit goes
+straight back to that input VC's link.
+
 The simulator is activity-driven: each phase of a cycle visits only
 the components of its wake set, the ones that hold work.
 
@@ -265,28 +271,35 @@ class Link:
 
 
 class InputVC:
-    __slots__ = ("buffer", "route", "out_vc")
+    """One VC of a router input port: the ``buffer`` that ``link`` fills on
+    its VC ``vc``, the ``port`` it sits on, the :class:`OutputPort` its head
+    was routed to (``route``) and whether it holds a VC there
+    (``allocated``)."""
 
-    def __init__(self):
+    __slots__ = ("buffer", "link", "vc", "port", "route", "allocated")
+
+    def __init__(self, link: Link, vc: int, port: int):
         self.buffer: deque[Flit] = deque()
-        self.route: int | None = None
-        self.out_vc: int | None = None
+        self.link = link
+        self.vc = vc
+        self.port = port
+        self.route: OutputPort | None = None
+        self.allocated = False
 
 
 class OutputVC:
     """One VC of an output stage.  ``flits`` is the deque it sends from: a
     source NI's own per-VC deque, or in a router the buffer of the input VC
-    (``in_port``, ``in_vc``) that holds the VC.  A source NI stores the
-    flow of the packet it carries in ``flow_id``."""
+    ``src`` that holds the VC.  A source NI stores the flow of the packet it
+    carries in ``flow_id``."""
 
-    __slots__ = ("state", "credits", "flits", "in_port", "in_vc", "flow_id")
+    __slots__ = ("state", "credits", "flits", "src", "flow_id")
 
     def __init__(self, depth):
         self.state = FREE
         self.credits = depth
         self.flits: deque[Flit] | None = None
-        self.in_port = -1
-        self.in_vc = -1
+        self.src: InputVC | None = None
         self.flow_id = -1
 
 
@@ -341,83 +354,82 @@ class OutputPort:
 
 
 class Router:
-    """Input-buffered VC router.  It is in its network's router wake set
-    (``wakes``) while ``awake``; ``holding`` tells, after a tick, whether
-    an input buffer still holds a flit."""
+    """Input-buffered VC router.
+
+    ``in_vcs`` lists its input VCs in (port, VC) order, the order in which
+    a tick visits them, and ``outputs[port]`` is the :class:`OutputPort`
+    of each output link, or None where the router has none.  It is in its
+    network's router wake set (``wakes``) while ``awake``; ``holding``
+    tells, after a tick, whether an input buffer still holds a flit."""
 
     def __init__(self, node_id: str, coords: tuple[int, int, int], cfg: RouterConfig):
         self.node_id = node_id
         self.coords = coords
         self.cfg = cfg
         self.clock_delay = cfg.clock_delay
-        self.inputs: dict[int, list[InputVC]] = {}
-        self.in_links: dict[int, Link] = {}
-        self.outputs: dict[int, OutputPort] = {}
-        self._in_vcs: list[tuple[int, int, InputVC]] = []
-        self._out_ports: list[OutputPort] = []
+        self.in_vcs: list[InputVC] = []
+        self.outputs: list[OutputPort | None] = [None] * len(PORT_NAMES)
         self.holding = False
         self.awake = False
         self.wakes: list[Router] = []
 
     def attach_input(self, port: int, link: Link) -> None:
-        self.inputs[port] = [InputVC() for _ in range(self.cfg.vc_count)]
-        link.buffers = [ivc.buffer for ivc in self.inputs[port]]
+        vcs = [InputVC(link, vc, port) for vc in range(self.cfg.vc_count)]
+        link.buffers = [ivc.buffer for ivc in vcs]
         link.down = self
-        self.in_links[port] = link
-        self._in_vcs = [(p, vc, ivc) for p in sorted(self.inputs)
-                        for vc, ivc in enumerate(self.inputs[p])]
+        # the visiting order fixes VC allocation, whatever the attach order
+        self.in_vcs = sorted(self.in_vcs + vcs, key=attrgetter("port", "vc"))
 
     def attach_output(self, port: int, link: Link, downstream_depth: int) -> None:
         self.outputs[port] = OutputPort(
             link, self.cfg.vc_count, downstream_depth, self.cfg.arbitration)
-        self._out_ports = [self.outputs[p] for p in sorted(self.outputs)]
 
     def occupancy(self) -> int:
-        return sum(len(vc.buffer) for vcs in self.inputs.values() for vc in vcs)
+        return sum(len(ivc.buffer) for ivc in self.in_vcs)
 
     def holds_work(self) -> bool:
         return self.occupancy() > 0
 
     def tick(self) -> None:
         # stage 3: output arbitration and sending, on ports with an active VC
-        for op in self._out_ports:
-            if not op.active:
+        for op in self.outputs:
+            if op is None or not op.active:
                 continue
             ov = op.send()
             if ov is None:
                 continue
-            self.in_links[ov.in_port].stage_credit(ov.in_vc)
+            src = ov.src
+            src.link.stage_credit(src.vc)
             if ov.state == DRAINING:  # the tail just left
-                ivc = self.inputs[ov.in_port][ov.in_vc]
-                ivc.route = None
-                ivc.out_vc = None
+                src.route = None
+                src.allocated = False
         # stages 2 and 1 in one pass: VC allocation for heads routed in an
         # earlier tick, route computation for newly arrived heads (which
         # are allocated in a later tick at the earliest)
         holding = False
-        for port, vc, ivc in self._in_vcs:
+        for ivc in self.in_vcs:
             buf = ivc.buffer
             if not buf:
                 continue
             holding = True
-            if ivc.out_vc is not None or not buf[0].is_head:
+            if ivc.allocated or not buf[0].is_head:
                 continue
-            if ivc.route is None:
+            op = ivc.route
+            if op is None:
                 out = route_xyz(self.coords, buf[0].dest)
-                if out not in self.outputs:
+                op = self.outputs[out]
+                if op is None:
                     raise SimulationError(
                         f"{self.node_id}: no {PORT_NAMES[out]} link toward {buf[0].dest}")
-                ivc.route = out
+                ivc.route = op
                 continue
-            op = self.outputs[ivc.route]
-            for idx, ov in enumerate(op.vcs):
+            for ov in op.vcs:
                 if ov.state == FREE:
                     ov.state = ACTIVE
                     op.active += 1
                     ov.flits = buf
-                    ov.in_port = port
-                    ov.in_vc = vc
-                    ivc.out_vc = idx
+                    ov.src = ivc
+                    ivc.allocated = True
                     break
         self.holding = holding
 
@@ -671,16 +683,12 @@ class Network:
     """A built mesh: routers, NIs, PEs and observed links, with the wake
     sets of an activity-driven run."""
 
-    def __init__(self, routers, sources, sinks, pes, links, n_types,
-                 flit_width, clock_period, dest_coords, result):
+    def __init__(self, routers, sources, sinks, pes, links, dest_coords, result):
         self.routers = routers
         self.sources = sources
         self.sinks = sinks
         self.pes = pes
         self.links = links
-        self.n_types = n_types
-        self.flit_width = flit_width
-        self.clock_period = clock_period
         self.dest_coords = dest_coords
         self.result = result
         self._router_list = [routers[k] for k in sorted(routers)]
@@ -835,7 +843,7 @@ class Network:
             if link.chunks is not None:
                 link.chunks = [tuple(np.concatenate(column) for column in zip(*link.chunks))]
                 result.link_traces[link.link_id] = LinkTrace(
-                    *link.chunks[0], length=end, width=self.flit_width)
+                    *link.chunks[0], length=end, width=result.flit_width)
         result.max_backlogs = {
             nid: src.max_backlog for nid, src in self.sources.items()}
         return result
@@ -866,16 +874,16 @@ def build_network(
     router_cfg: RouterConfig | None = None,
     pe_clock_delay: int = 1,
     clock_period: float = 1e-9,
-    n_payload_types: int | None = None,
     collect_traces: bool = False,
     seed: int = 0,
 ) -> Network:
     """Wire up routers, links and network interfaces for a (possibly
-    sparse) 3D mesh given by ``nodes`` (id -> integer coordinates)."""
+    sparse) 3D mesh given by ``nodes`` (id -> integer coordinates).  The
+    types are the flows' payload types plus one head type above them."""
     cfg = router_cfg or RouterConfig()
     if not nodes:
         raise ConfigurationError("topology needs at least one node")
-    coords_to_id = {}
+    node_coords, coords_to_id = {}, {}
     for nid, coords in nodes.items():
         coords = tuple(int(c) for c in coords)
         if len(coords) != 3 or min(coords) < 0:
@@ -883,22 +891,14 @@ def build_network(
         if coords in coords_to_id:
             raise ConfigurationError(f"nodes {coords_to_id[coords]!r} and {nid!r}"
                                      f" share coordinates {coords}")
+        node_coords[nid] = coords
         coords_to_id[coords] = nid
-    node_coords = {nid: tuple(int(c) for c in coords) for nid, coords in nodes.items()}
 
     for flow in flows:
         for end in (flow.src, flow.dst):
             if end not in node_coords:
                 raise ConfigurationError(f"flow {flow.flow_id}: unknown node {end!r}")
-    if n_payload_types is None:
-        n_payload_types = (max((f.type_id for f in flows), default=-1)) + 1
-        if n_payload_types < 1:
-            n_payload_types = 1
-    for flow in flows:
-        if flow.type_id >= n_payload_types:
-            raise ConfigurationError(
-                f"flow {flow.flow_id}: type {flow.type_id} out of range")
-    n_types = n_payload_types + 1  # payload types plus the head type
+    n_types = max((f.type_id for f in flows), default=0) + 2
 
     routers = {nid: Router(nid, c, cfg) for nid, c in node_coords.items()}
     links: list[Link] = []
@@ -936,8 +936,7 @@ def build_network(
                 seed=np.random.SeedSequence([seed, dest_index_of[nid]]))
         sources[nid], sinks[nid], pes[nid] = source, sink, pe
 
-    net = Network(routers, sources, sinks, pes, links, n_types,
-                  flit_width, clock_period, node_coords, result)
+    net = Network(routers, sources, sinks, pes, links, node_coords, result)
     _validate_paths(net, flows)
     return net
 
@@ -947,16 +946,14 @@ def _opposite(port: int) -> int:
 
 
 def _validate_paths(net: Network, flows: list[FlowSpec]) -> None:
-    coords_to_id = {r.coords: nid for nid, r in net.routers.items()}
+    """Follow each flow's XYZ route over the built links."""
     for flow in flows:
-        cur = net.dest_coords[flow.src]
+        router = net.routers[flow.src]
         dest = net.dest_coords[flow.dst]
-        while cur != dest:
-            port = route_xyz(cur, dest)
-            dx, dy, dz = PORT_DELTAS[port]
-            nxt = (cur[0] + dx, cur[1] + dy, cur[2] + dz)
-            if nxt not in coords_to_id:
+        while router.coords != dest:
+            op = router.outputs[route_xyz(router.coords, dest)]
+            if op is None:
                 raise ConfigurationError(
                     f"flow {flow.flow_id}: XYZ route {flow.src}->{flow.dst}"
-                    f" leaves the topology at {cur}")
-            cur = nxt
+                    f" leaves the topology at {router.coords}")
+            router = op.link.down

@@ -117,10 +117,6 @@ class SwitchingMatrix:
     def width(self) -> int:
         return self.t.shape[0]
 
-    @property
-    def self_switching(self) -> np.ndarray:
-        return np.diag(self.t).copy()
-
 
 @dataclass(frozen=True)
 class StreamSpec:

@@ -429,12 +429,12 @@ def mux_accuracy_sweep(
 # --- stream-level energy and coding sweeps -------------------------------------
 
 
-def _two_streams(width: int, sigma: float, rho: float, length: int, seed: int):
+def _two_streams(distribution: str, width: int, sigma: float, rho: float,
+                 length: int, seed: int):
     return [
-        generate_stream(StreamSpec("gaussian", width, length, sigma=sigma, rho=rho, seed=seed)),
-        generate_stream(
-            StreamSpec("gaussian", width, length, sigma=sigma, rho=rho, seed=seed + 1)
-        ),
+        generate_stream(StreamSpec(distribution, width, length, sigma=sigma, rho=rho,
+                                   seed=seed + k))
+        for k in range(2)
     ]
 
 
@@ -462,7 +462,7 @@ def mux_energy_sweep(
     for mp in mux_probs:
         acc = {k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
         for r in range(runs):
-            streams = _two_streams(width, sigma, rho, length, seed + 100 * r)
+            streams = _two_streams("gaussian", width, sigma, rho, length, seed + 100 * r)
             mixed, src = multiplex_streams(streams, mp, seed=seed + 100 * r + 7)
             types = src.astype(np.int64)
             trace = LinkTrace.from_cycles(mixed.words, types, width)
@@ -495,8 +495,10 @@ def coding_sweep(
 ) -> list[dict]:
     """Coding gain of each codec vs mux probability (bit-level oracle).
 
-    Codecs that add wires (bus invert) are evaluated against uncoded
-    transmission on the same widened link.
+    Each run multiplexes two streams of ``distribution``, one of
+    ``streams.DISTRIBUTIONS``; ``sigma`` and ``rho`` apply to ``gaussian``
+    and ``lognormal``.  Codecs that add wires (bus invert) are evaluated
+    against uncoded transmission on the same widened link.
     """
     rows = []
     for name in codec_names:
@@ -507,13 +509,7 @@ def coding_sweep(
             g2, g3 = [], []
             for r in range(runs):
                 rs = seed + 100 * r
-                if distribution == "uniform":
-                    streams = [
-                        generate_stream(StreamSpec("uniform", width, length, seed=rs + k))
-                        for k in range(2)
-                    ]
-                else:
-                    streams = _two_streams(width, sigma, rho, length, rs)
+                streams = _two_streams(distribution, width, sigma, rho, length, rs)
                 coded = [make_codec(name, width).encode(s) for s in streams]
                 raw = [DataStream(s.words, wout) for s in streams]
                 mixed_raw, src = multiplex_streams(raw, mp, seed=rs + 7)

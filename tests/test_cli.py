@@ -277,6 +277,26 @@ class TestSweeps:
         assert code == 0
         assert "gain_2d_percent" in out.read_text()
 
+    def test_coding_dist_picks_the_streams(self, tmp_path):
+        rows = {}
+        for dist in ("gaussian", "lognormal", "uniform"):
+            out = tmp_path / f"{dist}.csv"
+            assert main([
+                "sweep-coding", "--codecs", "gray", "--mux", "0.5", "--runs", "1",
+                "--dist", dist, "--out", str(out),
+            ]) == 0
+            rows[dist] = out.read_text()
+        assert len(set(rows.values())) == 3
+
+    def test_coding_unknown_dist_exit_1(self, tmp_path, capsys):
+        code = main([
+            "sweep-coding", "--codecs", "gray", "--mux", "0.5", "--runs", "1",
+            "--dist", "bogus", "--out", str(tmp_path / "cod.csv"),
+        ])
+        assert code == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "cod.csv").exists()
+
 
 class TestParser:
     def test_unknown_subcommand(self):

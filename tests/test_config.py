@@ -109,6 +109,20 @@ class TestTopLevel:
         assert cfg.router_cfg.buffer_depth == 8
         assert cfg.flits_per_packet == 16
 
+    def test_explicit_clock_period(self, tmp_path):
+        cfg = parse_config(minimal(tmp_path, extra='<clockPeriod value="2.5e-10"/>\n'))
+        assert cfg.clock_period == 2.5e-10
+
+    @pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "abc", ""])
+    def test_bad_clock_period_rejected(self, tmp_path, capsys, value):
+        path = minimal(tmp_path, extra=f'<clockPeriod value="{value}"/>\n')
+        with pytest.raises(ConfigError,
+                           match=rf"^clockPeriod '{value}' in <\w+> at line \d+ is not a positive"):
+            parse_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--cycles", "10"]) == 1
+        assert "clockPeriod" in capsys.readouterr().err
+
     def test_duplicate_node_rejected(self, tmp_path):
         body = NODE_TYPES + TOPOLOGY.replace('id="B"', 'id="A"')
         with pytest.raises(ConfigError, match="duplicate node"):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -520,10 +521,72 @@ class TestValidation:
                 router_cfg=RouterConfig(), pe_clock_delay=1, seed=0,
             )
 
+    def test_route_leaving_mid_path_names_the_router(self):
+        # the first hop exists; the route leaves at C, going y+ from (1, 0, 0)
+        nodes = {"A": (0, 0, 0), "C": (1, 0, 0), "B": (1, 2, 0)}
+        flows = [FlowSpec(0, 0, "A", "B", 0.1, 4, ramp_payload())]
+        with pytest.raises(ConfigurationError,
+                           match=r"^flow 0: XYZ route A->B leaves the topology at \(1, 0, 0\)$"):
+            build_network(nodes, flows, router_cfg=RouterConfig(), seed=0)
+
+    @pytest.mark.parametrize("types, n_types", [((), 2), ((0,), 2), ((3,), 5), ((1, 6, 2), 8)])
+    def test_type_count_is_highest_type_plus_two(self, types, n_types):
+        flows = [FlowSpec(i, t, "A", "B", 0.1, 4, ramp_payload()) for i, t in enumerate(types)]
+        net = two_node_net(flows=flows)
+        assert net.result.n_types == n_types
+        assert all(link.observer.n == n_types for link in net.links)
+        assert all(pe.head_type == n_types - 1 for pe in net.pes.values())
+
     def test_zero_cycles_rejected(self):
         net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.0, 4, ramp_payload())])
         with pytest.raises(ConfigurationError):
             net.run(0)
+
+
+class TestWiring:
+    def test_input_vcs_know_their_link_in_port_order(self):
+        # R2's inputs are attached x- (from R1), then x+ (from R3), y+ and
+        # local; its input VCs must still be visited in (port, VC) order
+        net = case_net(3)
+        for router in net.routers.values():
+            ports = [ivc.port for ivc in router.in_vcs]
+            assert [(ivc.port, ivc.vc) for ivc in router.in_vcs] == sorted(
+                (p, vc) for p in set(ports) for vc in range(3))
+            for ivc in router.in_vcs:
+                assert ivc.link.down is router
+                assert ivc.link.buffers[ivc.vc] is ivc.buffer
+        assert [ivc.port for ivc in net.routers["R2"].in_vcs[::3]] == [LOCAL, XP, XN, YP]
+
+    def test_outputs_listed_by_port(self):
+        net = case_net(1)
+        outputs = net.routers["R5"].outputs
+        assert [p for p, op in enumerate(outputs) if op is not None] == [LOCAL, XP, XN, YN, ZP]
+        assert outputs[ZP].link.link_id == "R5->R7"
+        assert outputs[LOCAL].link.link_id == "R5->PE_R5"
+
+    def test_credits_go_back_to_the_input_link(self, monkeypatch):
+        # each (link, VC) gets back one credit per flit it delivered that
+        # has left the buffer it was delivered into
+        delivered, returned = Counter(), Counter()
+        deliver, stage_credit = Link.deliver, Link.stage_credit
+
+        def counted_deliver(link):
+            if link.reg_flit is not None:
+                delivered[link, link.reg_vc] += 1
+            deliver(link)
+
+        def counted_credit(link, vc):
+            returned[link, vc] += 1
+            stage_credit(link, vc)
+
+        monkeypatch.setattr(Link, "deliver", counted_deliver)
+        monkeypatch.setattr(Link, "stage_credit", counted_credit)
+        net = case_net(2, rate=0.05, seed=3)
+        net.run(3_000, check_invariants=True)
+        held = Counter({(link, vc): len(buf) for link in net.links
+                        for vc, buf in enumerate(link.buffers)})
+        assert sum(returned.values()) > 1_000
+        assert returned + held == delivered
 
 
 class TestInvariantErrors:
