@@ -88,11 +88,16 @@ def _require_attrs(elem: ET.Element, required: set, optional: set = frozenset())
     return attrs
 
 
-def _value_of(parent: ET.Element, tag: str, default: str | None = None) -> str:
+def _value_of(
+    parent: ET.Element, tag: str, default: str | None = None
+) -> tuple[str, ET.Element]:
+    """The ``value`` of ``parent``'s one ``<tag>`` child, and the child (the
+    parent when ``default`` stands in for a missing child), which a bad
+    value's message names."""
     elems = parent.findall(tag)
     if not elems:
         if default is not None:
-            return default
+            return default, parent
         raise ConfigError(
             f"<{parent.tag}> at {_line(parent)} is missing <{tag}>"
             + (f" (nodeType id={parent.get('id')})" if parent.tag == "nodeType" else "")
@@ -100,7 +105,7 @@ def _value_of(parent: ET.Element, tag: str, default: str | None = None) -> str:
     if len(elems) > 1:
         raise ConfigError(f"duplicate <{tag}> at {_line(elems[1])}")
     attrs = _require_attrs(elems[0], {"value"})
-    return attrs["value"]
+    return attrs["value"], elems[0]
 
 
 @dataclass
@@ -144,7 +149,7 @@ _TOP_LEVEL = {
 def _parse_node_type(elem: ET.Element) -> NodeTypeConfig:
     attrs = _require_attrs(elem, {"id"})
     type_id = _int_of(attrs["id"], elem, "id")
-    model = _value_of(elem, "model")
+    model, _ = _value_of(elem, "model")
     allowed = {"RouterVC": _ROUTER_CHILDREN, "ProcessingElementVC": _PE_CHILDREN}.get(model)
     if allowed is None:
         raise ConfigError(
@@ -156,16 +161,16 @@ def _parse_node_type(elem: ET.Element) -> NodeTypeConfig:
                 f"unknown element <{child.tag}> at {_line(child)}"
                 f" in nodeType id={type_id}"
             )
-    delay = _int_of(_value_of(elem, "clockDelay"), elem, "clockDelay")
+    delay = _int_of(*_value_of(elem, "clockDelay"), "clockDelay")
     if model == "ProcessingElementVC":
         return NodeTypeConfig(type_id, model, delay)
     for tag, known in _ROUTER_VALUES.items():
-        raw = _value_of(elem, tag)
+        raw, _ = _value_of(elem, tag)
         if raw not in known:
             raise ConfigError(
                 f"unknown {tag} {raw!r} in nodeType id={type_id} at {_line(elem)}"
             )
-    return NodeTypeConfig(type_id, model, delay, _value_of(elem, "arbitration"))
+    return NodeTypeConfig(type_id, model, delay, _value_of(elem, "arbitration")[0])
 
 
 def _int_of(raw: str, elem: ET.Element, what: str) -> int:
@@ -237,11 +242,11 @@ def parse_config(path) -> SimulationConfig:
     if not nodes:
         raise ConfigError(f"{path}: <topology> lists no nodes")
 
-    flit_width = _int_of(_value_of(root, "flitWidth"), root, "flitWidth")
-    buffer_depth = _int_of(_value_of(root, "bufferDepth", "4"), root, "bufferDepth")
-    vc_count = _int_of(_value_of(root, "vcCount", "1"), root, "vcCount")
-    flits_per_packet = _int_of(_value_of(root, "flitsPerPacket", "32"), root, "flitsPerPacket")
-    clock_period = _float_of(_value_of(root, "clockPeriod", "1e-9"), root, "clockPeriod")
+    flit_width = _int_of(*_value_of(root, "flitWidth"), "flitWidth")
+    buffer_depth = _int_of(*_value_of(root, "bufferDepth", "4"), "bufferDepth")
+    vc_count = _int_of(*_value_of(root, "vcCount", "1"), "vcCount")
+    flits_per_packet = _int_of(*_value_of(root, "flitsPerPacket", "32"), "flitsPerPacket")
+    clock_period = _float_of(*_value_of(root, "clockPeriod", "1e-9"), "clockPeriod")
     if not 1 <= flit_width <= 64:
         raise ConfigError(f"flitWidth {flit_width} outside [1, 64]")
 

@@ -9,6 +9,7 @@ over these held runs without visiting idle cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,6 +78,18 @@ class LinkTrace:
     def __len__(self) -> int:
         return self.length
 
+    @cached_property
+    def held_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bit-difference products summed over cycle pairs, and bit probabilities."""
+        # every sum is an exact integer, so these equal the per-cycle sums bit for bit
+        words, runs = _held_runs(self)
+        bits = word_bits(words, self.width)
+        p = np.einsum("i,ij->j", runs, bits) / self.length
+        d = np.diff(bits, axis=0).astype(np.float64)
+        products = d.T @ d
+        products.flags.writeable = p.flags.writeable = False  # shared by every caller
+        return products, p
+
 
 def _held_runs(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
     """The held words and their run lengths: all-zeros, then each flit's word."""
@@ -87,19 +100,9 @@ def _held_runs(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
     return words, np.diff(starts, append=trace.length)
 
 
-def _held_products(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Bit-difference products summed over cycle pairs, and bit probabilities."""
-    # every sum is an exact integer, so these equal the per-cycle sums bit for bit
-    words, runs = _held_runs(trace)
-    bits = word_bits(words, trace.width)
-    p = np.einsum("i,ij->j", runs, bits) / len(trace)
-    d = np.diff(bits, axis=0).astype(np.float64)
-    return d.T @ d, p
-
-
 def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:
     """True per-cycle switching matrix and held-value bit probabilities."""
-    products, p = _held_products(trace)
+    products, p = trace.held_products
     return SwitchingMatrix.from_products(products / max(len(trace) - 1, 1)), p
 
 
@@ -142,7 +145,7 @@ def exact_energy(
         raise TraceError(
             f"trace width {trace.width} does not match capacitance width {cap.width}"
         )
-    products, p = _held_products(trace)
+    products, p = trace.held_products
     if isinstance(cap, Capacitance3D):
         kind = "3d"
         c = effective_tsv_capacitance(cap, p)

@@ -9,6 +9,10 @@ stream we derive two kinds of statistics:
 * ``SwitchingMatrix`` -- mean switching between consecutive words: the
   diagonal holds the self-switching probabilities E{db_i^2}, off-diagonal
   entries hold E{db_i^2 - db_i*db_j}.
+
+scipy is imported only by the AR(1) recursion behind ``gaussian`` and
+``lognormal`` streams and the pixel payloads built from them, at the first
+such draw, so importing noclink does not load it.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 STREAM_MAGIC = b"NESTRM"
 
@@ -168,6 +171,10 @@ def _ar1_draw(
             if count == 0:  # lfilter returns a wrong final state for no input
                 return np.array(head)
         eps = rng.normal(0.0, scale, size=count)
+        # imported here because scipy.signal takes over a second to load and
+        # only correlated draws need it
+        from scipy.signal import lfilter
+
         tail, zi = lfilter([1.0], [1.0, -rho], eps, zi=zi)
         return np.concatenate((head, tail))
 
@@ -246,21 +253,24 @@ def multiplex_streams(
     picks = rng.integers(0, k - 1, size=total)
     switch[0] = False
 
-    # the source chain steps only at switch events; between them it holds
-    sources = [0]
-    active = 0
-    for other in picks[switch].tolist():
-        active = other if other < active else other + 1
-        sources.append(active)
-    trace = np.array(sources, dtype=np.int64)[np.cumsum(switch)]
+    # The source chain steps only at switch events and holds between them.
+    # Over a run of equal picks p it alternates between p and p + 1; the
+    # run starts at p + 1 when it is the first or p exceeds the previous
+    # run's pick (the active source is then at most p), else at p.
+    p = picks[switch]
+    step = np.diff(p, prepend=-1)  # the first run counts as following a lower pick
+    at = np.arange(p.size)
+    first = np.maximum.accumulate(np.where(step != 0, at, 0))
+    chain = p + ((step[first] > 0) ^ ((at - first) & 1).astype(bool))
+    trace = np.concatenate(([0], chain))[np.cumsum(switch)]
 
     # each position's cursor is its rank among the positions of its source
     sizes = np.array([len(s) for s in streams])
-    starts = np.cumsum(sizes) - sizes
-    gather = np.empty(total, dtype=np.int64)
-    for j in range(k):
-        at = trace == j
-        gather[at] = starts[j] + np.arange(np.count_nonzero(at)) % sizes[j]
+    counts = np.bincount(trace, minlength=k)
+    order = np.argsort(trace.astype(np.min_scalar_type(k - 1)), kind="stable")  # radix sort
+    rank = np.empty(total, dtype=np.int64)
+    rank[order] = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    gather = (np.cumsum(sizes) - sizes)[trace] + rank % sizes[trace]
     out = np.concatenate([s.words for s in streams])[gather]
     return DataStream(out, width), trace
 

@@ -515,9 +515,10 @@ def coding_sweep(
                 mixed_raw, src = multiplex_streams(raw, mp, seed=rs + 7)
                 mixed_cod, _ = multiplex_streams(coded, mp, seed=rs + 7)
                 types = src.astype(np.int64)
+                traces = [LinkTrace.from_cycles(m.words, types, wout)
+                          for m in (mixed_raw, mixed_cod)]
                 for cap, acc in ((cap2d, g2), (cap3d, g3)):
-                    eu, ec = (exact_energy(LinkTrace.from_cycles(m.words, types, wout), cap, tech)
-                              for m in (mixed_raw, mixed_cod))
+                    eu, ec = (exact_energy(trace, cap, tech) for trace in traces)
                     acc.append(coding_gain(eu.energy_per_cycle_fj, ec.energy_per_cycle_fj))
             rows.append({
                 "codec": name,

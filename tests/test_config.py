@@ -123,6 +123,14 @@ class TestTopLevel:
                      "--cycles", "10"]) == 1
         assert "clockPeriod" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag, value", [("vcCount", "x"), ("clockPeriod", "-1")])
+    def test_bad_value_names_its_own_line(self, tmp_path, tag, value):
+        element = f'<{tag} value="{value}"/>'
+        path = minimal(tmp_path, extra=f'<bufferDepth value="8"/>\n{element}\n')
+        line = [row.strip() for row in path.read_text().splitlines()].index(element) + 1
+        with pytest.raises(ConfigError, match=rf"'{value}' in <{tag}> at line {line}\b"):
+            parse_config(path)
+
     def test_duplicate_node_rejected(self, tmp_path):
         body = NODE_TYPES + TOPOLOGY.replace('id="B"', 'id="A"')
         with pytest.raises(ConfigError, match="duplicate node"):

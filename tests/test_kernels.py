@@ -102,6 +102,17 @@ class TestMultiplexKernel:
             assert np.array_equal(trace, ref_trace)
             assert np.array_equal(out.words, ref_out)
 
+    def test_matches_reference_on_one_long_run_of_equal_picks(self):
+        # with two sources every pick is 0, so at mux probability 1 the
+        # switch events form one run and the source alternates throughout
+        rng = np.random.default_rng(6)
+        streams = [DataStream(rng.integers(0, 1 << 8, size, dtype=np.uint64), 8)
+                   for size in (20_000, 7_001)]
+        out, trace = multiplex_streams(streams, 1.0, seed=4)
+        ref_out, ref_trace = reference_multiplex(streams, 1.0, 4)
+        assert np.array_equal(trace, ref_trace)
+        assert np.array_equal(out.words, ref_out)
+
     def test_recycles_short_sources(self):
         streams = [DataStream(np.array([1], dtype=np.uint64), 4),
                    DataStream(np.array([2, 3], dtype=np.uint64), 4)]

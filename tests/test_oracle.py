@@ -212,6 +212,13 @@ class TestExactEnergy:
         with pytest.raises(TraceError):
             exact_energy(trace([0], [0], 4), template_2d_bus(8, 1.0, 1.0), TECH)
 
+    def test_held_products_computed_once_and_shared_read_only(self):
+        tr = trace([0, 15, 3, 3], [0, IDLE, 1, 0], 4)
+        products, p = tr.held_products
+        exact_energy(tr, template_2d_bus(4, 100.0, 50.0), TECH)
+        assert tr.held_products[0] is products and tr.held_products[1] is p
+        assert not products.flags.writeable and not p.flags.writeable
+
 
 def protocol_reference(trace) -> bytes:
     """The protocol format written one record at a time."""

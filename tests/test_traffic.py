@@ -1,4 +1,8 @@
 import logging
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,30 @@ class TestOnDemandPayload:
                 src.take(3 * k, 3)
         assert [r.getMessage() for r in caplog.records] == [
             "payload source short exhausted at word 10; recycling"]
+
+    def test_scipy_loaded_only_by_a_correlated_draw(self):
+        script = textwrap.dedent("""
+            import sys
+            import noclink, noclink.cli
+            print("scipy" in sys.modules)
+            from noclink.streams import DataStream, StreamSpec, multiplex_streams, stream_draw
+            from noclink.traffic import make_payload_source
+            src = make_payload_source({"payload": "uniform", "seed": 3, "length": 100}, 16)
+            multiplex_streams([DataStream(src.take(0, 60), 16),
+                               DataStream(src.take(60, 60), 16)], 0.5, seed=1)
+            print("scipy" in sys.modules)
+            words = stream_draw(StreamSpec("gaussian", 16, 500, sigma=256.0, rho=0.9, seed=4))(500)
+            print("scipy" in sys.modules)
+            print(*words.tolist())
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", script], env={"PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:3] == ["False", "False", "True"]
+        want = reference_words("gaussian", 16, 500, 256.0, 0.9, 4)
+        assert lines[3].split() == [str(w) for w in want.tolist()]
 
 
 class TestInjectionSpec:
