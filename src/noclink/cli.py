@@ -193,9 +193,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    trace = replay_link_protocol(args.trace, args.width)
     if args.cap2d and args.cap3d:
         raise SweepError("pass exactly one of --cap2d / --cap3d")
+    trace = replay_link_protocol(args.trace, args.width)
     kind = "3d" if args.cap3d or (args.vertical and not args.cap2d) else "2d"
     cap = _cap_model(args.cap3d if kind == "3d" else args.cap2d, kind, args.width)
     report = exact_energy(trace, cap, sweeps.TECH, link=str(args.trace))

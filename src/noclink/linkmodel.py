@@ -8,7 +8,8 @@ of type x".  Head flits are type n-1 by convention.
 
 Cross-type switching uses only the S matrices of the two streams (the
 cross-correlation of distinct sources is taken as zero); same-type
-switching always comes from the measured sequential statistics.
+switching always comes from the measured sequential statistics.  Each
+estimate is one closed form over the per-type arrays of ``LinkTypeStats``.
 """
 from __future__ import annotations
 
@@ -74,10 +75,14 @@ class DataFlowMatrix:
 
 @dataclass(frozen=True)
 class LinkTypeStats:
-    """Per-type bit statistics and sequential switching, head type last."""
+    """Per-type bit statistics and sequential switching, head type last;
+    ``s`` (n, w, w), ``p`` (n, w) and ``t_seq`` (n, w, w) stack them."""
 
     bit_stats: list[BitStats]
     seq_switching: list[SwitchingMatrix]
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
+    t_seq: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.bit_stats) != len(self.seq_switching):
@@ -88,6 +93,10 @@ class LinkTypeStats:
         for bs, sw in zip(self.bit_stats, self.seq_switching):
             if bs.width != width or sw.width != width:
                 raise LinkModelError("all per-type matrices must share one width")
+        s = np.stack([bs.s for bs in self.bit_stats])
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "p", s.diagonal(axis1=1, axis2=2).copy())
+        object.__setattr__(self, "t_seq", np.stack([sw.t for sw in self.seq_switching]))
 
     @property
     def n(self) -> int:
@@ -111,39 +120,31 @@ def mux_switching(sx: BitStats, sy: BitStats) -> SwitchingMatrix:
         sy.s + sx.s - np.outer(py, px) - np.outer(px, py))
 
 
-def _component_switching(stats: LinkTypeStats, x: int, y: int) -> np.ndarray:
-    if x == y:
-        return stats.seq_switching[x].t
-    return mux_switching(stats.bit_stats[x], stats.bit_stats[y]).t
-
-
 def _check_dims(stats: LinkTypeStats, m: DataFlowMatrix) -> None:
     if stats.n != m.n:
         raise LinkModelError(f"type count mismatch: stats n={stats.n}, M n={m.n}")
 
 
 def link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
-    """Mean per-cycle link switching: sum of (M_xy + M_{x+n,y}) T^{x->y}."""
+    """Mean per-cycle link switching: sum of (M_xy + M_{x+n,y}) T^{x->y}.
+
+    ``mux_switching`` is linear in S and p, so with Wo the pair weights off
+    the diagonal the cross-type sum is ``from_products`` of
+    sum_k (Wo's column + row sum)_k S_k - P^T (Wo + Wo^T) P.
+    """
     _check_dims(stats, m)
-    n, width = m.n, stats.width
-    t = np.zeros((width, width))
-    for x in range(n):
-        for y in range(n):
-            w = m.m[x, y] + m.m[x + n, y]
-            if w != 0.0:
-                t += w * _component_switching(stats, x, y)
+    n, p = m.n, stats.p
+    w = m.m[:n, :n] + m.m[n:, :n]
+    wo = w - np.diag(np.diag(w))
+    corr = np.einsum("k,kij->ij", wo.sum(0) + wo.sum(1), stats.s) - p.T @ (wo + wo.T) @ p
+    t = SwitchingMatrix.from_products(corr).t + np.einsum("k,kij->ij", np.diag(w), stats.t_seq)
     return SwitchingMatrix(t)
 
 
 def standard_link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
     """VC-blind baseline: per-type active frequencies weight sequential T only."""
     _check_dims(stats, m)
-    freqs = m.type_frequencies()
-    t = np.zeros((stats.width, stats.width))
-    for y, f in enumerate(freqs):
-        if f != 0.0:
-            t += f * stats.seq_switching[y].t
-    return SwitchingMatrix(t)
+    return SwitchingMatrix(np.einsum("k,kij->ij", m.type_frequencies(), stats.t_seq))
 
 
 def link_bit_probabilities(
@@ -157,13 +158,10 @@ def link_bit_probabilities(
     """
     _check_dims(stats, m)
     n = m.n
-    p = np.zeros(stats.width)
-    for y in range(n):
-        w = m.m[:, y].sum() + m.m[:n, y + n].sum()
-        if not literal:
-            w += m.m[y + n, y + n]
-        p += w * stats.bit_stats[y].p
-    return p
+    w = m.m[:, :n].sum(0) + m.m[:n, n:].sum(0)
+    if not literal:
+        w = w + np.diag(m.m[n:, n:])
+    return w @ stats.p
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,6 @@ def link_energy_report(
     body flit (the uncoded width when a codec adds wires); head flits
     carry no payload.
     """
-    _check_dims(stats, m)
     t_link = link_switching(stats, m)
     t_std = standard_link_switching(stats, m)
     p_link = link_bit_probabilities(stats, m, literal=eq11_literal)

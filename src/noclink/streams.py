@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,34 +60,31 @@ class DataStream:
 
 @dataclass(frozen=True)
 class BitStats:
-    """Joint bit 1-probabilities S and the probability vector p = diag(S)."""
+    """Joint bit 1-probabilities S; the probability vector p is diag(S)."""
 
     s: np.ndarray
-    p: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=np.float64)
-        object.__setattr__(self, "s", s)
-        p = np.diag(s).copy() if self.p is None else np.asarray(self.p, np.float64)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", np.asarray(self.s, dtype=np.float64))
         self.validate()
 
     @property
     def width(self) -> int:
         return self.s.shape[0]
 
+    @property
+    def p(self) -> np.ndarray:
+        return np.diag(self.s)
+
     def validate(self, atol: float = 1e-9) -> None:
-        s, p = self.s, self.p
+        s = self.s
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise StreamError("S matrix must be square")
-        if p.shape != (s.shape[0],):
-            raise StreamError("p vector does not match S dimension")
         if not np.allclose(s, s.T, atol=atol):
             raise StreamError("S matrix must be symmetric")
         if s.min() < -atol or s.max() > 1 + atol:
             raise StreamError("S entries must lie in [0, 1]")
-        if not np.allclose(np.diag(s), p, atol=atol):
-            raise StreamError("p must equal the diagonal of S")
+        p = self.p
         bound = np.minimum(p[:, None], p[None, :])
         if np.any(s > bound + atol):
             raise StreamError("S_ij must not exceed min(p_i, p_j)")

@@ -227,6 +227,14 @@ class TestOracle:
         assert main(["oracle", "--trace", str(proto), "--width", "4"]) == 1
         assert "expected" in capsys.readouterr().err
 
+    def test_both_capacitance_flags_rejected_before_reading(self, tmp_path, capsys):
+        code = main([
+            "oracle", "--trace", str(tmp_path / "missing.protocol"), "--width", "4",
+            "--cap2d", "a.json", "--cap3d", "b.json",
+        ])
+        assert code == 1
+        assert "exactly one of --cap2d / --cap3d" in capsys.readouterr().err
+
 
 class TestStreams:
     def test_writes_stream(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from noclink.reporting import data_flow_from_trace
 from noclink.streams import (
     BitStats,
     StreamSpec,
+    SwitchingMatrix,
     compute_bit_stats,
     compute_sequential_switching,
     generate_stream,
@@ -219,6 +220,135 @@ class TestBitProbabilities:
         )
         p = link_bit_probabilities(ones, dfm)
         assert np.allclose(p, 1.0)  # all-ones p with weights summing to exactly 1
+
+
+def reference_link_switching(stats, m):
+    """The pair loop form of ``link_switching``, kept as its reference."""
+    n = m.n
+    t = np.zeros((stats.width, stats.width))
+    for x in range(n):
+        for y in range(n):
+            w = m.m[x, y] + m.m[x + n, y]
+            if w != 0.0:
+                if x == y:
+                    t += w * stats.seq_switching[x].t
+                else:
+                    t += w * mux_switching(stats.bit_stats[x], stats.bit_stats[y]).t
+    return t
+
+
+def reference_standard_link_switching(stats, m):
+    t = np.zeros((stats.width, stats.width))
+    for y, f in enumerate(m.type_frequencies()):
+        if f != 0.0:
+            t += f * stats.seq_switching[y].t
+    return t
+
+
+def reference_link_bit_probabilities(stats, m, literal):
+    n = m.n
+    p = np.zeros(stats.width)
+    for y in range(n):
+        w = m.m[:, y].sum() + m.m[:n, y + n].sum()
+        if not literal:
+            w += m.m[y + n, y + n]
+        p += w * stats.bit_stats[y].p
+    return p
+
+
+def random_type_stats(rng, n, width):
+    """Statistics of n short random bit sequences, one per type."""
+    bit_stats, seq = [], []
+    for _ in range(n):
+        length = int(rng.integers(2, 8))
+        bits = (rng.random((length, width)) < rng.random()).astype(np.float64)
+        d = np.diff(bits, axis=0)
+        bit_stats.append(BitStats(bits.T @ bits / length))
+        seq.append(SwitchingMatrix.from_products(d.T @ d / (length - 1)))
+    return LinkTypeStats(bit_stats, seq)
+
+
+def random_data_flow(rng, n, density, idle_share):
+    """A valid M: any active or idle-to-active pair, held-type idle blocks."""
+    def sparse(shape):
+        return rng.random(shape) * (rng.random(shape) < density)
+
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = sparse((n, n))
+    m[n:, :n] = sparse((n, n))
+    if m.sum() > 0.0:
+        m /= m.sum() / (1.0 - idle_share)
+    else:
+        idle_share = 1.0
+    idle = np.zeros((2, n))
+    idle[:, rng.integers(0, n)] = 1.0  # keep some held-type mass
+    idle += sparse((2, n))
+    idle *= idle_share / idle.sum()
+    m[:n, n:] = np.diag(idle[0])
+    m[n:, n:] = np.diag(idle[1])
+    return DataFlowMatrix(m, n)
+
+
+def assert_close(value, reference, rel=1e-9):
+    assert np.abs(value - reference).max() <= rel * np.abs(reference).max()
+
+
+class TestClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        width=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+        idle_share=st.sampled_from([0.0, 0.2, 0.9]),
+    )
+    def test_equals_pair_loop(self, n, width, seed, density, idle_share):
+        rng = np.random.default_rng(seed)
+        stats = random_type_stats(rng, n, width)
+        m = random_data_flow(rng, n, density, idle_share)
+        assert_close(link_switching(stats, m).t, reference_link_switching(stats, m))
+        assert_close(standard_link_switching(stats, m).t,
+                     reference_standard_link_switching(stats, m))
+        for literal in (False, True):
+            assert_close(link_bit_probabilities(stats, m, literal=literal),
+                         reference_link_bit_probabilities(stats, m, literal))
+
+    def test_stacked_statistics(self):
+        st_ = random_type_stats(np.random.default_rng(1), 3, 5)
+        assert st_.s.shape == (3, 5, 5) and st_.t_seq.shape == (3, 5, 5)
+        for k in range(3):
+            assert np.array_equal(st_.s[k], st_.bit_stats[k].s)
+            assert np.array_equal(st_.p[k], st_.bit_stats[k].p)
+            assert np.array_equal(st_.t_seq[k], st_.seq_switching[k].t)
+
+
+class TestRejections:
+    def stats(self, n, width=2):
+        return random_type_stats(np.random.default_rng(0), n, width)
+
+    def test_type_stats_count_mismatch(self):
+        two = self.stats(2)
+        with pytest.raises(LinkModelError, match="count mismatch"):
+            LinkTypeStats(two.bit_stats, two.seq_switching[:1])
+
+    def test_type_stats_empty(self):
+        with pytest.raises(LinkModelError, match="at least one type"):
+            LinkTypeStats([], [])
+
+    def test_type_stats_mixed_widths(self):
+        narrow, wide = self.stats(1, 2), self.stats(1, 3)
+        with pytest.raises(LinkModelError, match="one width"):
+            LinkTypeStats(narrow.bit_stats + wide.bit_stats,
+                          narrow.seq_switching + narrow.seq_switching)
+        with pytest.raises(LinkModelError, match="one width"):
+            LinkTypeStats(narrow.bit_stats, wide.seq_switching)
+
+    @pytest.mark.parametrize("estimate", [
+        link_switching, standard_link_switching, link_bit_probabilities,
+    ])
+    def test_type_count_differs_from_m(self, estimate):
+        with pytest.raises(LinkModelError, match="type count mismatch"):
+            estimate(self.stats(2), single_type_matrix())
 
 
 def reference_validate(m, n, atol=1e-9):
