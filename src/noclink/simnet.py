@@ -16,30 +16,42 @@ straight back to that input VC's link.
 The simulator is activity-driven: each phase of a cycle visits only
 the components of its wake set, the ones that hold work.
 
-- A link is awake while its register or either credit list is
-  non-empty; ``put`` and ``stage_credit`` wake it.
+- A link is awake while its register holds a flit; ``put`` wakes it and
+  ``deliver`` puts it back to sleep.
 - A router or sink NI is woken when a link delivers a flit into its
   buffers, and a router stays awake while any input buffer holds one.
+  Each router counts its buffered flits and its waiting heads (delivered,
+  not yet allocated an output VC), and a tick scans its input VCs for
+  route computation and VC allocation only while a head waits.
 - A source NI is woken when a packet is enqueued, and stays awake while
-  its queue or a VC deque holds flits.
+  its queue holds a packet or one of its VCs is ``ACTIVE``.
 - A PE draws its uniforms in small blocks, in the order of per-tick
   scalar draws, and acts only on the ticks on which some flow injects.
 
+Credits do not wake links.  Whoever takes a flit out of a buffer stages
+its credit with ``Link.stage_credit``; the network keeps the credits
+staged in a cycle and those in flight in two lists, and a credit staged
+at cycle t returns to its upstream output VC at the start of cycle t + 2.
+Each credit touches only its own output VC, so the order in which they
+return does not change a result.
+
 Update order within one base cycle is fixed and fully deterministic:
 
-1. awake links deliver flits into the downstream buffers and return
-   credits to the upstream :class:`OutputPort`,
-2. awake routers due this cycle tick (send, then VC allocation and
-   route computation in one pass, so information advances one stage per
-   cycle),
+1. the credits in flight return to their output VCs and the staged ones
+   take off; awake links deliver their flits into the downstream buffers,
+2. awake routers due this cycle tick (send, then, while a head waits, VC
+   allocation and route computation in one pass, so information advances
+   one stage per cycle),
 3. awake sink NIs due this cycle drain, in build order; PEs due to
    inject do so; awake source NIs due this cycle send,
-4. awake links that hold a flit record it; idle cycles cost nothing.
+4. awake links, each holding the flit put this cycle, record it; idle
+   cycles cost nothing.
 
 Routers, source NIs and PEs touch disjoint state within a cycle, so
 their order within a phase does not change a result.  The order in
 which sinks drain fixes the order of the latency lists, so it does.
-Each run starts by rebuilding the wake sets from the network's state.
+Each run starts by recounting the routers' buffers and rebuilding the
+wake sets from the network's state.
 
 A link records one event per flit it carries and folds the events into
 its observer's M every ``CHUNK`` cycles and at the end of a run.  An
@@ -49,7 +61,7 @@ traced link keeps them for its :class:`noclink.oracle.LinkTrace`.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -167,16 +179,18 @@ class FlowSpec:
 
 class Link:
     """One-cycle register from an upstream :class:`OutputPort` into the
-    downstream per-VC ``buffers``, with a one-cycle reverse credit channel
-    and an observer.
+    downstream per-VC ``buffers``, with an observer.
 
     The output port sets ``out_port`` and the downstream router input or
-    sink NI sets ``buffers``, so a link delivers flits and returns credits
-    without going through either end.
+    sink NI sets ``buffers``, so a link delivers flits without going
+    through either end.  ``stage_credit`` hands a freed buffer slot's
+    credit to ``credits``, its network's list of credits staged this
+    cycle, which returns it to ``out_port`` two cycles later.
 
     ``down`` is the router or sink NI that owns ``buffers``; a delivery
-    wakes it.  A link is in its network's link wake set (``wakes``) while
-    ``awake``.
+    counts the flit there and wakes it.  A link is in its network's link
+    wake set (``wakes``) while ``awake``, which is while its register
+    holds a flit.
 
     ``observe`` appends the flit's cycle and type to the current chunk's
     lists, and on a traced link its word, flow and word index; ``fold``
@@ -185,8 +199,8 @@ class Link:
 
     __slots__ = (
         "link_id", "out_port", "buffers", "down", "observer", "vertical", "reg_flit",
-        "reg_vc", "credit_fly", "credit_stage", "chunk_cycles", "chunk_types",
-        "chunk_words", "chunk_flows", "chunk_indices", "chunks", "awake", "wakes",
+        "reg_vc", "credits", "chunk_cycles", "chunk_types", "chunk_words",
+        "chunk_flows", "chunk_indices", "chunks", "awake", "wakes",
     )
 
     def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
@@ -198,50 +212,42 @@ class Link:
         self.vertical = vertical
         self.reg_flit: Flit | None = None
         self.reg_vc = 0
-        self.credit_fly: list[int] = []
-        self.credit_stage: list[int] = []
+        self.credits: list[OutputVC] = []
         self.chunks: list[tuple[np.ndarray, ...]] | None = [] if collect_trace else None
         self._start_chunk()
         self.awake = False
         self.wakes: list[Link] = []
 
     def holds_work(self) -> bool:
-        return self.reg_flit is not None or bool(self.credit_fly or self.credit_stage)
+        return self.reg_flit is not None
 
     def put(self, flit: Flit, vc: int) -> None:
         if self.reg_flit is not None:
             raise SimulationError(f"{self.link_id}: link register busy")
         self.reg_flit = flit
         self.reg_vc = vc
-        if not self.awake:
-            self.awake = True
-            self.wakes.append(self)
+        self.awake = True
+        self.wakes.append(self)
 
     def stage_credit(self, vc: int) -> None:
-        self.credit_stage.append(vc)
-        if not self.awake:
-            self.awake = True
-            self.wakes.append(self)
+        self.credits.append(self.out_port.vcs[vc])
 
     def deliver(self) -> None:
-        if self.credit_fly:
-            accept_credit = self.out_port.accept_credit
-            for vc in self.credit_fly:
-                accept_credit(vc)
-            self.credit_fly.clear()
-        self.credit_fly, self.credit_stage = self.credit_stage, self.credit_fly
+        """Move the flit in the register into its downstream buffer."""
         flit = self.reg_flit
-        if flit is not None:
-            buf = self.buffers[self.reg_vc]
-            if len(buf) >= self.out_port.depth:
-                raise SimulationError(
-                    f"{self.link_id}: buffer overflow on vc {self.reg_vc}")
-            buf.append(flit)
-            self.reg_flit = None
-            down = self.down
-            if not down.awake:
-                down.awake = True
-                down.wakes.append(down)
+        buf = self.buffers[self.reg_vc]
+        if len(buf) >= self.out_port.depth:
+            raise SimulationError(f"{self.link_id}: buffer overflow on vc {self.reg_vc}")
+        buf.append(flit)
+        self.reg_flit = None
+        self.awake = False
+        down = self.down
+        down.buffered += 1
+        if flit.is_head:
+            down.waiting += 1
+        if not down.awake:
+            down.awake = True
+            down.wakes.append(down)
 
     def observe(self, cycle: int) -> None:
         """Record the flit in the register; called only when there is one."""
@@ -288,19 +294,22 @@ class InputVC:
 
 
 class OutputVC:
-    """One VC of an output stage.  ``flits`` is the deque it sends from: a
-    source NI's own per-VC deque, or in a router the buffer of the input VC
-    ``src`` that holds the VC.  A source NI stores the flow of the packet it
-    carries in ``flow_id``."""
+    """VC ``vc`` of the output stage ``port``.  ``flits`` is the deque it
+    sends from: a source NI's own per-VC deque, or in a router the buffer of
+    the input VC ``src`` that holds the VC.  A source NI stores the flow of
+    the packet it carries in ``flow_id``."""
 
-    __slots__ = ("state", "credits", "flits", "src", "flow_id")
+    __slots__ = ("state", "credits", "depth", "flits", "src", "flow_id", "port", "vc")
 
-    def __init__(self, depth):
+    def __init__(self, port: OutputPort, vc: int, depth: int):
         self.state = FREE
         self.credits = depth
+        self.depth = depth
         self.flits: deque[Flit] | None = None
         self.src: InputVC | None = None
         self.flow_id = -1
+        self.port = port
+        self.vc = vc
 
 
 class OutputPort:
@@ -309,7 +318,8 @@ class OutputPort:
     ``orders[rr]`` is the VC order tried after ``rr`` last sent: round
     robin under ``fair``, always the lowest VC first under ``priority``.
     ``active`` counts the VCs in state ``ACTIVE``; whoever claims a VC
-    counts it, and ``send`` uncounts it with the tail.
+    counts it, and ``send`` uncounts it with the tail.  A ``DRAINING`` VC
+    frees once :func:`accept_credits` has brought all its credits back.
     """
 
     __slots__ = ("link", "vcs", "depth", "orders", "rr", "active")
@@ -317,7 +327,7 @@ class OutputPort:
     def __init__(self, link: Link, vc_count: int, downstream_depth: int, arbitration: str):
         link.out_port = self
         self.link = link
-        self.vcs = [OutputVC(downstream_depth) for _ in range(vc_count)]
+        self.vcs = [OutputVC(self, vc, downstream_depth) for vc in range(vc_count)]
         self.depth = downstream_depth
         if arbitration == "fair":
             self.orders = [tuple((rr + 1 + k) % vc_count for k in range(vc_count))
@@ -326,14 +336,6 @@ class OutputPort:
             self.orders = [tuple(range(vc_count))] * vc_count
         self.rr = 0
         self.active = 0
-
-    def accept_credit(self, vc: int) -> None:
-        ov = self.vcs[vc]
-        ov.credits += 1
-        if ov.credits > self.depth:
-            raise SimulationError(f"{self.link.link_id}: credit overflow on vc {vc}")
-        if ov.state == DRAINING and ov.credits == self.depth:
-            ov.state = FREE
 
     def send(self) -> OutputVC | None:
         """Put one flit from the first ready VC on the link; return that VC."""
@@ -353,14 +355,37 @@ class OutputPort:
         return None
 
 
+def accept_credits(credits: list[OutputVC]) -> None:
+    """Give one credit back to each listed output VC; a draining VC whose
+    credits are all back is free again."""
+    for ov in credits:
+        ov.credits += 1
+        if ov.credits >= ov.depth:
+            if ov.credits > ov.depth:
+                raise SimulationError(
+                    f"{ov.port.link.link_id}: credit overflow on vc {ov.vc}")
+            if ov.state == DRAINING:
+                ov.state = FREE
+
+
 class Router:
     """Input-buffered VC router.
 
     ``in_vcs`` lists its input VCs in (port, VC) order, the order in which
     a tick visits them, and ``outputs[port]`` is the :class:`OutputPort`
-    of each output link, or None where the router has none.  It is in its
-    network's router wake set (``wakes``) while ``awake``; ``holding``
-    tells, after a tick, whether an input buffer still holds a flit."""
+    of each output link, or None where the router has none; ``ports``
+    lists the present ones in port order.
+
+    ``buffered`` counts the flits in the input buffers and ``waiting`` the
+    heads delivered and not yet allocated an output VC: links raise both
+    as they deliver, and a tick lowers them.  A head only arrives into an
+    empty buffer, since the upstream VC frees only once all its credits
+    are back, so a waiting head is the first flit of its buffer.  A tick
+    scans the input VCs only while a head waits.
+
+    It is in its network's router wake set (``wakes``) while ``awake``;
+    ``holding`` tells, after a tick, whether an input buffer still holds a
+    flit."""
 
     def __init__(self, node_id: str, coords: tuple[int, int, int], cfg: RouterConfig):
         self.node_id = node_id
@@ -369,6 +394,9 @@ class Router:
         self.clock_delay = cfg.clock_delay
         self.in_vcs: list[InputVC] = []
         self.outputs: list[OutputPort | None] = [None] * len(PORT_NAMES)
+        self.ports: list[OutputPort] = []
+        self.buffered = 0
+        self.waiting = 0
         self.holding = False
         self.awake = False
         self.wakes: list[Router] = []
@@ -383,21 +411,29 @@ class Router:
     def attach_output(self, port: int, link: Link, downstream_depth: int) -> None:
         self.outputs[port] = OutputPort(
             link, self.cfg.vc_count, downstream_depth, self.cfg.arbitration)
+        self.ports = [op for op in self.outputs if op is not None]
 
     def occupancy(self) -> int:
         return sum(len(ivc.buffer) for ivc in self.in_vcs)
+
+    def recount(self) -> tuple[int, int]:
+        """``buffered`` and ``waiting`` counted from the input VCs."""
+        waiting = sum(1 for ivc in self.in_vcs
+                      if ivc.buffer and not ivc.allocated and ivc.buffer[0].is_head)
+        return self.occupancy(), waiting
 
     def holds_work(self) -> bool:
         return self.occupancy() > 0
 
     def tick(self) -> None:
         # stage 3: output arbitration and sending, on ports with an active VC
-        for op in self.outputs:
-            if op is None or not op.active:
+        for op in self.ports:
+            if not op.active:
                 continue
             ov = op.send()
             if ov is None:
                 continue
+            self.buffered -= 1
             src = ov.src
             src.link.stage_credit(src.vc)
             if ov.state == DRAINING:  # the tail just left
@@ -406,13 +442,14 @@ class Router:
         # stages 2 and 1 in one pass: VC allocation for heads routed in an
         # earlier tick, route computation for newly arrived heads (which
         # are allocated in a later tick at the earliest)
-        holding = False
+        if self.waiting:
+            self._allocate()
+        self.holding = self.buffered > 0
+
+    def _allocate(self) -> None:
         for ivc in self.in_vcs:
             buf = ivc.buffer
-            if not buf:
-                continue
-            holding = True
-            if ivc.allocated or not buf[0].is_head:
+            if not buf or ivc.allocated or not buf[0].is_head:
                 continue
             op = ivc.route
             if op is None:
@@ -430,8 +467,8 @@ class Router:
                     ov.flits = buf
                     ov.src = ivc
                     ivc.allocated = True
+                    self.waiting -= 1
                     break
-        self.holding = holding
 
 
 class SourceNI:
@@ -448,7 +485,8 @@ class SourceNI:
     queue grows without loss when the router back-pressures.
 
     Enqueueing a packet wakes the NI; ``holding`` tells, after a tick,
-    whether the queue or a VC deque still holds flits."""
+    whether the queue or a VC deque still holds flits.  A VC's deque holds
+    flits exactly while the VC is ``ACTIVE``."""
 
     def __init__(self, link: Link, vc_count, downstream_depth, clock_delay, arbitration):
         self.clock_delay = clock_delay
@@ -486,10 +524,12 @@ class SourceNI:
         out = self.out
         if self.backlog:
             vcs = out.vcs
-            busy = {ov.flow_id for ov in vcs if ov.state != FREE}
+            busy = None
             for ov in vcs:
                 if ov.state != FREE:
                     continue
+                if busy is None:
+                    busy = {ov.flow_id for ov in vcs if ov.state != FREE}
                 first = min(((fifo[0][0], flow) for flow, fifo in self.fifos.items()
                              if fifo and flow not in busy), default=None)
                 if first is None:
@@ -505,13 +545,14 @@ class SourceNI:
                     break
         if out.active:
             out.send()
-        self.holding = self.backlog > 0 or any(ov.flits for ov in out.vcs)
+        self.holding = self.backlog > 0 or out.active > 0
 
 
 class SinkNI:
     """Consumes ejected flits, returns credits and records latency.  A
     delivery wakes it; ``rank`` is its place in build order, the order in
-    which woken sinks drain."""
+    which woken sinks drain.  Deliveries raise a router's ``buffered`` and
+    ``waiting`` counts here too, and a drain zeroes them."""
 
     def __init__(self, in_link: Link, vc_count, clock_delay, result):
         self.in_link = in_link
@@ -520,6 +561,8 @@ class SinkNI:
         in_link.buffers = self.buffers
         in_link.down = self
         self.result = result
+        self.buffered = 0
+        self.waiting = 0
         self.rank = 0
         self.awake = False
         self.wakes: list[SinkNI] = []
@@ -545,6 +588,7 @@ class SinkNI:
                 if flit.is_tail:
                     res.packet_latencies.append(cycle - flit.inject_cycle)
                     res.ejected_packets += 1
+        self.buffered = self.waiting = 0
 
 
 class PE:
@@ -681,7 +725,8 @@ class SimulationResult:
 
 class Network:
     """A built mesh: routers, NIs, PEs and observed links, with the wake
-    sets of an activity-driven run."""
+    sets of an activity-driven run.  ``staged_credits`` and
+    ``flying_credits`` are the two stages of the credit return."""
 
     def __init__(self, routers, sources, sinks, pes, links, dest_coords, result):
         self.routers = routers
@@ -697,6 +742,10 @@ class Network:
         self._pe_list = [pes[k] for k in sorted(pes)]
         for rank, sink in enumerate(self._sink_list):
             sink.rank = rank
+        self.staged_credits: list[OutputVC] = []
+        self.flying_credits: list[OutputVC] = []
+        for link in links:
+            link.credits = self.staged_credits
         self._links_awake: list[Link] = []
         self._routers_awake: list[Router] = []
         self._sinks_awake: list[SinkNI] = []
@@ -710,8 +759,10 @@ class Network:
                 part.wakes = wakes
 
     def _wake_holders(self) -> None:
-        """Wake exactly the components that hold work: state may have
-        changed between runs."""
+        """Recount the routers' buffers and wake exactly the components
+        that hold work: state may have changed between runs."""
+        for router in self._router_list:
+            router.buffered, router.waiting = router.recount()
         for wakes, parts in self._wake_sets:
             for part in parts:
                 part.awake = part.holds_work()
@@ -725,6 +776,15 @@ class Network:
             for name, part in parts.items():
                 if not part.awake and part.holds_work():
                     raise SimulationError(f"{kind} {name} is asleep while it holds work")
+
+    def check_count_invariant(self) -> None:
+        """Each router's ``buffered`` and ``waiting`` match a recount."""
+        for name, router in self.routers.items():
+            counts = (router.buffered, router.waiting)
+            if counts != router.recount():
+                raise SimulationError(
+                    f"router {name}: buffered {counts[0]}, waiting {counts[1]} counted;"
+                    f" recount gives {router.recount()}")
 
     def in_flight(self) -> int:
         total = sum(r.occupancy() for r in self.routers.values())
@@ -741,12 +801,13 @@ class Network:
     def check_credit_invariant(self) -> None:
         """Credits plus downstream occupancy equal buffer depth for every
         link and VC, NI-fed links included; valid at cycle boundaries."""
+        pending = Counter(self.staged_credits + self.flying_credits)
         for link in self.links:
             op = link.out_port
             for vc, ov in enumerate(op.vcs):
                 occ = len(link.buffers[vc])
                 in_reg = 1 if (link.reg_flit is not None and link.reg_vc == vc) else 0
-                in_fly = link.credit_fly.count(vc) + link.credit_stage.count(vc)
+                in_fly = pending[ov]
                 if ov.credits + occ + in_reg + in_fly != op.depth:
                     raise SimulationError(
                         f"{link.link_id} vc {vc}: credits {ov.credits} + occupancy {occ}"
@@ -772,6 +833,7 @@ class Network:
         # conservation holds this balance fixed rather than at zero
         balance = self._flit_balance()
         self._wake_holders()
+        staged, flying = self.staged_credits, self.flying_credits
         links_awake, routers_awake = self._links_awake, self._routers_awake
         sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
         # (cycle, index) of each PE's next injecting tick in this run
@@ -788,14 +850,15 @@ class Network:
         for lo in range(start, end, CHUNK):
             hi = min(lo + CHUNK, end)
             for cycle in range(lo, hi):
-                awake = links_awake[:]
-                links_awake.clear()
-                for link in awake:
+                if flying:
+                    accept_credits(flying)
+                    flying.clear()
+                if staged:
+                    flying.extend(staged)
+                    staged.clear()
+                for link in links_awake:
                     link.deliver()
-                    if link.credit_fly:
-                        links_awake.append(link)
-                    else:
-                        link.awake = False
+                links_awake.clear()
                 _tick_due(routers_awake, cycle)
                 if sinks_awake:
                     awake = sorted(sinks_awake, key=_RANK)
@@ -817,10 +880,10 @@ class Network:
                         heapq.heapreplace(pe_due, (due, i))
                 _tick_due(sources_awake, cycle)
                 for link in links_awake:
-                    if link.reg_flit is not None:
-                        link.observe(cycle)
+                    link.observe(cycle)
                 if check_invariants:
                     self.check_credit_invariant()
+                    self.check_count_invariant()
                     self.check_wake_invariant()
                     if self._flit_balance() != balance:
                         raise SimulationError(

@@ -60,13 +60,25 @@ class DataStream:
 
 @dataclass(frozen=True)
 class BitStats:
-    """Joint bit 1-probabilities S; the probability vector p is diag(S)."""
+    """Joint bit 1-probabilities S; the probability vector p is diag(S).
+    ``BitStats(s)`` validates S; ``from_bits`` builds one that is valid by
+    construction."""
 
     s: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "s", np.asarray(self.s, dtype=np.float64))
         self.validate()
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray) -> BitStats:
+        """S = bᵀb / n of an (n, width) 0/1 matrix, n >= 1.  Its entries are
+        exact counts over n, so S is symmetric, lies in [0, 1] and has
+        S_ij <= min(p_i, p_j) without a check."""
+        b = bits.astype(np.float64)
+        stats = object.__new__(cls)
+        object.__setattr__(stats, "s", (b.T @ b) / len(b))
+        return stats
 
     @property
     def width(self) -> int:
@@ -260,24 +272,29 @@ def multiplex_streams(
     first = np.maximum.accumulate(np.where(step != 0, at, 0))
     chain = p + ((step[first] > 0) ^ ((at - first) & 1).astype(bool))
     trace = np.concatenate(([0], chain))[np.cumsum(switch)]
+    return gather_multiplexed(streams, trace), trace
 
+
+def gather_multiplexed(streams: list[DataStream], trace: np.ndarray) -> DataStream:
+    """The words that source trace ``trace`` takes from ``streams``, each
+    source consumed in order and recycled from its start when exhausted.
+    ``multiplex_streams`` draws the trace; the same trace gathers streams of
+    the same lengths, such as their encodings, alike."""
     # each position's cursor is its rank among the positions of its source
+    k, total = len(streams), len(trace)
     sizes = np.array([len(s) for s in streams])
     counts = np.bincount(trace, minlength=k)
     order = np.argsort(trace.astype(np.min_scalar_type(k - 1)), kind="stable")  # radix sort
     rank = np.empty(total, dtype=np.int64)
     rank[order] = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
     gather = (np.cumsum(sizes) - sizes)[trace] + rank % sizes[trace]
-    out = np.concatenate([s.words for s in streams])[gather]
-    return DataStream(out, width), trace
+    return DataStream(np.concatenate([s.words for s in streams])[gather], streams[0].width)
 
 
 def compute_bit_stats(stream: DataStream) -> BitStats:
     if len(stream) == 0:
         raise StreamError("cannot compute bit statistics of an empty stream")
-    b = stream.bits().astype(np.float64)
-    s = (b.T @ b) / len(stream)
-    return BitStats(s)
+    return BitStats.from_bits(stream.bits())
 
 
 def compute_sequential_switching(stream: DataStream) -> SwitchingMatrix:

@@ -43,6 +43,7 @@ from .streams import (
     compute_bit_stats,
     compute_sequential_switching,
     generate_stream,
+    gather_multiplexed,
     multiplex_streams,
 )
 from .traffic import make_payload_source
@@ -501,25 +502,26 @@ def coding_sweep(
     against uncoded transmission on the same widened link.
     """
     rows = []
+    pairs = [_two_streams(distribution, width, sigma, rho, length, seed + 100 * r)
+             for r in range(runs)]
     for name in codec_names:
-        codec = make_codec(name, width)
-        wout = codec.width_out
-        cap2d, cap3d = sweep_cap2d(wout), case_study_cap3d(wout)
-        for mp in mux_probs:
-            g2, g3 = [], []
-            for r in range(runs):
-                rs = seed + 100 * r
-                streams = _two_streams(distribution, width, sigma, rho, length, rs)
-                coded = [make_codec(name, width).encode(s) for s in streams]
-                raw = [DataStream(s.words, wout) for s in streams]
+        wout = make_codec(name, width).width_out
+        caps = (sweep_cap2d(wout), case_study_cap3d(wout))
+        gains = [([], []) for _ in mux_probs]
+        for r, streams in enumerate(pairs):
+            rs = seed + 100 * r
+            coded = [make_codec(name, width).encode(s) for s in streams]
+            raw = [DataStream(s.words, wout) for s in streams]
+            for i, mp in enumerate(mux_probs):
                 mixed_raw, src = multiplex_streams(raw, mp, seed=rs + 7)
-                mixed_cod, _ = multiplex_streams(coded, mp, seed=rs + 7)
+                mixed_cod = gather_multiplexed(coded, src)
                 types = src.astype(np.int64)
                 traces = [LinkTrace.from_cycles(m.words, types, wout)
                           for m in (mixed_raw, mixed_cod)]
-                for cap, acc in ((cap2d, g2), (cap3d, g3)):
+                for cap, acc in zip(caps, gains[i]):
                     eu, ec = (exact_energy(trace, cap, tech) for trace in traces)
                     acc.append(coding_gain(eu.energy_per_cycle_fj, ec.energy_per_cycle_fj))
+        for mp, (g2, g3) in zip(mux_probs, gains):
             rows.append({
                 "codec": name,
                 "mux_prob": mp,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noclink.linkmodel import DataFlowMatrix
 from noclink.reporting import IDLE, data_flow_from_trace
@@ -25,6 +26,7 @@ from noclink.simnet import (
     Flit,
     FlowSpec,
     Link,
+    Router,
     RouterConfig,
     SimulationError,
     build_network,
@@ -603,26 +605,26 @@ class TestInvariantErrors:
             def link(link_id):
                 net = build_network({"A": (0, 0, 0), "B": (1, 0, 0)}, [],
                                     router_cfg=RouterConfig(), seed=0)
-                return next(lk for lk in net.links if lk.link_id == link_id)
+                return net, next(lk for lk in net.links if lk.link_id == link_id)
 
-            def busy_register(lk):
+            def busy_register(net, lk):
                 lk.put(flit, 0)
                 lk.put(flit, 0)
 
-            def full_buffer(lk):
+            def full_buffer(net, lk):
                 lk.buffers[0].extend([flit] * lk.out_port.depth)
                 lk.put(flit, 0)
                 lk.deliver()
 
-            def extra_credit(lk):
-                lk.credit_fly.append(0)
-                lk.deliver()
+            def extra_credit(net, lk):
+                lk.stage_credit(0)
+                net.run(2)
 
             for check, link_id in [(busy_register, "A->B"), (full_buffer, "A->B"),
                                    (full_buffer, "B->PE_B"), (extra_credit, "A->B"),
                                    (extra_credit, "PE_A->A")]:
                 try:
-                    check(link(link_id))
+                    check(*link(link_id))
                 except SimulationError as exc:
                     print(exc)
                 else:
@@ -648,11 +650,15 @@ class TestInvariantErrors:
         net = two_node_net(
             flows=[flow], router_cfg=RouterConfig(vc_count=2, buffer_depth=4))
         link = next(lk for lk in net.links if lk.link_id == "PE_A->A")
+
+        def flying():
+            return [ov for ov in net.flying_credits if ov.port is link.out_port]
+
         net.run(2)
-        while not link.credit_fly:
+        while not flying():
             assert net.result.cycles < 200, "no credit came back to the source NI"
             net.run(1)
-        link.credit_fly.pop()
+        net.flying_credits.remove(flying()[0])
         with pytest.raises(SimulationError, match=r"^PE_A->A vc \d: credits"):
             net.run(2_000, check_invariants=True)
 
@@ -668,6 +674,73 @@ class TestInvariantErrors:
         with pytest.raises(SimulationError,
                            match=r"^link PE_A->A is asleep while it holds work$"):
             net.run(200, check_invariants=True)
+
+    @pytest.mark.parametrize("count", ["buffered", "waiting"])
+    def test_stale_router_count_is_caught(self, monkeypatch, count):
+        # a delivery that does not raise the downstream router's count would
+        # leave it stale; the check names the router
+        deliver = Link.deliver
+
+        def deliver_uncounted(link):
+            before = getattr(link.down, count)
+            deliver(link)
+            setattr(link.down, count, before)
+
+        monkeypatch.setattr(Link, "deliver", deliver_uncounted)
+        net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
+        with pytest.raises(SimulationError, match=r"^router A: buffered \d+, waiting \d+ counted;"):
+            net.run(200, check_invariants=True)
+
+
+@st.composite
+def random_meshes(draw):
+    """A full 2D or 3D mesh of 2-18 nodes with random flows and router
+    settings."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2))
+                 .filter(lambda s: s[0] * s[1] * s[2] >= 2))
+    nodes = {f"N{x}{y}{z}": (x, y, z)
+             for x in range(shape[0]) for y in range(shape[1]) for z in range(shape[2])}
+    ids = sorted(nodes)
+    flows = []
+    for i in range(draw(st.integers(1, 2 * len(ids)))):
+        src = draw(st.sampled_from(ids))
+        dst = draw(st.sampled_from([n for n in ids if n != src]))
+        rate = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+        flows.append(FlowSpec(i, i % 3, src, dst, rate, draw(st.integers(2, 5)),
+                              ramp_payload()))
+    cfg = RouterConfig(vc_count=draw(st.integers(1, 4)), buffer_depth=draw(st.integers(1, 4)),
+                       arbitration=draw(st.sampled_from(["fair", "priority"])),
+                       clock_delay=draw(st.integers(1, 3)))
+    return dict(nodes=nodes, flows=flows, flit_width=W, router_cfg=cfg,
+                pe_clock_delay=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+
+
+class TestRandomMeshes:
+    @given(random_meshes())
+    @settings(max_examples=80, deadline=None)
+    def test_invariants_hold_and_counts_only_skip_idle_scans(self, mesh):
+        # credits, wake sets, router counts and flit conservation are
+        # checked every cycle, over two runs since each run recounts
+        net = build_network(**mesh)
+        net.run(150, check_invariants=True)
+        result = net.run(50, check_invariants=True)
+        assert result.injected_flits == result.ejected_flits + result.in_flight_flits
+
+        # a router that scans its input VCs on every tick, whether or not a
+        # head waits, gives the same outputs
+        tick = Router.tick
+
+        def scanning_tick(router):
+            router.waiting += 1
+            tick(router)
+            router.waiting -= 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Router, "tick", scanning_tick)
+            ref = build_network(**mesh)
+            ref.run(150)
+            ref_result = ref.run(50)
+        assert ordered_digest(result) == ordered_digest(ref_result)
 
 
 class TestClockDelays:

@@ -125,6 +125,26 @@ class TestBitStats:
         bs = compute_bit_stats(stream(words, 8))
         bs.validate()  # symmetric, in [0,1], diag == p, S_ij <= min(p_i, p_j)
 
+    @given(st.integers(1, 64).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, 2**width - 1), min_size=1, max_size=300))))
+    @settings(max_examples=200, deadline=None)
+    def test_unchecked_stats_pass_the_check(self, case):
+        # compute_bit_stats skips the re-check; what it builds must pass it
+        width, words = case
+        bs = compute_bit_stats(stream(words, width))
+        bs.validate(atol=0.0)
+        bits = stream(words, width).bits().astype(np.float64)
+        assert np.array_equal(bs.s, BitStats(bits.T @ bits / len(words)).s)
+
+    def test_stats_of_a_stream_are_not_rechecked(self, monkeypatch):
+        def refuse(self, atol=1e-9):
+            raise AssertionError("re-validated")
+
+        monkeypatch.setattr(BitStats, "validate", refuse)
+        assert compute_bit_stats(stream([1, 2, 3], 2)).width == 2
+        with pytest.raises(AssertionError, match="re-validated"):
+            BitStats(np.eye(2))
+
 
 class TestSequentialSwitching:
     def test_correlated_toggling(self):
