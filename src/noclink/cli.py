@@ -44,7 +44,7 @@ from .traffic import TrafficError
 VALIDATION_ERRORS = (
     ConfigError, ConfigurationError, TrafficError, SweepError, CodecError,
     StreamError, TraceError, CapacitanceError, LinkModelError, ReportingError,
-    FileNotFoundError, ValueError,
+    FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError, ValueError,
 )
 
 

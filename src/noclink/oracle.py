@@ -60,6 +60,8 @@ class LinkTrace:
             raise TraceError(f"trace cycles must ascend within [0, {self.length})")
         if self.types.size and self.types.min() < 0:
             raise TraceError(f"trace type {int(self.types.min())} is negative")
+        if not 1 <= self.width <= 64:
+            raise TraceError(f"trace width {self.width} is outside [1, 64]")
         if self.width < 64 and self.words.size and int(self.words.max()) >= (1 << self.width):
             raise TraceError(f"trace word out of range for width {self.width}")
 
@@ -178,18 +180,30 @@ def exact_energy(
 
 # --- protocol files -----------------------------------------------------------
 
+_DIGIT_CHAR = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_DIGIT_OF = np.full(256, 255, dtype=np.uint8)  # byte -> hex digit value, 255 if none
+_DIGIT_OF[_DIGIT_CHAR] = _DIGIT_OF[np.frombuffer(b"0123456789ABCDEF", dtype=np.uint8)] = range(16)
+_IDLE_TAG = np.frombuffer(b"IDLE", dtype=np.uint8)
+_TAG_DIGITS = 18  # any 18-digit tag fits in int64
+_WORD_DIGITS = 16  # 64 bits
+
+
 def _digits(values: np.ndarray, base: int, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """ASCII digits of non-negative integers, right-aligned in rows of at
     least ``width`` columns, and the mask that drops leading zeros (zero
     keeps one digit): ``chars[keep]`` spells the numbers."""
     top = int(values.max(initial=0))
     ndig = max(width, len(np.base_repr(top, base)))
-    dtype = np.min_scalar_type(max(top, base**ndig - 1))  # narrow integers divide fastest
-    powers = np.array([base**k for k in range(ndig - 1, -1, -1)], dtype=dtype)
-    digits = (values.astype(dtype)[:, None] // powers) % dtype.type(base)
-    keep = np.maximum.accumulate(digits != 0, axis=1)
-    keep[:, -1] = True
-    return np.frombuffer(b"0123456789abcdef", dtype=np.uint8)[digits], keep
+    rest = values.astype(np.min_scalar_type(top))  # narrow integers divide fastest
+    digits = np.empty((ndig, values.size), dtype=np.uint8)  # one row per column
+    count = np.ones(values.size, dtype=np.uint8)  # significant digits
+    for col in range(ndig - 1, -1, -1):
+        quotient = rest // base
+        digits[col] = rest - quotient * base  # numpy's % is far slower than //
+        rest = quotient
+        count += rest > 0
+    keep = np.arange(ndig, dtype=np.uint8)[:, None] >= ndig - count
+    return _DIGIT_CHAR.take(digits).T, keep.T
 
 
 def write_link_protocol(path, trace: LinkTrace) -> None:
@@ -199,7 +213,7 @@ def write_link_protocol(path, trace: LinkTrace) -> None:
     types[trace.cycles] = trace.types
     idle = types < 0
     tag, tag_keep = _digits(np.maximum(types, 0), 10, width=4)
-    tag[idle, -4:] = np.frombuffer(b"IDLE", dtype=np.uint8)
+    tag[idle, -4:] = _IDLE_TAG
     tag_keep[idle] = np.arange(tag.shape[1]) >= tag.shape[1] - 4
     cycle, cycle_keep = _digits(np.arange(n), 10)
     word, word_keep = _digits(np.repeat(*_held_runs(trace)), 16)
@@ -211,51 +225,88 @@ def write_link_protocol(path, trace: LinkTrace) -> None:
         fh.write(chars[keep].tobytes())
 
 
+def _parse_fields(data: np.ndarray, start: np.ndarray, end: np.ndarray, base: int,
+                  max_digits: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the digit fields ``data[start:end]`` in ``base``, and
+    which fields hold 1 to ``max_digits`` digits and nothing else.  Each
+    pass reads one digit column, counted from the right, of every field."""
+    length = end - start
+    ok = (length >= 1) & (length <= max_digits)
+    value = np.zeros(start.size, dtype=dtype)
+    for col in range(min(max_digits, int(length.max(initial=0)))):
+        digit = _DIGIT_OF.take(data.take(end - 1 - col, mode="clip"))
+        digit *= col < length  # zero left of the field
+        ok &= digit < base
+        value += digit * dtype(base**col)
+    return value, ok
+
+
+def _record_error(line: bytes, cycle: int) -> str:
+    """Why one rejected record, expected to be cycle ``cycle``, is bad."""
+    parts = line.decode("ascii", "backslashreplace").split(",")
+    if len(parts) != 3:
+        return "malformed protocol record"
+    number, tag, word = parts
+    if number != str(cycle):
+        return f"record of cycle {number!r}, expected {cycle}"
+    if tag != "IDLE" and not (tag.isascii() and tag.isdecimal() and len(tag) <= _TAG_DIGITS):
+        return (f"type tag {tag!r} is neither IDLE nor a non-negative integer"
+                f" of at most {_TAG_DIGITS} digits")
+    digits = word.removeprefix("-")
+    if digits and all(ch in "0123456789abcdefABCDEF" for ch in digits):
+        return f"protocol word {word!r} is negative or wider than 64 bits"
+    return "malformed protocol record"
+
+
 def replay_link_protocol(path, width: int) -> LinkTrace:
     """The flits of a protocol file, whose records number cycles 0, 1, 2, ...
 
-    A type tag is ``IDLE`` or a non-negative decimal, and an ``IDLE``
-    record holds the word the link holds: zero before the first flit,
-    then the last flit's word."""
-    words: list[int] = []
-    types: list[int] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise TraceError(f"{path}:{lineno}: malformed protocol record")
-            cycle, tag, hexword = parts
-            if cycle != str(len(words)):
-                raise TraceError(
-                    f"{path}:{lineno}: record of cycle {cycle!r}, expected {len(words)}")
-            if tag == "IDLE":
-                t = IDLE
-            elif tag.isdecimal():
-                t = int(tag)
-            else:
-                raise TraceError(f"{path}:{lineno}: type tag {tag!r} is neither IDLE"
-                                 " nor a non-negative integer")
-            try:
-                word = int(hexword, 16)
-            except ValueError as exc:
-                raise TraceError(f"{path}:{lineno}: malformed protocol record") from exc
-            words.append(word)
-            types.append(t)
-    if not words:
+    Each line is empty or one record ``cycle,tag,word`` and ends in ``\\n``
+    or ``\\r\\n`` (the last may end the file instead).  ``cycle`` is the
+    record's number in decimal, without leading zeros; a type tag is
+    ``IDLE`` or 1-18 decimal digits; the word is 1-16 hex digits, either
+    case.  An ``IDLE`` record holds the word the link holds: zero before the
+    first flit, then the last flit's word."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", dtype=np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    at_end = np.flatnonzero(data.take(seps) == ord("\n"))  # of each line, in seps
+    line_end = seps[at_end]
+    line_start = np.concatenate(([0], line_end[:-1] + 1))
+    line_end -= (data[line_end - 1] == ord("\r")) & (line_end > line_start)
+    records = np.flatnonzero(line_end > line_start)  # blank lines hold no record
+    n = records.size
+    if not n:
         raise TraceError(f"{path}: empty protocol file")
-    try:
-        words = np.asarray(words, dtype=np.uint64)
-    except OverflowError as exc:
-        raise TraceError(f"{path}: a protocol word is negative or wider than 64 bits") from exc
-    types = np.asarray(types, dtype=np.int64)
+    start, end = line_start[records], line_end[records]
+    # a record's two commas are the separators before its end; if it has
+    # fewer, its cycle field ends before it starts, and if more, holds one
+    first, second = (seps.take(at_end[records] - k, mode="clip") for k in (2, 1))
+
+    cycles, ok = _parse_fields(data, start, first, 10, len(str(n - 1)), np.int64)
+    ok &= cycles == np.arange(n)
+    digits = np.ones(n, dtype=np.int64)  # of str(i), so no leading zeros pass
+    for power in range(1, len(str(n - 1))):
+        digits[10**power:] += 1
+    ok &= first - start == digits
+    tags, tag_ok = _parse_fields(data, first + 1, second, 10, _TAG_DIGITS, np.int64)
+    idle = second - first == 5
+    for k, char in enumerate(b"IDLE", 1):
+        idle &= data.take(first + k, mode="clip") == char
+    types = np.where(idle, IDLE, tags)
+    words, word_ok = _parse_fields(data, second + 1, end, 16, _WORD_DIGITS, np.uint64)
+    ok &= (tag_ok | idle) & word_ok
+    if not ok.all():
+        r = int(np.argmin(ok))
+        raise TraceError(f"{path}:{records[r] + 1}: "
+                         f"{_record_error(raw[start[r]:end[r]], r)}")
+
     trace = LinkTrace.from_cycles(words, types, width)
     held = np.repeat(*_held_runs(trace))
-    bad = np.flatnonzero((types == IDLE) & (words != held))
+    bad = np.flatnonzero(idle & (words != held))
     if bad.size:
         c = int(bad[0])
-        raise TraceError(f"{path}: IDLE record of cycle {c} has word {int(words[c]):x},"
-                         f" not the held word {int(held[c]):x}")
+        raise TraceError(f"{path}:{records[c] + 1}: IDLE record of cycle {c} has word"
+                         f" {int(words[c]):x}, not the held word {int(held[c]):x}")
     return trace

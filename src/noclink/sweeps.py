@@ -501,27 +501,33 @@ def coding_sweep(
     and ``lognormal``.  Codecs that add wires (bus invert) are evaluated
     against uncoded transmission on the same widened link.
     """
+    widths = {name: make_codec(name, width).width_out for name in codec_names}
+    caps = {w: (sweep_cap2d(w), case_study_cap3d(w)) for w in set(widths.values())}
+    gains = {name: [([], []) for _ in mux_probs] for name in codec_names}
+    for r in range(runs):
+        rs = seed + 100 * r
+        streams = _two_streams(distribution, width, sigma, rho, length, rs)
+        coded = {name: [make_codec(name, width).encode(s) for s in streams]
+                 for name in codec_names}
+        for i, mp in enumerate(mux_probs):
+            # codecs of one output width share the uncoded link: price it once
+            uncoded = {}  # width -> the mux's sources, the uncoded energy per cap
+            for name, wout in widths.items():
+                if wout not in uncoded:
+                    raw = [DataStream(s.words, wout) for s in streams]
+                    mixed, src = multiplex_streams(raw, mp, seed=rs + 7)
+                    trace = LinkTrace.from_cycles(mixed.words, src.astype(np.int64), wout)
+                    uncoded[wout] = src, [exact_energy(trace, cap, tech).energy_per_cycle_fj
+                                          for cap in caps[wout]]
+                src, base = uncoded[wout]
+                trace = LinkTrace.from_cycles(gather_multiplexed(coded[name], src).words,
+                                              src.astype(np.int64), wout)
+                for cap, eu, acc in zip(caps[wout], base, gains[name][i]):
+                    ec = exact_energy(trace, cap, tech).energy_per_cycle_fj
+                    acc.append(coding_gain(eu, ec))
     rows = []
-    pairs = [_two_streams(distribution, width, sigma, rho, length, seed + 100 * r)
-             for r in range(runs)]
     for name in codec_names:
-        wout = make_codec(name, width).width_out
-        caps = (sweep_cap2d(wout), case_study_cap3d(wout))
-        gains = [([], []) for _ in mux_probs]
-        for r, streams in enumerate(pairs):
-            rs = seed + 100 * r
-            coded = [make_codec(name, width).encode(s) for s in streams]
-            raw = [DataStream(s.words, wout) for s in streams]
-            for i, mp in enumerate(mux_probs):
-                mixed_raw, src = multiplex_streams(raw, mp, seed=rs + 7)
-                mixed_cod = gather_multiplexed(coded, src)
-                types = src.astype(np.int64)
-                traces = [LinkTrace.from_cycles(m.words, types, wout)
-                          for m in (mixed_raw, mixed_cod)]
-                for cap, acc in zip(caps, gains[i]):
-                    eu, ec = (exact_energy(trace, cap, tech) for trace in traces)
-                    acc.append(coding_gain(eu.energy_per_cycle_fj, ec.energy_per_cycle_fj))
-        for mp, (g2, g3) in zip(mux_probs, gains):
+        for mp, (g2, g3) in zip(mux_probs, gains[name]):
             rows.append({
                 "codec": name,
                 "mux_prob": mp,

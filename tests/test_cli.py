@@ -227,6 +227,13 @@ class TestOracle:
         assert main(["oracle", "--trace", str(proto), "--width", "4"]) == 1
         assert "expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("width", [0, -1, 65])
+    def test_width_outside_a_word_exits_1(self, tmp_path, capsys, width):
+        proto = tmp_path / "link.protocol"
+        proto.write_text("0,IDLE,0\n1,0,0\n")
+        assert main(["oracle", "--trace", str(proto), "--width", str(width)]) == 1
+        assert f"trace width {width} is outside [1, 64]" in capsys.readouterr().err
+
     def test_both_capacitance_flags_rejected_before_reading(self, tmp_path, capsys):
         code = main([
             "oracle", "--trace", str(tmp_path / "missing.protocol"), "--width", "4",
@@ -310,6 +317,17 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--trace", "{dir}", "--width", "16"],
+        ["analyze", "--run", "{file}"],
+        ["simulate", "--config", "{dir}", "--out", "{dir}/run"],
+    ])
+    def test_a_path_of_the_wrong_kind_exits_1(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        paths = {"dir": str(tmp_path), "file": str(tmp_path / "file")}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno")
 
 
 CASE_NODES = {

@@ -13,6 +13,7 @@ from noclink.streams import (
     compute_bit_stats,
     generate_stream,
 )
+from noclink.sweeps import coding_sweep
 
 
 def stream(words, width):
@@ -142,3 +143,11 @@ class TestCodingGain:
         assert make_codec("invert", 63).width_out == 64
         with pytest.raises(CodecError):
             make_codec("invert", 64)
+
+
+def test_coding_sweep_rows_do_not_depend_on_the_other_codecs():
+    # codecs of one output width share their uncoded baseline
+    kw = dict(length=3000, runs=2, seed=5)
+    rows = coding_sweep(**kw)
+    assert rows == [row for name in ("invert", "gray", "correlator", "correlator+inv")
+                    for row in coding_sweep((name,), **kw)]

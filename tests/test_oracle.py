@@ -138,6 +138,8 @@ class TestLinkTrace:
         ([0], [-1], [0], 3, 4),               # an idle marker as a flit type
         ([0], [0], [16], 3, 4),               # a word wider than the link
         ([], [], [], 0, 4),                   # no cycle at all
+        ([0], [0], [0], 3, 0),                # no wire
+        ([0], [0], [0], 3, 65),               # wider than a word
     ])
     def test_validation(self, cycles, types, words, length, width):
         with pytest.raises(TraceError):
@@ -227,6 +229,93 @@ def protocol_reference(trace) -> bytes:
         f"{cycle},{'IDLE' if t < 0 else t},{int(held[cycle]):x}\n"
         for cycle, t in enumerate(types.tolist())
     ).encode()
+
+
+def replay_reference(path, width: int) -> LinkTrace:
+    """``replay_link_protocol`` one line at a time, in text mode."""
+    words: list[int] = []
+    types: list[int] = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise TraceError(f"{path}:{lineno}: malformed protocol record")
+            cycle, tag, hexword = parts
+            if cycle != str(len(words)):
+                raise TraceError(
+                    f"{path}:{lineno}: record of cycle {cycle!r}, expected {len(words)}")
+            if tag == "IDLE":
+                t = IDLE
+            elif tag.isdecimal():
+                t = int(tag)
+            else:
+                raise TraceError(f"{path}:{lineno}: type tag {tag!r} is neither IDLE"
+                                 " nor a non-negative integer")
+            try:
+                word = int(hexword, 16)
+            except ValueError as exc:
+                raise TraceError(f"{path}:{lineno}: malformed protocol record") from exc
+            words.append(word)
+            types.append(t)
+    if not words:
+        raise TraceError(f"{path}: empty protocol file")
+    try:
+        words = np.asarray(words, dtype=np.uint64)
+    except OverflowError as exc:
+        raise TraceError(f"{path}: a protocol word is negative or wider than 64 bits") from exc
+    types = np.asarray(types, dtype=np.int64)
+    trace = LinkTrace.from_cycles(words, types, width)
+    held = per_cycle(trace)[1]
+    bad = np.flatnonzero((types == IDLE) & (words != held))
+    if bad.size:
+        c = int(bad[0])
+        raise TraceError(f"{path}: IDLE record of cycle {c} has word {int(words[c]):x},"
+                         f" not the held word {int(held[c]):x}")
+    return trace
+
+
+protocol_rows = st.integers(1, 64).flatmap(lambda width: st.lists(
+    st.tuples(st.one_of(st.just(IDLE), st.integers(0, 40)), st.integers(0, 2**width - 1)),
+    min_size=1, max_size=150,
+).map(lambda rows: (width, rows)))
+
+# bytes that keep a mutated file close to the grammar, and any byte at all
+protocol_bytes = st.one_of(st.sampled_from(b"0123456789abcdefABCDEFIDLEx_-+ ,\r\n\t"),
+                           st.integers(0, 255))
+
+
+@st.composite
+def protocol_texts(draw):
+    """A written protocol file, possibly with uppercase hex, CRLF line
+    ends, blank lines and no final line end, and whether some of its
+    bytes were then substituted, inserted or deleted."""
+    width, rows = draw(protocol_rows)
+    tr = trace([w for _, w in rows], [t for t, _ in rows], width)
+    lines = protocol_reference(tr).splitlines(keepends=True)
+    if draw(st.booleans()):
+        lines = [line.upper() for line in lines]  # uppercase hex digits
+    if draw(st.booleans()):
+        lines = [line.replace(b"\n", b"\r\n") for line in lines]
+    for at in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(at, draw(st.sampled_from([b"\n", b"\r\n"])))
+    text = bytearray(b"".join(lines))
+    if draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    mutations = draw(st.integers(0, 3))
+    for _ in range(mutations):
+        kind = draw(st.sampled_from(["substitute", "insert", "delete"]))
+        at = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text.insert(at, draw(protocol_bytes))
+        elif at < len(text):
+            if kind == "substitute":
+                text[at] = draw(protocol_bytes)
+            else:
+                del text[at]
+    return width, bytes(text), mutations > 0
 
 
 class TestProtocol:
@@ -319,3 +408,86 @@ class TestProtocol:
         assert np.allclose(t1.t, t2.t)
         assert np.allclose(p1, p2)
         assert back.cycles.size == tr.cycles.size
+
+
+class TestProtocolReader:
+    """``replay_link_protocol`` against the line loop ``replay_reference``."""
+
+    @given(protocol_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_only_what_the_loop_reads_alike(self, tmp_path_factory, case):
+        width, text, mutated = case
+        path = tmp_path_factory.mktemp("proto") / "link.protocol"
+        path.write_bytes(text)
+        try:
+            back = replay_link_protocol(path, width)
+        except TraceError:
+            assert mutated  # written files, CRLF and blank lines always read
+            return
+        ref = replay_reference(path, width)
+        for name in ("cycles", "types", "words"):
+            assert np.array_equal(getattr(back, name), getattr(ref, name))
+        assert len(back) == len(ref)
+
+    @pytest.mark.parametrize("text", [
+        " 0,0,5\n",  # padded fields
+        "0,0,5 \n",
+        "0,0, 5\n",
+        "0,0,5\n \n1,0,5\n",  # a line of blanks
+        "0,0,0x5\n",
+        "0,0,5_0\n",
+        "0,0,+5\n",
+        "0,0,-0\n",
+        "0,\u0663,5\n",  # non-ASCII digits
+        "0,0,\u0665\n",
+        "0,0,5\r1,0,5\n",  # a lone CR as line end
+        "0,0," + "0" * 16 + "5\n",  # over 16 hex digits
+    ])
+    def test_rejects_forms_the_loop_let_through(self, tmp_path, text):
+        path = tmp_path / "link.protocol"
+        path.write_bytes(text.encode())
+        replay_reference(path, 64)
+        with pytest.raises(TraceError):
+            replay_link_protocol(path, 64)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,5\r\n\r\n1,0,zz\r\n", r":3: malformed protocol record"),
+        ("0,0,5\n1,0\n", r":2: malformed protocol record"),
+        ("0,0,5\n\n01,0,5\n", r":3: record of cycle '01', expected 1"),
+        ("".join(f"{i},0,5\n" for i in range(12)).replace("\n1,", "\n01,"),
+         r":2: record of cycle '01', expected 1"),
+        ("0,0,5\n1,0,5,7\n", r":2: malformed protocol record"),
+        ("0,0,5\n1,0,5\n2,05\n", r":3: malformed protocol record"),
+        ("0,0,5\n1,x,5\n", r":2: type tag 'x'"),
+        ("0,0,5\n1," + "1" * 19 + ",5\n", r":2: type tag"),
+        ("0,0,5\n1,0,-5\n", r":2: protocol word '-5' is negative or wider than 64 bits"),
+        ("0,0,5\n\n1,IDLE,6\n", r":3: IDLE record of cycle 1 has word 6, not the held word 5"),
+    ])
+    def test_errors_name_the_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "link.protocol"
+        path.write_text(text)
+        with pytest.raises(TraceError, match=message):
+            replay_link_protocol(path, 4)
+
+    def test_last_line_end_is_optional(self, tmp_path):
+        path = tmp_path / "link.protocol"
+        path.write_bytes(b"0,0,5\r\n1,IDLE,5")
+        back = replay_link_protocol(path, 4)
+        assert len(back) == 2 and back.words.tolist() == [5]
+
+
+def test_writer_crosses_digit_counts(tmp_path):
+    # cycles, tags and words on both sides of each digit-count boundary
+    cycles = sorted({c for k in range(6) for c in (10**k - 1, 10**k)})
+    tags = [0, 9, 10, 99, 100, 999, 1000, 9999, 10_000]
+    words = [0, 1, 15, 16, 255, 256, 2**32 - 1, 2**32, 2**60 - 1, 2**60, 2**64 - 1]
+    rows = [(tags[i % len(tags)], words[i % len(words)]) for i in range(len(cycles))]
+    tr = LinkTrace(cycles, [t for t, _ in rows], [w for _, w in rows],
+                   length=cycles[-1] + 1, width=64)
+    assert len(tr) == 100_001
+    path = tmp_path / "link.protocol"
+    write_link_protocol(path, tr)
+    assert path.read_bytes() == protocol_reference(tr)
+    back = replay_link_protocol(path, 64)
+    for name in ("cycles", "types", "words"):
+        assert np.array_equal(getattr(back, name), getattr(tr, name))
