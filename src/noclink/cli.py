@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
 import sys
 from pathlib import Path
@@ -28,7 +29,8 @@ from .config import ConfigError, build_simulation, parse_config
 from .energy import CapacitanceError, load_capacitance_model
 from .linkmodel import LinkModelError
 from .oracle import LinkTrace, TraceError, exact_energy, replay_link_protocol, write_link_protocol
-from .reporting import LinkObserver, ReportingError, emit_reports, link_file_name
+from .reporting import (LinkObserver, ReportingError, emit_reports, link_file_name,
+                        write_energy_json)
 from .simnet import ConfigurationError, SimulationResult
 from .streams import (
     StreamError,
@@ -75,14 +77,32 @@ def _require(entries, keys, source: Path) -> None:
                              f" {', '.join(missing)}; re-run `noclink simulate`")
 
 
+def _check_meta(meta: dict, source: Path) -> None:
+    """Reject a ``meta.json`` field of the wrong type or out of range."""
+    for key, lo, hi in (("cycles", 1, math.inf), ("n_types", 1, math.inf),
+                        ("flit_width", 1, 64), ("flows", 0, math.inf)):
+        if type(meta[key]) is not int or not lo <= meta[key] <= hi:
+            raise ReportingError(f"{source}: {key} {meta[key]!r} is not an integer"
+                                 f" in [{lo}, {hi}]")
+    period = meta["clock_period_s"]
+    if type(period) not in (int, float) or not 0 < period < math.inf:
+        raise ReportingError(f"{source}: clock_period_s {period!r} is not a positive number")
+    links = meta["links"]
+    if not isinstance(links, dict) or any(type(v) is not bool for v in links.values()):
+        raise ReportingError(f"{source}: links is not an object of link ids to true/false")
+
+
 def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
     """The recorded result and each flow's consumed payload words."""
-    meta = json.loads((run_dir / "meta.json").read_text())
+    source = run_dir / "meta.json"
+    meta = json.loads(source.read_text())
+    if not isinstance(meta, dict):
+        raise ReportingError(f"{source} is not a JSON object")
     if meta.get("format") != RUN_FORMAT:
         raise ReportingError(f"{run_dir} was written by an earlier noclink, not in"
                              f" run-directory format {RUN_FORMAT}; re-run `noclink simulate`")
-    _require(meta, ("flows", "cycles", "clock_period_s", "n_types", "flit_width", "links"),
-             run_dir / "meta.json")
+    _require(meta, ("flows", "cycles", "clock_period_s", "n_types", "flit_width", "links"), source)
+    _check_meta(meta, source)
     result = SimulationResult(
         cycles=meta["cycles"],
         clock_period=meta["clock_period_s"],
@@ -102,7 +122,7 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
             observer = LinkObserver(link_id, n)
             observer.record(trace.cycles, trace.types, len(trace))
             result.link_traces[link_id] = trace
-            result.link_vertical[link_id] = bool(vertical)
+            result.link_vertical[link_id] = vertical
             result.data_flow[link_id] = observer.finalize()
             result.link_flit_counts[link_id] = observer.type_flit_counts()
         payloads = {i: data[f"payload.{i}"] for i in range(meta["flows"])}
@@ -123,10 +143,6 @@ def _energy_reports(result, args, coded=None, width=None):
         result, cap2d, cap3d, sweeps.TECH,
         coded=coded, eq11_literal=getattr(args, "eq11_literal", False),
     )
-
-
-def _write_energy(reports: dict, path: Path) -> None:
-    path.write_text(json.dumps({k: r.to_dict() for k, r in reports.items()}, indent=2))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -176,17 +192,15 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
     result, payloads = _load_run(run_dir)
-    coded = None
-    width = result.flit_width
+    coded, width, suffix = None, result.flit_width, ""
     if args.codec and args.codec != "none":
         width = make_codec(args.codec, width).width_out
         coded = sweeps.encode_flow_words(payloads, args.codec, result.flit_width, result)
+        suffix = f"_{args.codec}"
     reports = _energy_reports(result, args, coded, width)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    suffix = f"_{args.codec}" if args.codec and args.codec != "none" else ""
-    path = out / f"energy{suffix}.json"
-    _write_energy(reports, path)
+    path = write_energy_json(out / f"energy{suffix}.json", reports)
     total = sum(r.energy_per_cycle_fj for r in reports.values())
     print(f"total link energy {total:.3f} fJ/cycle over {len(reports)} links -> {path}")
     return 0
@@ -201,7 +215,7 @@ def cmd_oracle(args) -> int:
     report = exact_energy(trace, cap, sweeps.TECH, link=str(args.trace))
     payload = {
         "trace": str(args.trace),
-        "kind": kind,
+        "kind": report.kind,
         "cycles": len(trace),
         "energy_per_cycle_fj": report.energy_per_cycle_fj,
         "normalized_per_cycle_af": report.normalized_per_cycle_af,

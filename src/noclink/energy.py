@@ -8,11 +8,14 @@ normalized * V_dd^2 / 2, reported in femtojoules.
 For 3D (TSV) links the capacitance depends linearly on the bit 1-
 probabilities: C_ij = C_T0,ij + dC_T,ij * (p_i + p_j).  dC_T is stored
 signed exactly as provided (negative for the usual p-doped substrate).
+
+Pricing a link lives here, for the link model and the bit-level oracle
+alike: a model's ``kind``, its matrix ``at(p)`` and ``normalized_energy``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +40,7 @@ def _check_square_symmetric(c: np.ndarray, name: str) -> np.ndarray:
 class Capacitance2D:
     """Metal-wire bus: ground capacitances on the diagonal, coupling off it."""
 
+    kind: ClassVar[str] = "2d"
     c: np.ndarray
 
     def __post_init__(self):
@@ -49,11 +53,16 @@ class Capacitance2D:
     def width(self) -> int:
         return self.c.shape[0]
 
+    def at(self, p: np.ndarray | None = None) -> np.ndarray:
+        """The capacitance matrix, the same at any bit probabilities."""
+        return self.c
+
 
 @dataclass(frozen=True)
 class Capacitance3D:
     """TSV array: zero-probability capacitances C_T0 and slope dC_T."""
 
+    kind: ClassVar[str] = "3d"
     ct0: np.ndarray
     dct: np.ndarray
 
@@ -74,6 +83,13 @@ class Capacitance3D:
     @property
     def width(self) -> int:
         return self.ct0.shape[0]
+
+    def at(self, p: np.ndarray) -> np.ndarray:
+        """C_T0 + dC_T (p_i + p_j) at bit probabilities ``p``."""
+        return effective_tsv_capacitance(self, p)
+
+
+Capacitance = Capacitance2D | Capacitance3D  # a link's model, priced through ``at(p)``
 
 
 @dataclass(frozen=True)
@@ -147,23 +163,24 @@ def effective_tsv_capacitance(model: Capacitance3D, p: np.ndarray) -> np.ndarray
     return model.ct0 + model.dct * (p[:, None] + p[None, :])
 
 
-def energy_2d(t: SwitchingMatrix, cap: Capacitance2D) -> float:
-    """Normalized 2D link energy per cycle: Frobenius product <T, C_M> (aF)."""
+def normalized_energy(t: SwitchingMatrix, cap: Capacitance, p: np.ndarray | None = None) -> float:
+    """Normalized link energy per cycle: Frobenius product <T, C(p)> (aF);
+    ``p`` (the bit probabilities) matters to 3D models only."""
     if t.width != cap.width:
         raise CapacitanceError(
             f"switching width {t.width} does not match capacitance width {cap.width}"
         )
-    return float(np.sum(t.t * cap.c))
+    return float(np.sum(t.t * cap.at(p)))
+
+
+def energy_2d(t: SwitchingMatrix, cap: Capacitance2D) -> float:
+    """Normalized 2D link energy per cycle: Frobenius product <T, C_M> (aF)."""
+    return normalized_energy(t, cap)
 
 
 def energy_3d(t: SwitchingMatrix, p: np.ndarray, model: Capacitance3D) -> float:
     """Normalized 3D link energy per cycle with probability-dependent C (aF)."""
-    if t.width != model.width:
-        raise CapacitanceError(
-            f"switching width {t.width} does not match capacitance width {model.width}"
-        )
-    c_eff = effective_tsv_capacitance(model, p)
-    return float(np.sum(t.t * c_eff))
+    return normalized_energy(t, model, p)
 
 
 # --- serialization ------------------------------------------------------------
@@ -177,17 +194,17 @@ def _model_base(path) -> str:
     return base
 
 
-def save_capacitance_model(path, model: Capacitance2D | Capacitance3D) -> None:
-    path = Path(path)
-    if isinstance(model, Capacitance2D):
-        save_matrix_csv(path, model.c, f"kind=2d units=aF N={model.width}")
+def save_capacitance_model(path, model: Capacitance) -> None:
+    header = f"kind={model.kind} units=aF N={model.width}"
+    if model.kind == "2d":
+        save_matrix_csv(path, model.c, header)
     else:
         base = _model_base(path)
-        save_matrix_csv(base + ".ct0.csv", model.ct0, f"kind=3d units=aF N={model.width}")
-        save_matrix_csv(base + ".dct.csv", model.dct, f"kind=3d units=aF N={model.width}")
+        save_matrix_csv(base + ".ct0.csv", model.ct0, header)
+        save_matrix_csv(base + ".dct.csv", model.dct, header)
 
 
-def load_capacitance_model(path, kind: str) -> Capacitance2D | Capacitance3D:
+def load_capacitance_model(path, kind: str) -> Capacitance:
     if kind == "2d":
         m, _ = load_matrix_csv(path)
         return Capacitance2D(m)

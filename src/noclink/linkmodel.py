@@ -13,20 +13,13 @@ estimate is one closed form over the per-type arrays of ``LinkTypeStats``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .energy import (
-    Capacitance2D,
-    Capacitance3D,
-    TechnologyParams,
-    absolute_energy_fj,
-    energy_2d,
-    energy_3d,
-)
-from .streams import BitStats, SwitchingMatrix
+from .energy import Capacitance, TechnologyParams, absolute_energy_fj, normalized_energy
+from .streams import BitStats, SwitchingMatrix, load_matrix_csv, save_matrix_csv
 
 
 class LinkModelError(ValueError):
@@ -181,13 +174,7 @@ class LinkEnergyReport:
     p_link: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "link", "kind", "normalized_per_cycle_af", "energy_per_cycle_fj",
-            "active_fraction", "energy_per_flit_fj", "payload_bytes_per_cycle",
-            "energy_per_byte_fj", "std_normalized_per_cycle_af",
-            "std_energy_per_cycle_fj", "std_energy_per_flit_fj",
-            "std_energy_per_byte_fj",
-        )}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["p_link"] = None if self.p_link is None else list(map(float, self.p_link))
         return d
 
@@ -195,7 +182,7 @@ class LinkEnergyReport:
 def link_energy_report(
     stats: LinkTypeStats,
     m: DataFlowMatrix,
-    cap: Capacitance2D | Capacitance3D,
+    cap: Capacitance,
     tech: TechnologyParams,
     *,
     link: str = "",
@@ -212,15 +199,8 @@ def link_energy_report(
     t_link = link_switching(stats, m)
     t_std = standard_link_switching(stats, m)
     p_link = link_bit_probabilities(stats, m, literal=eq11_literal)
-
-    if isinstance(cap, Capacitance3D):
-        kind = "3d"
-        e_norm = energy_3d(t_link, p_link, cap)
-        e_std = energy_3d(t_std, p_link, cap)
-    else:
-        kind = "2d"
-        e_norm = energy_2d(t_link, cap)
-        e_std = energy_2d(t_std, cap)
+    e_norm = normalized_energy(t_link, cap, p_link)
+    e_std = normalized_energy(t_std, cap, p_link)
 
     active = m.active_fraction()
     freqs = m.type_frequencies()
@@ -236,7 +216,7 @@ def link_energy_report(
 
     return LinkEnergyReport(
         link=link,
-        kind=kind,
+        kind=cap.kind,
         normalized_per_cycle_af=e_norm,
         energy_per_cycle_fj=e_cyc,
         active_fraction=active,
@@ -252,17 +232,13 @@ def link_energy_report(
 
 
 def save_data_flow_matrix(path, m: DataFlowMatrix, cycles: int, link: str) -> None:
-    from .streams import save_matrix_csv
-
     save_matrix_csv(path, m.m, f"n={m.n} cycles={cycles} link={link}")
 
 
 def load_data_flow_matrix(path) -> tuple[DataFlowMatrix, int, str]:
-    from .streams import load_matrix_csv
-
     mat, header = load_matrix_csv(path)
-    fields = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
-    n = int(fields["n"])
-    cycles = int(fields.get("cycles", 0))
-    link = fields.get("link", "")
+    tags = dict(tok.split("=", 1) for tok in header.split() if "=" in tok)
+    n = int(tags["n"])
+    cycles = int(tags.get("cycles", 0))
+    link = tags.get("link", "")
     return DataFlowMatrix(mat, n), cycles, link

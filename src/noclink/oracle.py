@@ -8,19 +8,13 @@ over these held runs without visiting idle cycles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .energy import (
-    Capacitance2D,
-    Capacitance3D,
-    TechnologyParams,
-    absolute_energy_fj,
-    effective_tsv_capacitance,
-)
+from .energy import Capacitance, TechnologyParams, absolute_energy_fj
 from .streams import SwitchingMatrix, word_bits
 
 IDLE = -1
@@ -122,18 +116,14 @@ class OracleEnergyReport:
     p: np.ndarray
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "link", "kind", "cycles", "active_cycles", "normalized_total_af",
-            "normalized_per_cycle_af", "energy_per_cycle_fj", "total_fj",
-            "energy_per_flit_fj",
-        )}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["p"] = list(map(float, self.p))
         return d
 
 
 def exact_energy(
     trace: LinkTrace,
-    cap: Capacitance2D | Capacitance3D,
+    cap: Capacitance,
     tech: TechnologyParams,
     link: str = "",
 ) -> OracleEnergyReport:
@@ -148,12 +138,7 @@ def exact_energy(
             f"trace width {trace.width} does not match capacitance width {cap.width}"
         )
     products, p = trace.held_products
-    if isinstance(cap, Capacitance3D):
-        kind = "3d"
-        c = effective_tsv_capacitance(cap, p)
-    else:
-        kind = "2d"
-        c = cap.c
+    c = cap.at(p)
     # unnormalized switching: summed over the transitions, not averaged
     t = SwitchingMatrix.from_products(products).t
     total = float(np.sum(np.diag(c) * np.diag(t)))
@@ -166,7 +151,7 @@ def exact_energy(
     active = int(trace.cycles.size)
     return OracleEnergyReport(
         link=link,
-        kind=kind,
+        kind=cap.kind,
         cycles=cycles,
         active_cycles=active,
         normalized_total_af=total,

@@ -136,9 +136,7 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
     summary = result.summary()
     latency = {kind: summary[f"{kind}_latency"] for kind in ("flit", "packet")
                if f"{kind}_latency" in summary}
-    lat_path = out / "latency.json"
-    lat_path.write_text(json.dumps(latency, indent=2))
-    written.append(lat_path)
+    written.append(_write_json(out / "latency.json", latency))
 
     lines = ["metric          mean     median      p95        max"]
     for name, st in latency.items():
@@ -159,20 +157,20 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
             fh.write(f"{link_id},{dfm.active_fraction():.9f},{int(flits)}\n")
     written.append(util_path)
 
-    counts_path = out / "link_counts.json"
-    counts_path.write_text(json.dumps(
-        {k: [int(v) for v in c] for k, c in result.link_flit_counts.items()}, indent=2
-    ))
-    written.append(counts_path)
-
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2))
-    written.append(summary_path)
+    written.append(_write_json(out / "link_counts.json", {
+        k: [int(v) for v in c] for k, c in result.link_flit_counts.items()}))
+    written.append(_write_json(out / "summary.json", summary))
 
     if energy_reports:
-        e_path = out / "energy.json"
-        e_path.write_text(json.dumps(
-            {k: r.to_dict() for k, r in energy_reports.items()}, indent=2
-        ))
-        written.append(e_path)
+        written.append(write_energy_json(out / "energy.json", energy_reports))
     return written
+
+
+def write_energy_json(path: Path, reports: dict) -> Path:
+    """Write ``energy*.json``: each link's report as its ``to_dict``."""
+    return _write_json(path, {k: r.to_dict() for k, r in reports.items()})
+
+
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj, indent=2))
+    return path

@@ -411,6 +411,7 @@ def mux_accuracy_sweep(
     jobs: int = 1,
 ) -> list[dict]:
     """Model-vs-oracle switching error grid over multiplexed streams."""
+    _check_runs(runs)
     configs = [
         (n, dist, width, mp, runs, flits, seed + 104729 * i)
         for i, (n, dist, width, mp) in enumerate(
@@ -425,6 +426,11 @@ def mux_accuracy_sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_accuracy_config, configs))
     return [_accuracy_config(c) for c in configs]
+
+
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise SweepError(f"a sweep needs at least one run, got runs={runs}")
 
 
 # --- stream-level energy and coding sweeps -------------------------------------
@@ -457,8 +463,8 @@ def mux_energy_sweep(
     Emits the model estimate and the bit-level oracle value for the 2D
     and the 3D parasitics.
     """
-    cap2d = cap2d or sweep_cap2d(width)
-    cap3d = cap3d or case_study_cap3d(width)
+    _check_runs(runs)
+    caps = (cap2d or sweep_cap2d(width), cap3d or case_study_cap3d(width))
     rows = []
     for mp in mux_probs:
         acc = {k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
@@ -470,11 +476,11 @@ def mux_energy_sweep(
             stats = per_type_stats(mixed.words, types, 2, width)
             m = data_flow_from_trace(types, 2)
             bytes_per_cycle = width / 8.0
-            for kind, cap in (("2d", cap2d), ("3d", cap3d)):
+            for cap in caps:
                 rep = link_energy_report(stats, m, cap, tech, link=f"mux{mp}")
                 orc = exact_energy(trace, cap, tech)
-                acc[f"model_{kind}"].append(rep.energy_per_cycle_fj / bytes_per_cycle)
-                acc[f"oracle_{kind}"].append(orc.energy_per_cycle_fj / bytes_per_cycle)
+                acc[f"model_{cap.kind}"].append(rep.energy_per_cycle_fj / bytes_per_cycle)
+                acc[f"oracle_{cap.kind}"].append(orc.energy_per_cycle_fj / bytes_per_cycle)
         row = {"mux_prob": mp, "runs": runs}
         row.update({k: float(np.mean(v)) for k, v in acc.items()})
         rows.append(row)
@@ -501,6 +507,7 @@ def coding_sweep(
     and ``lognormal``.  Codecs that add wires (bus invert) are evaluated
     against uncoded transmission on the same widened link.
     """
+    _check_runs(runs)
     widths = {name: make_codec(name, width).width_out for name in codec_names}
     caps = {w: (sweep_cap2d(w), case_study_cap3d(w)) for w in set(widths.values())}
     gains = {name: [([], []) for _ in mux_probs] for name in codec_names}
@@ -510,19 +517,18 @@ def coding_sweep(
         coded = {name: [make_codec(name, width).encode(s) for s in streams]
                  for name in codec_names}
         for i, mp in enumerate(mux_probs):
-            # codecs of one output width share the uncoded link: price it once
-            uncoded = {}  # width -> the mux's sources, the uncoded energy per cap
+            # one mux for every output width; codecs of one width share its price
+            mixed, src = multiplex_streams(streams, mp, seed=rs + 7)
+            types = src.astype(np.int64)
+            uncoded = {}  # output width -> the uncoded energy per cap
             for name, wout in widths.items():
                 if wout not in uncoded:
-                    raw = [DataStream(s.words, wout) for s in streams]
-                    mixed, src = multiplex_streams(raw, mp, seed=rs + 7)
-                    trace = LinkTrace.from_cycles(mixed.words, src.astype(np.int64), wout)
-                    uncoded[wout] = src, [exact_energy(trace, cap, tech).energy_per_cycle_fj
-                                          for cap in caps[wout]]
-                src, base = uncoded[wout]
+                    trace = LinkTrace.from_cycles(mixed.words, types, wout)
+                    uncoded[wout] = [exact_energy(trace, cap, tech).energy_per_cycle_fj
+                                     for cap in caps[wout]]
                 trace = LinkTrace.from_cycles(gather_multiplexed(coded[name], src).words,
-                                              src.astype(np.int64), wout)
-                for cap, eu, acc in zip(caps[wout], base, gains[name][i]):
+                                              types, wout)
+                for cap, eu, acc in zip(caps[wout], uncoded[wout], gains[name][i]):
                     ec = exact_energy(trace, cap, tech).energy_per_cycle_fj
                     acc.append(coding_gain(eu, ec))
     rows = []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -199,6 +200,44 @@ class TestAnalyze:
         assert entry in err and "re-run `noclink simulate`" in err
 
 
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """One simulated run directory, shared read-only by the tests that copy it."""
+    root = tmp_path_factory.mktemp("recorded")
+    config = root / "sim.xml"
+    config.write_text(CONFIG)
+    assert run_simulate(config, root / "run") == 0
+    return root / "run"
+
+
+class TestMalformedMeta:
+    @pytest.mark.parametrize("key, value", [
+        (None, [1, 2]),
+        ("cycles", "x"),
+        ("n_types", "2"),
+        ("flit_width", "16"),
+        ("flows", -1),
+        ("flows", "2"),
+        ("clock_period_s", -1e-9),
+        ("clock_period_s", "1e-9"),
+        ("links", ["A->B"]),
+        ("links", {"A->B": "no"}),
+    ])
+    def test_exit_1_naming_the_key(self, recorded_run, tmp_path, capsys, key, value):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        meta = json.loads((run / "meta.json").read_text())
+        if key is None:
+            meta = value
+        else:
+            meta[key] = value
+        (run / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 1
+        assert (key or "JSON object") in capsys.readouterr().err
+        assert not (run / "energy.json").exists()
+
+
 class TestOracle:
     def test_protocol_pipeline(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -311,6 +350,17 @@ class TestSweeps:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "cod.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-mux", "--streams", "2", "--widths", "16", "--mux", "0.4", "--flits", "200"],
+        ["sweep-mux", "--mode", "energy", "--mux", "0.5"],
+        ["sweep-coding", "--codecs", "gray", "--mux", "0.5"],
+    ])
+    def test_no_runs_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "rows.csv"
+        assert main([*argv, "--runs", "0", "--out", str(out)]) == 1
+        assert "at least one run" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -15,7 +15,13 @@ from noclink.energy import (
     template_2d_bus,
     template_3d_tsv,
 )
+from noclink.linkmodel import link_energy_report
+from noclink.oracle import IDLE, LinkTrace, TraceError, exact_energy
+from noclink.reporting import data_flow_from_trace
 from noclink.streams import SwitchingMatrix
+from noclink.sweeps import per_type_stats
+
+TECH = TechnologyParams(vdd=1.1, clock_period=1e-9)
 
 
 def sw(matrix):
@@ -166,3 +172,62 @@ class TestValidationAndIO:
     def test_bad_technology(self):
         with pytest.raises(CapacitanceError):
             TechnologyParams(vdd=0.0, clock_period=1e-9)
+
+
+# --- the model and the oracle price a link alike -------------------------------
+
+CAPS = {
+    "2d": lambda width: template_2d_bus(width, 100.0, 50.0, 2),
+    "3d": lambda width: template_3d_tsv(1, width, 80.0, -12.0, 40.0, -6.0),
+}
+
+
+def _priced(cap, width=4):
+    """The model's and the oracle's report on one two-type link of ``width`` bits."""
+    words = np.array([3, 5, 0, 9, 9, 14, 1, 6], dtype=np.uint64) % (1 << width)
+    types = np.array([0, 1, IDLE, 0, 1, 1, IDLE, 0])
+    stats = per_type_stats(words, types, 2, width)
+    model = link_energy_report(stats, data_flow_from_trace(types, 2), cap, TECH, link="a")
+    oracle = exact_energy(LinkTrace.from_cycles(words, types, width), cap, TECH, link="a")
+    return model, oracle
+
+
+class TestOnePricing:
+    def test_report_key_order(self):
+        model, oracle = _priced(CAPS["3d"](4))
+        assert list(model.to_dict()) == [
+            "link", "kind", "normalized_per_cycle_af", "energy_per_cycle_fj",
+            "active_fraction", "energy_per_flit_fj", "payload_bytes_per_cycle",
+            "energy_per_byte_fj", "std_normalized_per_cycle_af",
+            "std_energy_per_cycle_fj", "std_energy_per_flit_fj",
+            "std_energy_per_byte_fj", "p_link",
+        ]
+        assert list(oracle.to_dict()) == [
+            "link", "kind", "cycles", "active_cycles", "normalized_total_af",
+            "normalized_per_cycle_af", "energy_per_cycle_fj", "total_fj",
+            "energy_per_flit_fj", "p",
+        ]
+        assert model.to_dict()["p_link"] == list(map(float, model.p_link))
+        assert oracle.to_dict()["p"] == list(map(float, oracle.p))
+
+    @pytest.mark.parametrize("kind", sorted(CAPS))
+    def test_report_kind_is_the_capacitance_kind(self, kind):
+        cap = CAPS[kind](4)
+        assert cap.kind == kind
+        model, oracle = _priced(cap)
+        assert model.kind == oracle.kind == kind
+
+    @pytest.mark.parametrize("kind", sorted(CAPS))
+    def test_width_mismatch_errors(self, kind):
+        cap = CAPS[kind](8)
+        with pytest.raises(CapacitanceError, match="switching width 4"):
+            _priced(cap, width=4)
+        with pytest.raises(TraceError, match="trace width 4"):
+            exact_energy(LinkTrace.from_cycles([1, 2], [0, 0], 4), cap, TECH)
+
+    @pytest.mark.parametrize("kind", sorted(CAPS))
+    def test_capacitance_at_p(self, kind):
+        cap = CAPS[kind](4)
+        p = np.array([0.0, 0.25, 0.5, 1.0])
+        expect = cap.c if kind == "2d" else effective_tsv_capacitance(cap, p)
+        assert np.array_equal(cap.at(p), expect)
