@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sweeps
-from .codecs import CodecError, make_codec
+from .codecs import CodecError
 from .config import ConfigError, build_simulation, parse_config
 from .energy import CapacitanceError, load_capacitance_model
 from .linkmodel import LinkModelError
@@ -53,20 +53,16 @@ VALIDATION_ERRORS = (
 # --- shared helpers -----------------------------------------------------------
 
 # Run directory layout version; version 3 stores in traces.npz each link's
-# TRACE_COLUMNS, one entry per flit, and each flow's consumed payload.
+# TRACE_COLUMNS, one entry per flit.  Earlier format-3 runs also hold each
+# flow's consumed payload, which loading ignores.
 RUN_FORMAT = 3
 TRACE_COLUMNS = ("cycles", "types", "words", "flows", "indices")
 
 
-def _save_traces(result: SimulationResult, payloads: dict, out: Path) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for link_id, trace in result.link_traces.items():
-        key = link_file_name(link_id)
-        for name in TRACE_COLUMNS:
-            arrays[f"{key}.{name}"] = getattr(trace, name)
-    for flow_id, words in payloads.items():
-        arrays[f"payload.{flow_id}"] = words
-    np.savez_compressed(out / "traces.npz", **arrays)
+def _save_traces(result: SimulationResult, out: Path) -> None:
+    np.savez_compressed(out / "traces.npz", **{
+        f"{link_file_name(link_id)}.{name}": getattr(trace, name)
+        for link_id, trace in result.link_traces.items() for name in TRACE_COLUMNS})
 
 
 def _require(entries, keys, source: Path) -> None:
@@ -92,8 +88,8 @@ def _check_meta(meta: dict, source: Path) -> None:
         raise ReportingError(f"{source}: links is not an object of link ids to true/false")
 
 
-def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
-    """The recorded result and each flow's consumed payload words."""
+def _load_run(run_dir: Path) -> SimulationResult:
+    """The recorded result: M, flit counts and traces of every link."""
     source = run_dir / "meta.json"
     meta = json.loads(source.read_text())
     if not isinstance(meta, dict):
@@ -109,24 +105,20 @@ def _load_run(run_dir: Path) -> tuple[SimulationResult, dict[int, np.ndarray]]:
         n_types=meta["n_types"],
         flit_width=meta["flit_width"],
     )
-    n = result.n_types
     with np.load(run_dir / "traces.npz") as data:
-        entries = [f"{link_file_name(link)}.{name}"
-                   for link in meta["links"] for name in TRACE_COLUMNS]
-        entries += [f"payload.{i}" for i in range(meta["flows"])]
-        _require(data, entries, run_dir / "traces.npz")
+        _require(data, [f"{link_file_name(link)}.{name}"
+                        for link in meta["links"] for name in TRACE_COLUMNS],
+                 run_dir / "traces.npz")
         for link_id, vertical in meta["links"].items():
             key = link_file_name(link_id)
             trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
                               length=result.cycles, width=result.flit_width)
-            observer = LinkObserver(link_id, n)
-            observer.record(trace.cycles, trace.types, len(trace))
+            observer = LinkObserver.from_trace(trace, result.n_types, link_id)
             result.link_traces[link_id] = trace
             result.link_vertical[link_id] = vertical
             result.data_flow[link_id] = observer.finalize()
             result.link_flit_counts[link_id] = observer.type_flit_counts()
-        payloads = {i: data[f"payload.{i}"] for i in range(meta["flows"])}
-    return result, payloads
+    return result
 
 
 def _cap_model(path, kind: str, width: int):
@@ -136,12 +128,14 @@ def _cap_model(path, kind: str, width: int):
     return sweeps.case_study_cap2d(width) if kind == "2d" else sweeps.case_study_cap3d(width)
 
 
-def _energy_reports(result, args, coded=None, width=None):
-    width = width or result.flit_width
+def _energy_reports(result, args, traces=None):
+    """Energy reports of ``traces``, or of the recorded traces, against the
+    capacitance models of ``args`` at the traces' width."""
+    width = next(iter(traces.values())).width if traces else result.flit_width
     cap2d, cap3d = _cap_model(args.cap2d, "2d", width), _cap_model(args.cap3d, "3d", width)
     return sweeps.network_energy_reports(
         result, cap2d, cap3d, sweeps.TECH,
-        coded=coded, eq11_literal=getattr(args, "eq11_literal", False),
+        traces=traces, eq11_literal=getattr(args, "eq11_literal", False),
     )
 
 
@@ -167,7 +161,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     energy = _energy_reports(result, args) if (args.cap2d or args.cap3d) else None
     emit_reports(result, out, energy)
-    _save_traces(result, sweeps.consumed_prefixes(cfg.traffic, result), out)
+    _save_traces(result, out)
     meta = {
         "format": RUN_FORMAT,
         "flows": len(cfg.traffic),
@@ -191,13 +185,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
-    result, payloads = _load_run(run_dir)
-    coded, width, suffix = None, result.flit_width, ""
+    result = _load_run(run_dir)
+    traces, suffix = None, ""
     if args.codec and args.codec != "none":
-        width = make_codec(args.codec, width).width_out
-        coded = sweeps.encode_flow_words(payloads, args.codec, result.flit_width, result)
-        suffix = f"_{args.codec}"
-    reports = _energy_reports(result, args, coded, width)
+        traces, suffix = sweeps.coded_traces(result, args.codec), f"_{args.codec}"
+    reports = _energy_reports(result, args, traces)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     path = write_energy_json(out / f"energy{suffix}.json", reports)

@@ -42,6 +42,13 @@ class LinkObserver:
         self.cycles = 0
         self._last: int | None = None  # state of the last counted cycle
 
+    @classmethod
+    def from_trace(cls, trace: LinkTrace, n_types: int, link_id: str = "trace") -> LinkObserver:
+        """A fresh observer that has counted every cycle of ``trace``."""
+        observer = cls(link_id, n_types)
+        observer.record(trace.cycles, trace.types, len(trace))
+        return observer
+
     def record(self, cycles, types, end: int) -> None:
         """Fold cycles ``self.cycles`` to ``end`` - 1 into the counts: a flit of
         type ``types[i]`` on each of the ascending ``cycles``, idle cycles
@@ -89,9 +96,7 @@ class LinkObserver:
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:
     """Convenience: a DataFlowMatrix from per-cycle types, ``IDLE`` when idle."""
     trace = LinkTrace.from_cycles(np.zeros(len(states), dtype=np.uint64), states, 1)
-    obs = LinkObserver(link_id, n_types)
-    obs.record(trace.cycles, trace.types, len(trace))
-    return obs.finalize()
+    return LinkObserver.from_trace(trace, n_types, link_id).finalize()
 
 
 # --- latency ------------------------------------------------------------------

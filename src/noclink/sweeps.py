@@ -28,13 +28,14 @@ from .energy import (
     template_3d_tsv,
 )
 from .linkmodel import (
+    DataFlowMatrix,
     LinkEnergyReport,
     LinkTypeStats,
     link_energy_report,
     link_switching,
 )
 from .oracle import LinkTrace, OracleEnergyReport, exact_energy, exact_switching
-from .reporting import data_flow_from_trace
+from .reporting import LinkObserver
 from .simnet import FlowSpec, RouterConfig, SimulationResult, build_network
 from .streams import (
     DISTRIBUTIONS,
@@ -108,32 +109,66 @@ def per_type_stats(words: np.ndarray, types: np.ndarray, n: int, width: int) -> 
 
 
 def link_stats_from_result(
-    result: SimulationResult,
-    link_id: str,
-    *,
-    coded: dict[int, DataStream] | None = None,
+    result: SimulationResult, link_id: str, trace: LinkTrace | None = None
 ) -> LinkTypeStats:
-    """Per-type bit and switching statistics of one link's recorded trace.
-
-    ``coded`` optionally maps flow ids to encoded payload streams, as
-    ``encode_flow_words`` builds them; body words are then replaced by
-    their encoded counterparts at the same source position (head words
-    are payload-independent and kept as transmitted), giving the
-    post-simulation coding statistics without re-simulating.
-    """
-    trace = result.link_traces.get(link_id)
+    """Per-type bit and switching statistics of one link's ``trace``, the
+    link's recorded trace when none is given, at the trace's width."""
     if trace is None:
-        raise SweepError(f"no recorded trace for link {link_id!r}")
-    words, width = trace.words, result.flit_width
-    if coded is not None:
-        body = trace.indices >= 0
-        words = words.copy()
-        for flow_id in np.unique(trace.flows[body]).tolist():
-            enc = coded[flow_id]
-            sel = body & (trace.flows == flow_id)
-            words[sel] = enc.words[trace.indices[sel]]
-        width = max((enc.width for enc in coded.values()), default=width)
-    return per_type_stats(words, trace.types, result.n_types, width)
+        trace = result.link_traces.get(link_id)
+        if trace is None:
+            raise SweepError(f"no recorded trace for link {link_id!r}")
+    return per_type_stats(trace.words, trace.types, result.n_types, trace.width)
+
+
+def coded_traces(result: SimulationResult, codec_name: str) -> dict[str, LinkTrace]:
+    """Every recorded link's trace with its body words coded by ``codec_name``.
+
+    A flow's body flits carry word indices 0, 1, 2, ... in send order, and
+    each crosses its source's local link, so the traces hold every word a
+    flow sent up to its highest recorded index, a recycled payload
+    unrolled.  Each flow's sent words are encoded once, as its source
+    would send them coded (a stateful codec runs on across a wrap), and
+    gathered back by (flow, index); head words are payload-independent
+    and kept.  Routing and arbitration do not depend on the payload, so
+    this equals simulating with the payloads coded at the sources.
+    """
+    traces = result.link_traces
+    if not traces:
+        raise SweepError("the run recorded no link traces to code")
+    codec = make_codec(codec_name, result.flit_width)
+    body = {link_id: t.indices >= 0 for link_id, t in traces.items()}
+    flows, indices, words = (
+        np.concatenate([getattr(t, name)[body[k]] for k, t in traces.items()])
+        for name in ("flows", "indices", "words"))
+    if flows.min(initial=0) < 0:
+        raise SweepError(f"a body flit has flow id {int(flows.min())}")
+    highest = np.full(int(flows.max(initial=-1)) + 1, -1, dtype=np.int64)
+    np.maximum.at(highest, flows, indices)
+    offset = np.concatenate(([0], np.cumsum(highest + 1)))  # of each flow's words
+    at = offset[flows] + indices
+    sent = np.zeros(offset[-1], dtype=np.uint64)
+    sent[at] = words
+    recorded = np.zeros(offset[-1], dtype=bool)
+    recorded[at] = True
+    if not recorded.all():
+        pos = int(np.argmin(recorded))
+        flow = int(np.searchsorted(offset, pos, side="right")) - 1
+        raise SweepError(f"flow {flow}: word {pos - offset[flow]} of"
+                         f" {highest[flow] + 1} sent is on no recorded link")
+    disagree = sent[at] != words
+    if disagree.any():
+        raise SweepError(f"flow {int(flows[np.argmax(disagree)])}: the recorded"
+                         " links disagree on one of its words")
+    coded = np.concatenate([codec.encode(DataStream(part, result.flit_width)).words
+                            for part in np.split(sent, offset[1:-1])])
+    out = {}
+    for link_id, t in traces.items():
+        b = body[link_id]
+        link_words = t.words.copy()
+        link_words[b] = coded[offset[t.flows[b]] + t.indices[b]]
+        out[link_id] = LinkTrace(t.cycles, t.types, link_words, t.flows, t.indices,
+                                 length=t.length, width=codec.width_out)
+    return out
 
 
 def link_oracle_energy(
@@ -151,19 +186,23 @@ def network_energy_reports(
     cap3d: Capacitance3D,
     tech: TechnologyParams = TECH,
     *,
-    coded: dict[int, DataStream] | None = None,
+    traces: dict[str, LinkTrace] | None = None,
     eq11_literal: bool = False,
 ) -> dict[str, LinkEnergyReport]:
-    """Model energy report for every link that carried at least one flit."""
+    """Model energy report for every link that carried at least one flit,
+    priced from ``traces`` (as ``coded_traces`` builds them), or from the
+    recorded traces when none are given."""
+    kind = "flit" if traces is None else "coded"
     reports: dict[str, LinkEnergyReport] = {}
     for link_id, dfm in result.data_flow.items():
         if result.link_flit_counts[link_id].sum() == 0:
             continue
-        stats = link_stats_from_result(result, link_id, coded=coded)
+        trace = None if traces is None else traces[link_id]
+        stats = link_stats_from_result(result, link_id, trace)
         cap = cap3d if result.link_vertical[link_id] else cap2d
         if stats.width != cap.width:
             raise SweepError(
-                f"{link_id}: codec width {stats.width} does not match"
+                f"{link_id}: {kind} width {stats.width} does not match"
                 f" capacitance width {cap.width}"
             )
         reports[link_id] = link_energy_report(
@@ -257,53 +296,6 @@ def run_case_study(
     return CaseStudyRun(result, traffic)
 
 
-def highest_word_indices(result: SimulationResult, flows: int) -> np.ndarray:
-    """The highest payload word index of each flow on any recorded link
-    (-1 for a flow none of whose words was recorded)."""
-    highest = np.full(flows, -1, dtype=np.int64)
-    for trace in result.link_traces.values():
-        body = trace.indices >= 0
-        np.maximum.at(highest, trace.flows[body], trace.indices[body])
-    return highest
-
-
-def consumed_prefixes(
-    traffic: list[FlowSpec], result: SimulationResult
-) -> dict[int, np.ndarray]:
-    """Each flow's payload words up to the highest index any link carried.
-
-    This is all of a flow's payload that the recorded traces refer to
-    (at least one word per flow; a whole source that recycled).  Flow
-    ids are positions in ``traffic``, as ``load_traffic_spec`` and
-    ``case_study_traffic`` number them.
-    """
-    highest = highest_word_indices(result, len(traffic))
-    return {
-        i: spec.payload.take(0, max(min(len(spec.payload), int(highest[i]) + 1), 1))
-        for i, spec in enumerate(traffic)
-    }
-
-
-def encode_flow_words(
-    flow_words: dict[int, np.ndarray], codec_name: str, width: int,
-    result: SimulationResult,
-) -> dict[int, DataStream]:
-    """Encode each flow's payload as its source would send it coded.
-
-    ``flow_words`` holds each flow's consumed prefix.  A source recycles
-    its payload from the start, so the words it sent up to the highest
-    recorded index are the prefix repeated; that whole sequence is
-    encoded, and stateful codecs (correlator, invert) carry their state
-    across each wrap.  Word index i of a flow is entry i of its stream.
-    """
-    highest = highest_word_indices(result, len(flow_words))
-    coded = {}
-    for flow_id, words in flow_words.items():
-        sent = np.resize(words, max(int(highest[flow_id]) + 1, words.size))
-        coded[flow_id] = make_codec(codec_name, width).encode(DataStream(sent, width))
-    return coded
-
-
 def evaluate_coding(
     run: CaseStudyRun,
     codec_names: list[str],
@@ -313,30 +305,22 @@ def evaluate_coding(
 ) -> dict[str, dict]:
     """Post-simulation coding comparison over one recorded simulation.
 
-    Returns, per codec, the total network energy per cycle and the gain
-    relative to uncoded transmission; routing and arbitration are
-    payload-independent, so re-encoding the payload streams and
-    replaying them through the recorded per-link word positions is
-    exact.
+    Returns, per codec, the total network energy per cycle, the gain
+    relative to uncoded transmission and each link's energy per cycle,
+    priced from the recorded traces coded by ``coded_traces``.
     """
     result = run.result
-    flow_words = consumed_prefixes(run.traffic, result)
-    width = result.flit_width
-    base_reports = network_energy_reports(result, cap2d, cap3d, tech)
-    base_total = sum(r.energy_per_cycle_fj for r in base_reports.values())
-    out = {"none": {"energy_per_cycle_fj": base_total, "gain_percent": 0.0}}
-    for name in codec_names:
-        if name == "none":
-            continue
-        coded = encode_flow_words(flow_words, name, width, result)
-        reports = network_energy_reports(result, cap2d, cap3d, tech, coded=coded)
+    out: dict[str, dict] = {}
+    for name in ("none", *(n for n in codec_names if n != "none")):
+        traces = None if name == "none" else coded_traces(result, name)
+        reports = network_energy_reports(result, cap2d, cap3d, tech, traces=traces)
         total = sum(r.energy_per_cycle_fj for r in reports.values())
         out[name] = {
             "energy_per_cycle_fj": total,
-            "gain_percent": coding_gain(base_total, total),
+            "gain_percent": coding_gain(out["none"]["energy_per_cycle_fj"], total)
+            if out else 0.0,
             "links": {k: r.energy_per_cycle_fj for k, r in reports.items()},
         }
-    out["none"]["links"] = {k: r.energy_per_cycle_fj for k, r in base_reports.items()}
     return out
 
 
@@ -362,15 +346,19 @@ def _accuracy_run(
             spec = StreamSpec(dist, width, per, sigma=sigma, rho=rho, seed=seed * 131 + k)
         streams.append(generate_stream(spec))
     mixed, src = multiplex_streams(streams, mux_prob, seed=seed + 7)
-    mixed = DataStream(mixed.words[:flits], width)
-    types = src[:flits].astype(np.int64)
-
-    t_oracle, _ = exact_switching(LinkTrace.from_cycles(mixed.words, types, width))
-
-    stats = per_type_stats(mixed.words, types, n_streams, width)
-    m = data_flow_from_trace(types, n_streams)
+    trace, stats, m = _mixed_link(mixed.words[:flits], src[:flits], n_streams, width)
+    t_oracle, _ = exact_switching(trace)
     t_model = link_switching(stats, m)
     return np.abs(t_model.t - t_oracle.t).ravel()
+
+
+def _mixed_link(words, types, n: int, width: int
+                ) -> tuple[LinkTrace, LinkTypeStats, DataFlowMatrix]:
+    """A multiplexed stream as a link that carries a flit of type ``types[i]``
+    every cycle, with the model's per-type statistics and M taken from it."""
+    trace = LinkTrace.from_cycles(words, types, width)
+    m = LinkObserver.from_trace(trace, n).finalize()
+    return trace, per_type_stats(trace.words, trace.types, n, width), m
 
 
 def _accuracy_config(args) -> dict:
@@ -412,6 +400,8 @@ def mux_accuracy_sweep(
 ) -> list[dict]:
     """Model-vs-oracle switching error grid over multiplexed streams."""
     _check_runs(runs)
+    if flits < 2:
+        raise SweepError(f"an accuracy run needs at least two flits, got flits={flits}")
     configs = [
         (n, dist, width, mp, runs, flits, seed + 104729 * i)
         for i, (n, dist, width, mp) in enumerate(
@@ -471,10 +461,7 @@ def mux_energy_sweep(
         for r in range(runs):
             streams = _two_streams("gaussian", width, sigma, rho, length, seed + 100 * r)
             mixed, src = multiplex_streams(streams, mp, seed=seed + 100 * r + 7)
-            types = src.astype(np.int64)
-            trace = LinkTrace.from_cycles(mixed.words, types, width)
-            stats = per_type_stats(mixed.words, types, 2, width)
-            m = data_flow_from_trace(types, 2)
+            trace, stats, m = _mixed_link(mixed.words, src, 2, width)
             bytes_per_cycle = width / 8.0
             for cap in caps:
                 rep = link_energy_report(stats, m, cap, tech, link=f"mux{mp}")

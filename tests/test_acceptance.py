@@ -23,6 +23,7 @@ from noclink.sweeps import (
     TECH,
     case_study_cap2d,
     case_study_cap3d,
+    coded_traces,
     coding_sweep,
     evaluate_coding,
     link_oracle_energy,
@@ -113,6 +114,32 @@ def test_criterion_2_end_to_end_energy(packed_run4):
         f"{len(errs)} active links, worst {worst * 100:.3f}% ({worst_link}),"
         f" aggregate {agg * 100:.3f}% (< 1% each)",
     )
+
+
+def test_coded_links_against_the_oracle(packed_run4):
+    """Criterion 2's bound on the links re-priced for each codec."""
+    result = packed_run4.result
+    details, ok = [], True
+    for name in ("gray", "invert", "correlator+inv"):
+        traces = coded_traces(result, name)
+        width = make_codec(name, W).width_out
+        cap2d, cap3d = case_study_cap2d(width), case_study_cap3d(width)
+        reports = network_energy_reports(result, cap2d, cap3d, traces=traces)
+        errs, model_total, oracle_total = {}, 0.0, 0.0
+        for link, rep in reports.items():
+            cap = cap3d if result.link_vertical[link] else cap2d
+            orc = exact_energy(traces[link], cap, TECH).energy_per_cycle_fj
+            assert orc > 0.0, (name, link)
+            errs[link] = abs(rep.energy_per_cycle_fj - orc) / orc
+            model_total += rep.energy_per_cycle_fj
+            oracle_total += orc
+        worst_link, worst = max(errs.items(), key=lambda kv: kv[1])
+        agg = abs(model_total - oracle_total) / oracle_total
+        ok &= agg < 0.01
+        details.append(f"{name} aggregate {agg * 100:.3f}%, worst link"
+                       f" {worst * 100:.3f}% ({worst_link})")
+    verdict("coded links against the oracle", ok,
+            f"{'; '.join(details)} (aggregate < 1% each)")
 
 
 def test_criterion_3_mux_energy_trend():

@@ -54,5 +54,16 @@ def test_installed_patches_and_restores(tracing):
         "link_switching", "link_energy_report", "compute_bit_stats",
         "compute_sequential_switching", "link_stats_from_result", "multiplex_streams",
     }
+    from noclink import cli, sweeps
+
+    assert set(patched) >= {(cli, name) for name in (
+        "main", "cmd_simulate", "cmd_analyze", "cmd_oracle", "parse_config",
+        "build_simulation", "emit_reports", "write_link_protocol",
+        "replay_link_protocol", "exact_energy")}
+    assert set(patched) >= {(sweeps, name) for name in (
+        "exact_energy", "exact_switching", "link_stats_from_result",
+        "link_energy_report", "link_switching", "multiplex_streams", "generate_stream",
+        "compute_bit_stats", "compute_sequential_switching", "mux_accuracy_sweep",
+        "coding_sweep")}
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)

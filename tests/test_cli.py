@@ -87,6 +87,15 @@ class TestSimulate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_capacitance_width_mismatch_exit_1(self, config_path, tmp_path, capsys):
+        cap2d = tmp_path / "cap8.npz"
+        save_capacitance_model(cap2d, template_2d_bus(8, 120.0, 40.0, 1))
+        capsys.readouterr()
+        assert run_simulate(config_path, tmp_path / "run", ("--cap2d", str(cap2d))) == 1
+        err = capsys.readouterr().err
+        assert "flit width 16 does not match capacitance width 8" in err
+        assert "codec" not in err
+
 
 class TestAnalyze:
     def test_matches_inline_energy_bit_identical(self, config_path, tmp_path, cap_files):
@@ -181,7 +190,7 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(out)]) == 1
         assert "error: trace" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry", ["A__B.words", "payload.0", "links"])
+    @pytest.mark.parametrize("entry", ["A__B.words", "links"])
     def test_incomplete_run_exit_1(self, config_path, tmp_path, capsys, entry):
         out = tmp_path / "run"
         run_simulate(config_path, out)
@@ -198,6 +207,34 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(out)]) == 1
         err = capsys.readouterr().err
         assert entry in err and "re-run `noclink simulate`" in err
+
+    def test_earlier_payload_entries_are_ignored(self, recorded_run, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        with np.load(run / "traces.npz") as data:
+            arrays = dict(data)
+        arrays["payload.0"] = np.arange(3, dtype=np.uint64)  # as earlier format-3 runs hold
+        np.savez_compressed(run / "traces.npz", **arrays)
+        for source, out in ((recorded_run, "plain"), (run, "with_payload")):
+            assert main(["analyze", "--run", str(source), "--codec", "gray",
+                         "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "plain" / "energy_gray.json").read_text()
+                == (tmp_path / "with_payload" / "energy_gray.json").read_text())
+
+    def test_unrecorded_sent_word_exit_1(self, recorded_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        with np.load(run / "traces.npz") as data:
+            arrays = dict(data)
+        for link in {key.rsplit(".", 1)[0] for key in arrays}:
+            keep = (arrays[f"{link}.flows"] != 0) | (arrays[f"{link}.indices"] != 1)
+            for name in ("cycles", "types", "words", "flows", "indices"):
+                arrays[f"{link}.{name}"] = arrays[f"{link}.{name}"][keep]
+        np.savez_compressed(run / "traces.npz", **arrays)
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 0
+        assert main(["analyze", "--run", str(run), "--codec", "gray"]) == 1
+        assert "flow 0: word 1 " in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +399,14 @@ class TestSweeps:
         assert "at least one run" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flits", ["0", "1"])
+    def test_too_few_flits_exit_1(self, tmp_path, capsys, flits):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep-mux", "--streams", "2", "--widths", "16", "--mux", "0.4",
+                     "--runs", "1", "--flits", flits, "--out", str(out)]) == 1
+        assert f"flits={flits}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParser:
     def test_unknown_subcommand(self):
@@ -501,7 +546,6 @@ class TestCodingAcrossPayloadWrap:
                 + f"  <traffic>\n{flows}  </traffic>\n</simulation>\n")
             assert run_simulate(f"{name}.xml", name) == 0
         with np.load(tmp_path / "short" / "traces.npz") as data:
-            assert data["payload.0"].size == 5
             assert data["A__B.indices"].max() >= 10  # wrapped at least twice
         assert main(["analyze", "--run", "short", "--codec", codec]) == 0
         assert main(["analyze", "--run", "coded"]) == 0

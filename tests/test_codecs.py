@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from noclink.streams import (
     compute_bit_stats,
     generate_stream,
 )
-from noclink.sweeps import coding_sweep
+from noclink.oracle import LinkTrace
+from noclink.sweeps import SweepError, coded_traces, coding_sweep, run_case_study
 
 
 def stream(words, width):
@@ -151,3 +154,59 @@ def test_coding_sweep_rows_do_not_depend_on_the_other_codecs():
     rows = coding_sweep(**kw)
     assert rows == [row for name in ("invert", "gray", "correlator", "correlator+inv")
                     for row in coding_sweep((name,), **kw)]
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """A short traced case-study run; its payloads are long enough not to wrap."""
+    return run_case_study(4, cycles=3000, seed=2)
+
+
+class TestCodedTraces:
+    def test_none_keeps_every_column(self, recorded):
+        result = recorded.result
+        coded = coded_traces(result, "none")
+        assert coded.keys() == result.link_traces.keys()
+        for link, trace in result.link_traces.items():
+            for name in ("cycles", "types", "words", "flows", "indices"):
+                assert np.array_equal(getattr(coded[link], name), getattr(trace, name))
+            assert (len(coded[link]), coded[link].width) == (len(trace), trace.width)
+
+    @pytest.mark.parametrize("name", ["gray", "invert", "correlator+inv"])
+    def test_body_words_are_the_sent_payload_coded(self, recorded, name):
+        result = recorded.result
+        coded = coded_traces(result, name)
+        codec = make_codec(name, result.flit_width)
+        for link, trace in result.link_traces.items():
+            out = coded[link]
+            for col in ("cycles", "types", "flows", "indices"):
+                assert np.array_equal(getattr(out, col), getattr(trace, col))
+            assert (len(out), out.width) == (len(trace), codec.width_out)
+            head = trace.indices < 0
+            assert np.array_equal(out.words[head], trace.words[head])
+            for flow in np.unique(trace.flows[~head]).tolist():
+                sel = ~head & (trace.flows == flow)
+                payload = recorded.traffic[flow].payload
+                sent = payload.take(0, int(trace.indices[sel].max()) + 1)
+                expect = codec.encode(DataStream(sent, result.flit_width)).words
+                assert np.array_equal(out.words[sel], expect[trace.indices[sel]])
+
+    @pytest.mark.parametrize("tamper", ["missing", "disagree"])
+    def test_tampered_result_raises(self, recorded, tamper):
+        result = recorded.result
+        traces = {}
+        for link, t in result.link_traces.items():
+            picked = (t.flows == 0) & (t.indices == 3)
+            keep = ~picked if tamper == "missing" else np.ones(picked.size, bool)
+            words = t.words ^ (picked & link.startswith("PE_")).astype(np.uint64)
+            traces[link] = LinkTrace(t.cycles[keep], t.types[keep], words[keep],
+                                     t.flows[keep], t.indices[keep],
+                                     length=t.length, width=t.width)
+        tampered = dataclasses.replace(result, link_traces=traces)
+        with pytest.raises(SweepError, match="flow 0"):
+            coded_traces(tampered, "gray")
+
+    def test_untraced_result_raises(self):
+        result = run_case_study(4, cycles=200, collect_traces=False).result
+        with pytest.raises(SweepError, match="no link traces"):
+            coded_traces(result, "gray")
