@@ -259,13 +259,15 @@ def parse_config(path) -> SimulationConfig:
 
     traffic_elem = root.find("traffic")
     flows: list[dict] = []
+    where: list[str] = []
     if traffic_elem is not None:
         for elem in traffic_elem:
             if elem.tag != "flow":
                 raise ConfigError(f"unknown element <{elem.tag}> at {_line(elem)}")
             flows.append(_require_attrs(elem, _FLOW_REQUIRED, _FLOW_OPTIONAL))
+            where.append(f"<flow> at {_line(elem)}")
     try:
-        specs = load_traffic_spec(flows, nodes, flit_width, flits_per_packet)
+        specs = load_traffic_spec(flows, nodes, flit_width, flits_per_packet, where)
     except (TrafficError, ConfigurationError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

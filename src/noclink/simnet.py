@@ -25,8 +25,9 @@ the components of its wake set, the ones that hold work.
   route computation and VC allocation only while a head waits.
 - A source NI is woken when a packet is enqueued, and stays awake while
   its queue holds a packet or one of its VCs is ``ACTIVE``.
-- A PE draws its uniforms in small blocks, in the order of per-tick
-  scalar draws, and acts only on the ticks on which some flow injects.
+- A PE draws the uniforms of a chunk's ticks when the chunk starts, in
+  the order of per-tick scalar draws, and acts only on the ticks on which
+  some flow injects.
 
 Credits do not wake links.  Whoever takes a flit out of a buffer stages
 its credit with ``Link.stage_credit``; the network keeps the credits
@@ -60,7 +61,6 @@ traced link keeps them for its :class:`noclink.oracle.LinkTrace`.
 """
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -86,8 +86,6 @@ FREE, ACTIVE, DRAINING = 0, 1, 2
 
 # cycles between folds of the links' recorded events into their observers
 CHUNK = 4096
-# PE ticks of uniforms drawn at once; rows a run does not reach wait for the next
-BLOCK = 32
 
 
 class ConfigurationError(ValueError):
@@ -596,11 +594,9 @@ class PE:
 
     Tick k falls on cycle k * ``clock_delay``, and on each tick every flow
     draws one uniform, in flow order, and injects a packet if it is below
-    the flow's rate.  The uniforms are drawn ``BLOCK`` ticks at a time, in
-    the same order; ``rows[pos]`` holds those of tick ``next_tick``.
-    ``hits`` lists, last first, the rows at or after ``pos`` on which some
-    flow injects at the rates set by ``plan``, so the PE acts only on
-    those ticks.
+    the flow's rate.  ``injections`` draws the uniforms of a span of ticks
+    at once, in the same order, and keeps only the ticks on which some
+    flow injects.
     """
 
     def __init__(self, node_id, dest_index_of, flit_width, clock_delay,
@@ -617,52 +613,21 @@ class PE:
         self.word_cursor = {f.flow_id: 0 for f in flows}
         self.injected_flits = 0
         self.injected_packets = 0
-        self.rows = np.empty((0, len(flows)))
-        self.pos = 0
-        self.next_tick = 0
-        self.rates = np.empty(len(flows))
-        self.hits: list[int] = []
 
-    def _find_hits(self) -> None:
-        injects = (self.rows[self.pos:] < self.rates).any(axis=1)
-        self.hits = (np.flatnonzero(injects)[::-1] + self.pos).tolist()
+    def injections(self, lo: int, hi: int) -> list[tuple[int, list[float]]]:
+        """(cycle, uniforms) of each tick in cycles [lo, hi) on which some
+        flow injects at its current rate.  Spans must follow one another,
+        since every tick in the span draws."""
+        cd = self.clock_delay
+        first, stop = -(-lo // cd), -(-hi // cd)
+        if not self.flows or stop <= first:
+            return []
+        rows = self.rng.random((stop - first, len(self.flows)))
+        hits = np.flatnonzero((rows < [f.rate for f in self.flows]).any(axis=1))
+        return [((first + hit) * cd, rows[hit].tolist()) for hit in hits.tolist()]
 
-    def plan(self) -> None:
-        """Take the flows' current rates for the rows already drawn and
-        for those drawn later."""
-        self.rates = np.array([f.rate for f in self.flows])
-        self._find_hits()
-
-    def next_injection(self, end: int) -> int | None:
-        """The cycle before ``end`` of the next tick on which some flow
-        injects, or None; ticks before it, and up to ``end`` if there is
-        none, are passed over."""
-        if not self.flows:
-            return None
-        stop = -(-end // self.clock_delay)  # the first tick at or after end
-        while True:
-            if self.pos == len(self.rows):
-                if self.next_tick >= stop:
-                    return None
-                self.rows = self.rng.random((BLOCK, len(self.flows)))
-                self.pos = 0
-                self._find_hits()
-            row = self.hits[-1] if self.hits else len(self.rows)
-            tick = self.next_tick + row - self.pos
-            if tick >= stop:
-                self.pos += stop - self.next_tick
-                self.next_tick = stop
-                return None
-            self.pos, self.next_tick = row, tick
-            if self.hits:
-                return tick * self.clock_delay
-
-    def tick(self, cycle: int, dest_coords) -> None:
-        """Inject on tick ``next_tick``, found by ``next_injection``."""
-        draws = self.rows[self.pos].tolist()
-        self.pos += 1
-        self.next_tick += 1
-        self.hits.pop()
+    def tick(self, cycle: int, draws: list[float], dest_coords) -> None:
+        """Inject on the tick at ``cycle``, given its flows' uniforms."""
         for flow, u in zip(self.flows, draws):
             if u >= flow.rate:
                 continue
@@ -836,19 +801,16 @@ class Network:
         staged, flying = self.staged_credits, self.flying_credits
         links_awake, routers_awake = self._links_awake, self._routers_awake
         sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
-        # (cycle, index) of each PE's next injecting tick in this run
-        pe_due = []
-        for i, pe in enumerate(pe_list):
-            pe.plan()
-            due = pe.next_injection(end)
-            if due is not None:
-                pe_due.append((due, i))
-        heapq.heapify(pe_due)
 
         # cycles count from the network's start, so that latencies and clock
         # phases carry across runs
         for lo in range(start, end, CHUNK):
             hi = min(lo + CHUNK, end)
+            # the PEs' injections of this chunk, in PE order within a cycle
+            due: dict[int, list[tuple[PE, list[float]]]] = {}
+            for pe in pe_list:
+                for cycle, draws in pe.injections(lo, hi):
+                    due.setdefault(cycle, []).append((pe, draws))
             for cycle in range(lo, hi):
                 if flying:
                     accept_credits(flying)
@@ -869,15 +831,8 @@ class Network:
                             sink.awake = False
                         else:
                             sinks_awake.append(sink)
-                while pe_due and pe_due[0][0] == cycle:
-                    i = pe_due[0][1]
-                    pe = pe_list[i]
-                    pe.tick(cycle, dest_coords)
-                    due = pe.next_injection(end)
-                    if due is None:
-                        heapq.heappop(pe_due)
-                    else:
-                        heapq.heapreplace(pe_due, (due, i))
+                for pe, draws in due.get(cycle, ()):
+                    pe.tick(cycle, draws, dest_coords)
                 _tick_due(sources_awake, cycle)
                 for link in links_awake:
                     link.observe(cycle)

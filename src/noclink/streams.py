@@ -46,8 +46,8 @@ class DataStream:
     def __post_init__(self):
         words = np.ascontiguousarray(self.words, dtype=np.uint64)
         object.__setattr__(self, "words", words)
-        if self.width < 1:
-            raise StreamError(f"stream width must be >= 1, got {self.width}")
+        if not 1 <= self.width <= 64:
+            raise StreamError(f"stream width {self.width} is outside [1, 64]")
         if self.width < 64 and words.size and int(words.max()) >= (1 << self.width):
             raise StreamError(f"word out of range for width {self.width}")
 
@@ -142,10 +142,12 @@ class StreamSpec:
     def __post_init__(self):
         if self.distribution not in DISTRIBUTIONS:
             raise StreamError(f"unknown distribution {self.distribution!r}")
-        if self.width < 1:
-            raise StreamError("width must be >= 1")
+        if not 1 <= self.width <= 64:
+            raise StreamError(f"stream width {self.width} is outside [1, 64]")
         if self.length < 1:
-            raise StreamError("length must be >= 1")
+            raise StreamError(f"length {self.length} must be >= 1")
+        if self.seed < 0:
+            raise StreamError(f"seed {self.seed} must be >= 0")
         if self.distribution in ("gaussian", "lognormal"):
             if self.sigma is None or self.rho is None:
                 raise StreamError(f"{self.distribution} stream needs sigma and rho")

@@ -18,8 +18,8 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .simnet import FlowSpec
-from .streams import StreamSpec, generate_stream, read_stream_binary, stream_draw
+from .simnet import ConfigurationError, FlowSpec
+from .streams import StreamError, StreamSpec, generate_stream, read_stream_binary, stream_draw
 
 log = logging.getLogger(__name__)
 
@@ -211,18 +211,16 @@ def make_payload_source(cfg: dict, flit_width: int) -> PayloadSource:
     kind = cfg.get("payload")
     if kind is None:
         raise TrafficError("flow is missing a payload kind")
-    seed = int(cfg.get("seed", 0))
-    length = int(cfg.get("length", _DEFAULT_LENGTH))
+    seed = _attr(cfg, "seed", int, 0)
+    length = _attr(cfg, "length", int, _DEFAULT_LENGTH)
     if kind in _SYNTHETIC:
-        sigma = float(cfg["sigma"]) if "sigma" in cfg else None
-        rho = float(cfg["rho"]) if "rho" in cfg else None
+        sigma, rho = _attr(cfg, "sigma", float), _attr(cfg, "rho", float)
         spec = StreamSpec(kind, flit_width, length, sigma=sigma, rho=rho, seed=seed)
         return source_from_spec(spec, kind)
     if kind in ("pixel-packed", "pixel-msb"):
-        try:
-            sigma, rho = float(cfg["sigma"]), float(cfg["rho"])
-        except KeyError as exc:
-            raise TrafficError(f"{kind} payload needs sigma and rho") from exc
+        sigma, rho = _attr(cfg, "sigma", float), _attr(cfg, "rho", float)
+        if sigma is None or rho is None:
+            raise TrafficError(f"{kind} payload needs sigma and rho")
         build = packed_pixel_source if kind == "pixel-packed" else msb_pixel_source
         return build(flit_width, length, sigma, rho, seed)
     if kind == "raw":
@@ -239,6 +237,18 @@ def make_payload_source(cfg: dict, flit_width: int) -> PayloadSource:
     raise TrafficError(f"unknown payload kind {kind!r}")
 
 
+def _attr(cfg: dict, key: str, kind: type, default=None):
+    """Attribute ``key`` of a flow mapping as an int or float, or
+    ``default`` when the flow does not set it."""
+    if key not in cfg:
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise TrafficError(f"{key} {cfg[key]!r} is not {noun}") from exc
+
+
 def _file_of(cfg: dict, kind: str) -> str:
     try:
         return cfg["file"]
@@ -250,44 +260,49 @@ def _file_of(cfg: dict, kind: str) -> str:
 
 
 def load_traffic_spec(
-    flows: list[dict], nodes: dict, flit_width: int, flits_per_packet: int
+    flows: list[dict], nodes: dict, flit_width: int, flits_per_packet: int,
+    where: list[str] | None = None,
 ) -> list[FlowSpec]:
     """Validate flat flow mappings into flow specs, numbered by position.
 
     Data types are assigned per (source, payload) pair in listed order
     unless a flow names its ``typeId`` explicitly; the type after the
-    last payload type is reserved for head flits by the simulator.
+    last payload type is reserved for head flits by the simulator.  A
+    bad flow's error starts with ``where[i]``, or else with its position.
     """
     specs: list[FlowSpec] = []
     assigned: dict[tuple, int] = {}
     next_type = 0
     for cfg in flows:
+        label = where[len(specs)] if where else f"flow {len(specs)}"
+        missing = sorted({"src", "dst", "rate"} - cfg.keys())
+        if missing:
+            raise TrafficError(f"{label} is missing {missing}")
         try:
-            src, dst = cfg["src"], cfg["dst"]
-            rate = float(cfg["rate"])
-        except KeyError as exc:
-            raise TrafficError(f"flow is missing attribute {exc}") from exc
-        for node in (src, dst):
-            if node not in nodes:
-                raise TrafficError(f"unknown node {node!r} in traffic flow")
-        payload = make_payload_source(cfg, flit_width)
-        if payload.width != flit_width:
-            raise TrafficError(
-                f"payload width {payload.width} does not match flit width {flit_width}"
+            src, dst, rate = cfg["src"], cfg["dst"], _attr(cfg, "rate", float)
+            for node in (src, dst):
+                if node not in nodes:
+                    raise TrafficError(f"unknown node {node!r} in traffic flow")
+            payload = make_payload_source(cfg, flit_width)
+            if payload.width != flit_width:
+                raise TrafficError(
+                    f"payload width {payload.width} does not match flit width {flit_width}"
+                )
+            if "typeId" in cfg:
+                type_id = _attr(cfg, "typeId", int)
+                next_type = max(next_type, type_id + 1)
+            else:
+                key = (src, payload.name, cfg.get("seed"))
+                if key not in assigned:
+                    assigned[key] = next_type
+                    next_type += 1
+                type_id = assigned[key]
+            specs.append(
+                FlowSpec(
+                    len(specs), type_id, src, dst, rate,
+                    _attr(cfg, "flitsPerPacket", int, flits_per_packet), payload,
+                )
             )
-        if "typeId" in cfg:
-            type_id = int(cfg["typeId"])
-            next_type = max(next_type, type_id + 1)
-        else:
-            key = (src, payload.name, cfg.get("seed"))
-            if key not in assigned:
-                assigned[key] = next_type
-                next_type += 1
-            type_id = assigned[key]
-        specs.append(
-            FlowSpec(
-                len(specs), type_id, src, dst, rate,
-                int(cfg.get("flitsPerPacket", flits_per_packet)), payload,
-            )
-        )
+        except (TrafficError, ConfigurationError, StreamError, OSError) as exc:
+            raise TrafficError(f"{label}: {exc}") from exc
     return specs

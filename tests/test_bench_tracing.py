@@ -54,8 +54,12 @@ def test_installed_patches_and_restores(tracing):
         "link_switching", "link_energy_report", "compute_bit_stats",
         "compute_sequential_switching", "link_stats_from_result", "multiplex_streams",
     }
-    from noclink import cli, sweeps
+    from noclink import cli, reporting, simnet, sweeps
 
+    assert set(patched) >= {
+        (simnet.Network, "run"), (simnet.Router, "tick"), (simnet.Link, "deliver"),
+        (simnet.Link, "observe"), (reporting.LinkObserver, "record"),
+        (simnet.SourceNI, "tick"), (simnet.SinkNI, "tick"), (simnet.PE, "tick")}
     assert set(patched) >= {(cli, name) for name in (
         "main", "cmd_simulate", "cmd_analyze", "cmd_oracle", "parse_config",
         "build_simulation", "emit_reports", "write_link_protocol",

@@ -337,6 +337,20 @@ class TestStreams:
         ])
         assert code == 1
 
+    @pytest.mark.parametrize("argv, width", [
+        (["streams", "--dist", "gaussian", "--width", "65", "--sigma", "1e10",
+          "--rho", "0.5", "--length", "10"], 65),
+        (["streams", "--dist", "lognormal", "--width", "70", "--sigma", "1e10",
+          "--rho", "0.5", "--length", "10"], 70),
+        (["sweep-mux", "--streams", "2", "--widths", "65", "--mux", "0.4",
+          "--runs", "1", "--flits", "100"], 65),
+    ])
+    def test_width_over_64_exit_1(self, tmp_path, capsys, argv, width):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"stream width {width} is outside [1, 64]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweeps:
     def test_accuracy_csv(self, tmp_path):

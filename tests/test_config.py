@@ -184,6 +184,44 @@ class TestTraffic:
         with pytest.raises(ConfigError, match=r"<flow> at line \d+ is missing \['rate'\]"):
             parse_config(minimal(tmp_path, extra=extra))
 
+    @pytest.mark.parametrize("attrs, expect", [
+        ('rate="abc"', "rate 'abc' is not a number"),
+        ('rate="0.1" seed="x"', "seed 'x' is not an integer"),
+        ('rate="0.1" length="x"', "length 'x' is not an integer"),
+        ('rate="0.1" flitsPerPacket="x"', "flitsPerPacket 'x' is not an integer"),
+        ('rate="0.1" typeId="x"', "typeId 'x' is not an integer"),
+        ('rate="0.1" length="0"', "length 0 must be >= 1"),
+        ('rate="0.1" seed="-1"', "seed -1 must be >= 0"),
+        ('rate="0.1" sigma="q" rho="0.5"', "sigma 'q' is not a number"),
+        ('rate="0.1" file="missing.bin"', "[Errno 2] No such file or directory: 'missing.bin'"),
+    ])
+    def test_bad_flow_attribute_names_path_line_and_attribute(
+            self, tmp_path, capsys, attrs, expect):
+        # the bad flow comes second, so its line is not the first flow's
+        kind = "gaussian" if "sigma" in attrs else "raw" if "file" in attrs else "uniform"
+        extra = (
+            "<traffic>\n"
+            '  <flow src="A" dst="B" rate="0.1" payload="uniform"/>\n'
+            f'  <flow src="B" dst="A" payload="{kind}" {attrs}/>\n'
+            "</traffic>\n"
+        )
+        path = minimal(tmp_path, extra=extra)
+        line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                    if 'src="B"' in row)
+        message = f"{path}: <flow> at line {line}: {expect}"
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--cycles", "10"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["0", "2e-3", " 0.5 ", "1"])
+    def test_flow_rate_forms_accepted(self, tmp_path, rate):
+        extra = f'<traffic>\n  <flow src="A" dst="B" rate="{rate}" payload="uniform"/>\n</traffic>\n'
+        (spec,) = parse_config(minimal(tmp_path, extra=extra)).traffic
+        assert spec.rate == float(rate)
+
     def test_empty_traffic_builds_idle_network(self, tmp_path):
         cfg = parse_config(minimal(tmp_path, extra="<traffic/>\n"))
         net = build_simulation(cfg, seed=0)

@@ -368,6 +368,21 @@ class TestRepeatedRuns:
         assert whole.injected_packets > 0
         self.assert_same_result(result, whole)
 
+    @pytest.mark.parametrize("pe_clock_delay", [1, 2, 3])
+    def test_split_runs_across_chunks_equal_one_run(self, pe_clock_delay):
+        # runs that start and end on either side of chunk boundaries
+        splits = (CHUNK - 1, 2, CHUNK + 1, 5, 3 * CHUNK // 2)
+
+        def net():
+            return case_net(2, rate=0.03, seed=26, pe_clock_delay=pe_clock_delay)
+
+        split = net()
+        for cycles in splits:
+            result = split.run(cycles)
+        whole = net().run(sum(splits))
+        assert whole.injected_packets > 0
+        self.assert_same_result(result, whole)
+
     def test_rate_change_between_runs(self):
         # a PE draws its uniforms ahead of time; a rate set between runs
         # must apply to every tick of the next run, drawn or not

@@ -62,6 +62,13 @@ class TestGenerate:
         with pytest.raises(StreamError):
             StreamSpec(**kwargs)
 
+    @pytest.mark.parametrize("width", [0, 65])
+    def test_width_outside_a_word(self, width):
+        with pytest.raises(StreamError, match=f"width {width} is outside"):
+            StreamSpec("uniform", width, 10)
+        with pytest.raises(StreamError, match=f"width {width} is outside"):
+            stream([0], width)
+
 
 class TestMultiplex:
     def test_zero_mux_stays_on_first_source(self):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
-from noclink.simnet import PE, ConfigurationError, FlowSpec
+from noclink.simnet import CHUNK, PE, ConfigurationError, FlowSpec
 from noclink.streams import StreamSpec, generate_stream
 from noclink.traffic import (
     PayloadSource,
@@ -296,11 +296,8 @@ def inject_packets(spec, cycles, seed):
     over ``cycles`` PE cycles, driven tick by tick without a network."""
     ni = RecordingNI()
     pe = PE("A", {"A": 0, "B": 1}, 16, 1, [spec], ni, head_type=1, seed=seed)
-    pe.plan()
-    cycle = pe.next_injection(cycles)
-    while cycle is not None:
-        pe.tick(cycle, NODES)
-        cycle = pe.next_injection(cycles)
+    for cycle, draws in pe.injections(0, cycles):
+        pe.tick(cycle, draws, NODES)
     return ni.packets
 
 
@@ -311,6 +308,24 @@ class TestInjectPackets:
         assert 19_500 <= len(packets) <= 20_500
         cycles = [c for c, _ in packets]
         assert cycles == sorted(set(cycles)) and cycles[-1] < 100_000
+
+    def test_schedule_equals_per_tick_draws(self):
+        # spans cross CHUNK and one holds no tick of clock delay 3; the
+        # uniforms must be those of one scalar draw per flow and tick
+        rates = [0.1, 0.3]
+        flows = [FlowSpec(i, i, "A", "B", rate, 4, simple_source())
+                 for i, rate in enumerate(rates)]
+        pe = PE("A", {"A": 0, "B": 1}, 16, 3, flows, RecordingNI(), head_type=2, seed=11)
+        spans = [(0, 5000), (5000, 5001), (5001, 13001)]
+        assert spans[0][0] < CHUNK < spans[0][1] and spans[2][0] < 2 * CHUNK < spans[2][1]
+        got = [hit for lo, hi in spans for hit in pe.injections(lo, hi)]
+        rng = np.random.default_rng(11)
+        want = []
+        for tick in range(-(-13001 // 3)):
+            draws = rng.random(len(flows))
+            if (draws < rates).any():
+                want.append((3 * tick, draws.tolist()))
+        assert len(want) > 1000 and got == want
 
     def test_zero_rate(self):
         spec = FlowSpec(0, 0, "A", "B", 0.0, 32, simple_source())
