@@ -10,7 +10,7 @@ Subcommands:
 * ``sweep-coding`` -- coding gain sweep over mux probability
 * ``case-study``   -- the seven-router reference study (latency, energy, coding)
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation or usage error, 2 runtime error.
 """
 from __future__ import annotations
 
@@ -24,16 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import sweeps
-from .codecs import CodecError
-from .config import ConfigError, build_simulation, parse_config
-from .energy import CapacitanceError, load_capacitance_model
-from .linkmodel import LinkModelError
-from .oracle import LinkTrace, TraceError, exact_energy, replay_link_protocol, write_link_protocol
+from .config import build_simulation, parse_config
+from .energy import load_capacitance_model
+from .oracle import (TRACE_COLUMNS, LinkTrace, exact_energy, replay_link_protocol,
+                     write_link_protocol)
 from .reporting import (LinkObserver, ReportingError, emit_reports, link_file_name,
                         write_energy_json)
-from .simnet import ConfigurationError, SimulationResult
+from .simnet import SimulationResult
 from .streams import (
-    StreamError,
     StreamSpec,
     compute_bit_stats,
     generate_stream,
@@ -41,12 +39,10 @@ from .streams import (
     write_stream_csv,
 )
 from .sweeps import SweepError
-from .traffic import TrafficError
 
+# every noclink error for bad input is a ValueError
 VALIDATION_ERRORS = (
-    ConfigError, ConfigurationError, TrafficError, SweepError, CodecError,
-    StreamError, TraceError, CapacitanceError, LinkModelError, ReportingError,
-    FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError, ValueError,
+    ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
 )
 
 
@@ -56,7 +52,6 @@ VALIDATION_ERRORS = (
 # TRACE_COLUMNS, one entry per flit.  Earlier format-3 runs also hold each
 # flow's consumed payload, which loading ignores.
 RUN_FORMAT = 3
-TRACE_COLUMNS = ("cycles", "types", "words", "flows", "indices")
 
 
 def _save_traces(result: SimulationResult, out: Path) -> None:
@@ -113,11 +108,8 @@ def _load_run(run_dir: Path) -> SimulationResult:
             key = link_file_name(link_id)
             trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
                               length=result.cycles, width=result.flit_width)
-            observer = LinkObserver.from_trace(trace, result.n_types, link_id)
-            result.link_traces[link_id] = trace
-            result.link_vertical[link_id] = vertical
-            result.data_flow[link_id] = observer.finalize()
-            result.link_flit_counts[link_id] = observer.type_flit_counts()
+            result.add_link(link_id, LinkObserver.from_trace(trace, result.n_types, link_id),
+                            vertical, trace)
     return result
 
 
@@ -128,22 +120,16 @@ def _cap_model(path, kind: str, width: int):
     return sweeps.case_study_cap2d(width) if kind == "2d" else sweeps.case_study_cap3d(width)
 
 
-def _energy_reports(result, args, traces=None):
-    """Energy reports of ``traces``, or of the recorded traces, against the
-    capacitance models of ``args`` at the traces' width."""
-    width = next(iter(traces.values())).width if traces else result.flit_width
-    cap2d, cap3d = _cap_model(args.cap2d, "2d", width), _cap_model(args.cap3d, "3d", width)
-    return sweeps.network_energy_reports(
-        result, cap2d, cap3d, sweeps.TECH,
-        traces=traces, eq11_literal=getattr(args, "eq11_literal", False),
-    )
+def _check_cycles(cycles: int) -> None:
+    if cycles < 2:
+        raise SweepError(f"a run needs at least two cycles, got --cycles {cycles}")
 
 
-def _parse_float_list(text: str) -> list[float]:
+def float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _parse_int_list(text: str) -> list[int]:
+def int_list(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
@@ -154,13 +140,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def cmd_simulate(args) -> int:
+    _check_cycles(args.cycles)
     cfg = parse_config(args.config)
     net = build_simulation(cfg, seed=args.seed, collect_traces=True)
     result = net.run(args.cycles, check_invariants=args.check_invariants)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    energy = _energy_reports(result, args) if (args.cap2d or args.cap3d) else None
-    emit_reports(result, out, energy)
+    emit_reports(result, out)
     _save_traces(result, out)
     meta = {
         "format": RUN_FORMAT,
@@ -186,10 +172,13 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     run_dir = Path(args.run)
     result = _load_run(run_dir)
-    traces, suffix = None, ""
+    traces, suffix, width = None, "", result.flit_width
     if args.codec and args.codec != "none":
         traces, suffix = sweeps.coded_traces(result, args.codec), f"_{args.codec}"
-    reports = _energy_reports(result, args, traces)
+        width = next(iter(traces.values())).width
+    reports = sweeps.network_energy_reports(
+        result, _cap_model(args.cap2d, "2d", width), _cap_model(args.cap3d, "3d", width),
+        sweeps.TECH, traces=traces, eq11_literal=args.eq11_literal)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     path = write_energy_json(out / f"energy{suffix}.json", reports)
@@ -237,23 +226,20 @@ def cmd_streams(args) -> int:
     return 0
 
 
+# sweep-mux flags that only the accuracy mode reads, by the keyword of
+# mux_accuracy_sweep they set; one left out keeps that keyword's default
+ACCURACY_FLAGS = {"--streams": "stream_counts", "--widths": "widths",
+                  "--flits": "flits", "--jobs": "jobs"}
+
+
 def cmd_sweep_mux(args) -> int:
-    if args.mode == "accuracy":
-        rows = sweeps.mux_accuracy_sweep(
-            stream_counts=_parse_int_list(args.streams),
-            widths=_parse_int_list(args.widths),
-            mux_probs=_parse_float_list(args.mux),
-            runs=args.runs,
-            flits=args.flits,
-            seed=args.seed,
-            jobs=args.jobs,
-        )
-    else:
-        rows = sweeps.mux_energy_sweep(
-            mux_probs=_parse_float_list(args.mux),
-            runs=args.runs,
-            seed=args.seed,
-        )
+    given = {flag: key for flag, key in ACCURACY_FLAGS.items()
+             if getattr(args, key) is not None}
+    if args.mode == "energy" and given:
+        raise SweepError(f"sweep-mux --mode energy does not take {', '.join(given)}")
+    sweep = sweeps.mux_accuracy_sweep if args.mode == "accuracy" else sweeps.mux_energy_sweep
+    rows = sweep(mux_probs=args.mux, runs=args.runs, seed=args.seed,
+                 **{key: getattr(args, key) for key in given.values()})
     path = sweeps.write_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -262,7 +248,7 @@ def cmd_sweep_mux(args) -> int:
 def cmd_sweep_coding(args) -> int:
     rows = sweeps.coding_sweep(
         codec_names=[c for c in args.codecs.split(",") if c],
-        mux_probs=_parse_float_list(args.mux),
+        mux_probs=args.mux,
         distribution=args.dist,
         runs=args.runs,
         seed=args.seed,
@@ -273,6 +259,7 @@ def cmd_sweep_coding(args) -> int:
 
 
 def cmd_case_study(args) -> int:
+    _check_cycles(args.cycles)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     cap2d, cap3d = sweeps.case_study_cap2d(), sweeps.case_study_cap3d()
@@ -294,7 +281,8 @@ def cmd_case_study(args) -> int:
             energy_rows = []
             for link_id, rep in sorted(reports.items()):
                 cap = cap3d if run.result.link_vertical[link_id] else cap2d
-                orc = sweeps.link_oracle_energy(run.result, link_id, cap, sweeps.TECH)
+                orc = exact_energy(run.result.link_traces[link_id], cap, sweeps.TECH,
+                                   link=link_id)
                 energy_rows.append({
                     "link": link_id,
                     "kind": rep.kind,
@@ -303,7 +291,8 @@ def cmd_case_study(args) -> int:
                     "oracle_fj_per_cycle": orc.energy_per_cycle_fj,
                 })
             sweeps.write_csv(out / "energy.csv", energy_rows)
-            emit_reports(run.result, out / "vc4", reports)
+            emit_reports(run.result, out / "vc4")
+            write_energy_json(out / "vc4" / "energy.json", reports)
     sweeps.write_csv(out / "latency.csv", perf_rows)
 
     # coding comparison on image-like payloads, with and without VCs
@@ -331,8 +320,16 @@ def cmd_case_study(args) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: it exits 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noclink",
         description="NoC simulation and pattern-dependent link energy analysis",
     )
@@ -345,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a configured simulation")
     p.add_argument("--config", required=True)
     p.add_argument("--cycles", type=int, default=100_000)
-    p.add_argument("--cap2d", help="2d capacitance model file (optional)")
-    p.add_argument("--cap3d", help="3d capacitance model file (optional)")
     p.add_argument("--debug-protocol", action="store_true")
     p.add_argument("--check-invariants", action="store_true")
     common(p)
@@ -383,18 +378,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-mux", help="accuracy or energy vs mux probability")
     p.add_argument("--mode", choices=("accuracy", "energy"), default="accuracy")
-    p.add_argument("--streams", default="2..5")
-    p.add_argument("--widths", default="16,32")
-    p.add_argument("--mux", default="0.1,0.4,0.7,1.0")
+    p.add_argument("--streams", type=int_list, dest="stream_counts",
+                   help="accuracy mode only")
+    p.add_argument("--widths", type=int_list, help="accuracy mode only")
+    p.add_argument("--mux", type=float_list, default="0.1,0.4,0.7,1.0")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--flits", type=int, default=10_000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--flits", type=int, help="accuracy mode only")
+    p.add_argument("--jobs", type=int, help="accuracy mode only")
     common(p)
     p.set_defaults(func=cmd_sweep_mux)
 
     p = sub.add_parser("sweep-coding", help="coding gain vs mux probability")
     p.add_argument("--codecs", default="invert,gray,correlator,correlator+inv")
-    p.add_argument("--mux", default="0.0,0.2,0.4,0.6,0.8,1.0")
+    p.add_argument("--mux", type=float_list, default="0.0,0.2,0.4,0.6,0.8,1.0")
     p.add_argument("--dist", default="gaussian")
     p.add_argument("--runs", type=int, default=5)
     common(p)

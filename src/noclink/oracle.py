@@ -19,6 +19,11 @@ from .streams import SwitchingMatrix, word_bits
 
 IDLE = -1
 
+# a LinkTrace's columns and their dtypes; a run directory stores each link's
+# columns under these names
+TRACE_COLUMNS = {"cycles": np.int64, "types": np.int64, "words": np.uint64,
+                 "flows": np.int64, "indices": np.int64}
+
 
 class TraceError(ValueError):
     """Malformed link trace or protocol file."""
@@ -28,20 +33,20 @@ class TraceError(ValueError):
 class LinkTrace:
     """The flits one link carried over ``length`` cycles, one entry each, on
     the ascending ``cycles`` within [0, ``length``).  Simulated traces also
-    hold each flit's flow id and payload word index (-1 for head flits)."""
+    hold each flit's flow id and payload word index (-1 for head flits).
+    Each column is cast to its ``TRACE_COLUMNS`` dtype."""
 
-    cycles: np.ndarray  # int64
-    types: np.ndarray  # int64
-    words: np.ndarray  # uint64
-    flows: Optional[np.ndarray] = None  # int64
-    indices: Optional[np.ndarray] = None  # int64
+    cycles: np.ndarray
+    types: np.ndarray
+    words: np.ndarray
+    flows: Optional[np.ndarray] = None
+    indices: Optional[np.ndarray] = None
     length: int = field(kw_only=True)
     width: int = field(kw_only=True)
 
     def __post_init__(self):
         columns = []
-        for name, dtype in (("cycles", np.int64), ("types", np.int64), ("words", np.uint64),
-                            ("flows", np.int64), ("indices", np.int64)):
+        for name, dtype in TRACE_COLUMNS.items():
             if getattr(self, name) is not None:
                 column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
                 object.__setattr__(self, name, column)

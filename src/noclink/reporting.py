@@ -123,11 +123,11 @@ def link_file_name(link_id: str) -> str:
     return link_id.replace("->", "__").replace("/", "_")
 
 
-def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Path]:
+def emit_reports(result, out_dir) -> list[Path]:
     """Write per-link M CSVs, latency summaries and a utilization table.
 
-    ``result`` is a ``noclink.simnet.SimulationResult``; ``energy_reports``
-    optionally maps link ids to ``LinkEnergyReport`` objects.
+    ``result`` is a ``noclink.simnet.SimulationResult``.  Nothing here
+    prices a link; ``write_energy_json`` writes the energy reports.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,9 +165,6 @@ def emit_reports(result, out_dir, energy_reports: dict | None = None) -> list[Pa
     written.append(_write_json(out / "link_counts.json", {
         k: [int(v) for v in c] for k, c in result.link_flit_counts.items()}))
     written.append(_write_json(out / "summary.json", summary))
-
-    if energy_reports:
-        written.append(write_energy_json(out / "energy.json", energy_reports))
     return written
 
 

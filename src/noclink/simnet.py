@@ -669,6 +669,16 @@ class SimulationResult:
     in_flight_flits: int = 0
     max_backlogs: dict = field(default_factory=dict)
 
+    def add_link(self, link_id: str, observer: LinkObserver, vertical: bool,
+                 trace: LinkTrace | None = None) -> None:
+        """Record one link: its M and per-type flit counts from ``observer``,
+        whether it is vertical, and its trace when one was kept."""
+        self.data_flow[link_id] = observer.finalize()
+        self.link_flit_counts[link_id] = observer.type_flit_counts()
+        self.link_vertical[link_id] = vertical
+        if trace is not None:
+            self.link_traces[link_id] = trace
+
     def summary(self) -> dict:
         out = {
             "cycles": self.cycles,
@@ -851,17 +861,13 @@ class Network:
         result.injected_flits = sum(pe.injected_flits for pe in pe_list)
         result.injected_packets = sum(pe.injected_packets for pe in pe_list)
         result.in_flight_flits = self.in_flight()
-        result.data_flow = {link.link_id: link.observer.finalize() for link in self.links}
-        result.link_flit_counts = {
-            link.link_id: link.observer.type_flit_counts() for link in self.links}
-        result.link_vertical = {link.link_id: link.vertical for link in self.links}
         # traces, like the observers, cover every cycle since the network was built
-        result.link_traces = {}
         for link in self.links:
+            trace = None
             if link.chunks is not None:
                 link.chunks = [tuple(np.concatenate(column) for column in zip(*link.chunks))]
-                result.link_traces[link.link_id] = LinkTrace(
-                    *link.chunks[0], length=end, width=result.flit_width)
+                trace = LinkTrace(*link.chunks[0], length=end, width=result.flit_width)
+            result.add_link(link.link_id, link.observer, link.vertical, trace)
         result.max_backlogs = {
             nid: src.max_backlog for nid, src in self.sources.items()}
         return result

@@ -7,8 +7,9 @@ Three families of experiments are provided:
 * ``mux_energy_sweep`` / ``coding_sweep`` -- stream-level link energy and
   coding gain as a function of the multiplexing probability.
 * the seven-router case study -- a full simulation whose recorded link
-  traces feed the model, the VC-blind baseline, the oracle and the
-  post-simulation coding evaluation.
+  traces feed the model and the VC-blind baseline
+  (``network_energy_reports``), the oracle (``exact_energy`` on a link's
+  trace) and the post-simulation coding evaluation.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from .linkmodel import (
     link_energy_report,
     link_switching,
 )
-from .oracle import LinkTrace, OracleEnergyReport, exact_energy, exact_switching
+from .oracle import LinkTrace, exact_energy, exact_switching
 from .reporting import LinkObserver
 from .simnet import FlowSpec, RouterConfig, SimulationResult, build_network
 from .streams import (
@@ -169,15 +170,6 @@ def coded_traces(result: SimulationResult, codec_name: str) -> dict[str, LinkTra
         out[link_id] = LinkTrace(t.cycles, t.types, link_words, t.flows, t.indices,
                                  length=t.length, width=codec.width_out)
     return out
-
-
-def link_oracle_energy(
-    result: SimulationResult,
-    link_id: str,
-    cap,
-    tech: TechnologyParams = TECH,
-) -> OracleEnergyReport:
-    return exact_energy(result.link_traces[link_id], cap, tech, link=link_id)
 
 
 def network_energy_reports(

@@ -26,7 +26,6 @@ from noclink.sweeps import (
     coded_traces,
     coding_sweep,
     evaluate_coding,
-    link_oracle_energy,
     mux_accuracy_sweep,
     mux_energy_sweep,
     network_energy_reports,
@@ -100,7 +99,7 @@ def test_criterion_2_end_to_end_energy(packed_run4):
     model_total = oracle_total = 0.0
     for link, rep in reports.items():
         cap = cap3d if result.link_vertical[link] else cap2d
-        orc = link_oracle_energy(result, link, cap).energy_per_cycle_fj
+        orc = exact_energy(result.link_traces[link], cap, TECH).energy_per_cycle_fj
         assert orc > 0.0, link
         errs[link] = abs(rep.energy_per_cycle_fj - orc) / orc
         model_total += rep.energy_per_cycle_fj
@@ -208,7 +207,7 @@ def test_criterion_6_standard_model_underestimation():
     ratios = {}
     for link in CASE_STUDY_VC_LINKS:
         cap = cap3d if result.link_vertical[link] else cap2d
-        orc = link_oracle_energy(result, link, cap).energy_per_cycle_fj
+        orc = exact_energy(result.link_traces[link], cap, TECH).energy_per_cycle_fj
         ratios[link] = orc / reports[link].std_energy_per_cycle_fj
     ok = all(r >= 2.0 for r in ratios.values())
     detail = ", ".join(f"{k} {v:.2f}x" for k, v in ratios.items())

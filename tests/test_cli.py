@@ -87,28 +87,38 @@ class TestSimulate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_capacitance_width_mismatch_exit_1(self, config_path, tmp_path, capsys):
-        cap2d = tmp_path / "cap8.npz"
-        save_capacitance_model(cap2d, template_2d_bus(8, 120.0, 40.0, 1))
-        capsys.readouterr()
-        assert run_simulate(config_path, tmp_path / "run", ("--cap2d", str(cap2d))) == 1
-        err = capsys.readouterr().err
-        assert "flit width 16 does not match capacitance width 8" in err
-        assert "codec" not in err
+    @pytest.mark.parametrize("cycles", ["1", "0"])
+    @pytest.mark.parametrize("command", ["simulate", "case-study"])
+    def test_too_few_cycles_exit_1(self, config_path, tmp_path, capsys, command, cycles):
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--cycles", cycles]
+        if command == "simulate":
+            argv += ["--config", str(config_path)]
+        assert main(argv) == 1
+        assert f"--cycles {cycles}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyze:
-    def test_matches_inline_energy_bit_identical(self, config_path, tmp_path, cap_files):
-        out = tmp_path / "run"
+    def test_cap_files_match_the_default_templates(self, recorded_run, tmp_path, cap_files):
+        # cap_files holds the case-study templates a plain analyze prices with
         cap2d, cap3d = cap_files
-        run_simulate(config_path, out, ("--cap2d", cap2d, "--cap3d", cap3d))
-        inline = json.loads((out / "energy.json").read_text())
-        assert main([
-            "analyze", "--run", str(out), "--cap2d", cap2d, "--cap3d", cap3d,
-            "--out", str(tmp_path / "post"),
-        ]) == 0
-        post = json.loads((tmp_path / "post" / "energy.json").read_text())
-        assert post == inline
+        assert main(["analyze", "--run", str(recorded_run), "--cap2d", cap2d,
+                     "--cap3d", cap3d, "--out", str(tmp_path / "files")]) == 0
+        assert main(["analyze", "--run", str(recorded_run),
+                     "--out", str(tmp_path / "plain")]) == 0
+        assert ((tmp_path / "files" / "energy.json").read_bytes()
+                == (tmp_path / "plain" / "energy.json").read_bytes())
+
+    def test_capacitance_width_mismatch_exit_1(self, recorded_run, tmp_path, capsys):
+        cap2d = tmp_path / "cap8.npz"
+        save_capacitance_model(cap2d, template_2d_bus(8, 120.0, 40.0, 1))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(recorded_run), "--cap2d", str(cap2d),
+                     "--out", str(tmp_path / "post")]) == 1
+        err = capsys.readouterr().err
+        assert "flit width 16 does not match capacitance width 8" in err
+        assert "codec" not in err
 
     def test_codec_reanalysis_without_resimulation(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -421,11 +431,48 @@ class TestSweeps:
         assert f"flits={flits}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--streams", "7"), ("--widths", "32"), ("--flits", "100"), ("--jobs", "2"),
+    ])
+    def test_energy_mode_rejects_accuracy_flags(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "mux.csv"
+        assert main(["sweep-mux", "--mode", "energy", "--mux", "0.5", "--runs", "1",
+                     flag, value, "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_leave_the_rows_unchanged(self, tmp_path):
+        rows = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["sweep-mux", "--streams", "2,3", "--widths", "16",
+                         "--mux", "0.4,1.0", "--runs", "2", "--flits", "500",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
+
 
 class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["transmogrify"])
+
+    @pytest.mark.parametrize("extra", [
+        ["--cycles", "abc"], ["--bogus"], ["--cap2d", "cap2d.npz"],
+    ])
+    def test_usage_error_exits_1(self, tmp_path, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(tmp_path / "sim.xml"),
+                  "--out", str(tmp_path / "run"), *extra])
+        assert exc.value.code == 1
+        assert "usage: noclink" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--cycles" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--trace", "{dir}", "--width", "16"],
