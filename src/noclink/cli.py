@@ -10,6 +10,9 @@ Subcommands:
 * ``sweep-coding`` -- coding gain sweep over mux probability
 * ``case-study``   -- the seven-router reference study (latency, energy, coding)
 
+The sweep commands pass on only the flags given, each as the keyword of the
+sweep function it names, so an omitted flag keeps that function's default.
+
 Exit codes: 0 success, 1 validation or usage error, 2 runtime error.
 """
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .reporting import (LinkObserver, ReportingError, emit_reports, link_file_na
                         write_energy_json)
 from .simnet import SimulationResult
 from .streams import (
+    DISTRIBUTIONS,
     StreamSpec,
     compute_bit_stats,
     generate_stream,
@@ -125,15 +129,19 @@ def _check_cycles(cycles: int) -> None:
         raise SweepError(f"a run needs at least two cycles, got --cycles {cycles}")
 
 
+def str_list(text: str) -> list[str]:
+    return [tok for tok in text.split(",") if tok]
+
+
 def float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+    return [float(tok) for tok in str_list(text)]
 
 
 def int_list(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+    return [int(tok) for tok in str_list(text)]
 
 
 # --- subcommands --------------------------------------------------------------
@@ -178,7 +186,7 @@ def cmd_analyze(args) -> int:
         width = next(iter(traces.values())).width
     reports = sweeps.network_energy_reports(
         result, _cap_model(args.cap2d, "2d", width), _cap_model(args.cap3d, "3d", width),
-        sweeps.TECH, traces=traces, eq11_literal=args.eq11_literal)
+        traces=traces, eq11_literal=args.eq11_literal)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     path = write_energy_json(out / f"energy{suffix}.json", reports)
@@ -226,33 +234,22 @@ def cmd_streams(args) -> int:
     return 0
 
 
-# sweep-mux flags that only the accuracy mode reads, by the keyword of
-# mux_accuracy_sweep they set; one left out keeps that keyword's default
+# the sweep function of each sweep command's mode
+SWEEPS = {"accuracy": "mux_accuracy_sweep", "energy": "mux_energy_sweep",
+          "coding": "coding_sweep"}
+# sweep-mux flags that only the accuracy mode reads, by the keyword they set
 ACCURACY_FLAGS = {"--streams": "stream_counts", "--widths": "widths",
                   "--flits": "flits", "--jobs": "jobs"}
 
 
-def cmd_sweep_mux(args) -> int:
-    given = {flag: key for flag, key in ACCURACY_FLAGS.items()
-             if getattr(args, key) is not None}
+def cmd_sweep(args) -> int:
+    """Run the mode's sweep with the given flags, and only those, as keywords."""
+    kwargs = {k: v for k, v in vars(args).items()
+              if v is not None and k not in ("command", "func", "mode", "out")}
+    given = [flag for flag, key in ACCURACY_FLAGS.items() if key in kwargs]
     if args.mode == "energy" and given:
         raise SweepError(f"sweep-mux --mode energy does not take {', '.join(given)}")
-    sweep = sweeps.mux_accuracy_sweep if args.mode == "accuracy" else sweeps.mux_energy_sweep
-    rows = sweep(mux_probs=args.mux, runs=args.runs, seed=args.seed,
-                 **{key: getattr(args, key) for key in given.values()})
-    path = sweeps.write_csv(args.out, rows)
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
-
-
-def cmd_sweep_coding(args) -> int:
-    rows = sweeps.coding_sweep(
-        codec_names=[c for c in args.codecs.split(",") if c],
-        mux_probs=args.mux,
-        distribution=args.dist,
-        runs=args.runs,
-        seed=args.seed,
-    )
+    rows = getattr(sweeps, SWEEPS[args.mode])(**kwargs)
     path = sweeps.write_csv(args.out, rows)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -277,7 +274,7 @@ def cmd_case_study(args) -> int:
                 row[f"{key}_ns"] = summary[key]["ns"]["mean"]
         perf_rows.append(row)
         if vc == 4:
-            reports = sweeps.network_energy_reports(run.result, cap2d, cap3d, sweeps.TECH)
+            reports = sweeps.network_energy_reports(run.result, cap2d, cap3d)
             energy_rows = []
             for link_id, rep in sorted(reports.items()):
                 cap = cap3d if run.result.link_vertical[link_id] else cap2d
@@ -302,9 +299,7 @@ def cmd_case_study(args) -> int:
             vc, cycles=args.cycles, seed=args.seed,
             payload_kind="pixel-msb", rho=0.9999, rate=0.0075, stream_seed=110,
         )
-        gains = sweeps.evaluate_coding(
-            run, ["gray", "correlator+inv"], cap2d, cap3d, sweeps.TECH
-        )
+        gains = sweeps.evaluate_coding(run, ["gray", "correlator+inv"], cap2d, cap3d)
         for name, entry in gains.items():
             coding_rows.append({
                 "vc_count": vc,
@@ -335,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
-        p.add_argument("--seed", type=int, default=1)
+    def common(p, out_required=True, seed=1):
+        p.add_argument("--seed", type=int, default=seed)
         p.add_argument("--out", required=out_required, help="output path")
 
     p = sub.add_parser("simulate", help="run a configured simulation")
@@ -353,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap3d")
     p.add_argument("--codec", default="none")
     p.add_argument("--eq11-literal", action="store_true", dest="eq11_literal")
-    common(p, out_required=False)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("oracle", help="bit-level energy of a link protocol")
@@ -363,12 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap3d")
     p.add_argument("--vertical", action="store_true",
                    help="use the 3d template when no model file is given")
-    common(p, out_required=False)
+    p.add_argument("--out", help="output path")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("streams", help="generate a synthetic stream")
-    p.add_argument("--dist", default="gaussian",
-                   choices=("uniform", "gaussian", "lognormal"))
+    p.add_argument("--dist", default="gaussian", choices=DISTRIBUTIONS)
     p.add_argument("--width", type=int, default=16)
     p.add_argument("--length", type=int, default=10_000)
     p.add_argument("--sigma", type=float)
@@ -376,25 +370,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, out_required=False)
     p.set_defaults(func=cmd_streams)
 
+    # a sweep flag left out is None, and cmd_sweep leaves it to the sweep
     p = sub.add_parser("sweep-mux", help="accuracy or energy vs mux probability")
     p.add_argument("--mode", choices=("accuracy", "energy"), default="accuracy")
     p.add_argument("--streams", type=int_list, dest="stream_counts",
                    help="accuracy mode only")
     p.add_argument("--widths", type=int_list, help="accuracy mode only")
-    p.add_argument("--mux", type=float_list, default="0.1,0.4,0.7,1.0")
-    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--mux", type=float_list, dest="mux_probs")
+    p.add_argument("--runs", type=int)
     p.add_argument("--flits", type=int, help="accuracy mode only")
     p.add_argument("--jobs", type=int, help="accuracy mode only")
-    common(p)
-    p.set_defaults(func=cmd_sweep_mux)
+    common(p, seed=None)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("sweep-coding", help="coding gain vs mux probability")
-    p.add_argument("--codecs", default="invert,gray,correlator,correlator+inv")
-    p.add_argument("--mux", type=float_list, default="0.0,0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--dist", default="gaussian")
-    p.add_argument("--runs", type=int, default=5)
-    common(p)
-    p.set_defaults(func=cmd_sweep_coding)
+    p.add_argument("--codecs", type=str_list, dest="codec_names")
+    p.add_argument("--mux", type=float_list, dest="mux_probs")
+    # the sweep checks --dist, so main returns 1 for a bad one, as for bad input
+    p.add_argument("--dist", dest="distribution", metavar="{%s}" % ",".join(DISTRIBUTIONS))
+    p.add_argument("--runs", type=int)
+    common(p, seed=None)
+    p.set_defaults(func=cmd_sweep, mode="coding")
 
     p = sub.add_parser("case-study", help="seven-router reference study")
     p.add_argument("--cycles", type=int, default=100_000)

@@ -176,7 +176,6 @@ def network_energy_reports(
     result: SimulationResult,
     cap2d: Capacitance2D,
     cap3d: Capacitance3D,
-    tech: TechnologyParams = TECH,
     *,
     traces: dict[str, LinkTrace] | None = None,
     eq11_literal: bool = False,
@@ -198,7 +197,7 @@ def network_energy_reports(
                 f" capacitance width {cap.width}"
             )
         reports[link_id] = link_energy_report(
-            stats, dfm, cap, tech,
+            stats, dfm, cap, TECH,
             link=link_id,
             payload_bits=result.flit_width,
             head_type=result.n_types - 1,
@@ -230,7 +229,6 @@ def case_study_traffic(
     sigma: float = 40.0,
     rho: float = 0.995,
     stream_seed: int = 100,
-    length: int = 1 << 20,
 ) -> list[FlowSpec]:
     """Six sensor flows towards the memory node, one data type each."""
     return [
@@ -238,7 +236,7 @@ def case_study_traffic(
             i, i, src, CASE_STUDY_DEST, rate, CASE_STUDY_FLITS_PER_PACKET,
             make_payload_source(
                 {"payload": payload_kind, "sigma": sigma, "rho": rho,
-                 "seed": stream_seed + i, "length": length},
+                 "seed": stream_seed + i, "length": 1 << 20},
                 CASE_STUDY_FLIT_WIDTH,
             ),
         )
@@ -262,8 +260,6 @@ def run_case_study(
     sigma: float = 40.0,
     rho: float = 0.995,
     stream_seed: int = 100,
-    buffer_depth: int = 4,
-    arbitration: str = "fair",
     collect_traces: bool = True,
     check_invariants: bool = False,
 ) -> CaseStudyRun:
@@ -276,8 +272,7 @@ def run_case_study(
         traffic,
         flit_width=CASE_STUDY_FLIT_WIDTH,
         router_cfg=RouterConfig(
-            vc_count=vc_count, buffer_depth=buffer_depth,
-            arbitration=arbitration, clock_delay=1,
+            vc_count=vc_count, buffer_depth=4, arbitration="fair", clock_delay=1,
         ),
         pe_clock_delay=2,
         clock_period=TECH.clock_period,
@@ -293,7 +288,6 @@ def evaluate_coding(
     codec_names: list[str],
     cap2d: Capacitance2D,
     cap3d: Capacitance3D,
-    tech: TechnologyParams = TECH,
 ) -> dict[str, dict]:
     """Post-simulation coding comparison over one recorded simulation.
 
@@ -305,7 +299,7 @@ def evaluate_coding(
     out: dict[str, dict] = {}
     for name in ("none", *(n for n in codec_names if n != "none")):
         traces = None if name == "none" else coded_traces(result, name)
-        reports = network_energy_reports(result, cap2d, cap3d, tech, traces=traces)
+        reports = network_energy_reports(result, cap2d, cap3d, traces=traces)
         total = sum(r.energy_per_cycle_fj for r in reports.values())
         out[name] = {
             "energy_per_cycle_fj": total,
@@ -436,9 +430,6 @@ def mux_energy_sweep(
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
-    cap2d: Capacitance2D | None = None,
-    cap3d: Capacitance3D | None = None,
-    tech: TechnologyParams = TECH,
 ) -> list[dict]:
     """Energy per byte of two multiplexed correlated streams vs mux probability.
 
@@ -446,24 +437,23 @@ def mux_energy_sweep(
     and the 3D parasitics.
     """
     _check_runs(runs)
-    caps = (cap2d or sweep_cap2d(width), cap3d or case_study_cap3d(width))
-    rows = []
-    for mp in mux_probs:
-        acc = {k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
-        for r in range(runs):
-            streams = _two_streams("gaussian", width, sigma, rho, length, seed + 100 * r)
-            mixed, src = multiplex_streams(streams, mp, seed=seed + 100 * r + 7)
+    caps = (sweep_cap2d(width), case_study_cap3d(width))
+    bytes_per_cycle = width / 8.0
+    accs = [{k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
+            for _ in mux_probs]
+    for r in range(runs):
+        rs = seed + 100 * r
+        streams = _two_streams("gaussian", width, sigma, rho, length, rs)
+        for mp, acc in zip(mux_probs, accs):
+            mixed, src = multiplex_streams(streams, mp, seed=rs + 7)
             trace, stats, m = _mixed_link(mixed.words, src, 2, width)
-            bytes_per_cycle = width / 8.0
             for cap in caps:
-                rep = link_energy_report(stats, m, cap, tech, link=f"mux{mp}")
-                orc = exact_energy(trace, cap, tech)
+                rep = link_energy_report(stats, m, cap, TECH, link=f"mux{mp}")
+                orc = exact_energy(trace, cap, TECH)
                 acc[f"model_{cap.kind}"].append(rep.energy_per_cycle_fj / bytes_per_cycle)
                 acc[f"oracle_{cap.kind}"].append(orc.energy_per_cycle_fj / bytes_per_cycle)
-        row = {"mux_prob": mp, "runs": runs}
-        row.update({k: float(np.mean(v)) for k, v in acc.items()})
-        rows.append(row)
-    return rows
+    return [{"mux_prob": mp, "runs": runs, **{k: float(np.mean(v)) for k, v in acc.items()}}
+            for mp, acc in zip(mux_probs, accs)]
 
 
 def coding_sweep(
@@ -477,7 +467,6 @@ def coding_sweep(
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
-    tech: TechnologyParams = TECH,
 ) -> list[dict]:
     """Coding gain of each codec vs mux probability (bit-level oracle).
 
@@ -503,12 +492,12 @@ def coding_sweep(
             for name, wout in widths.items():
                 if wout not in uncoded:
                     trace = LinkTrace.from_cycles(mixed.words, types, wout)
-                    uncoded[wout] = [exact_energy(trace, cap, tech).energy_per_cycle_fj
+                    uncoded[wout] = [exact_energy(trace, cap, TECH).energy_per_cycle_fj
                                      for cap in caps[wout]]
                 trace = LinkTrace.from_cycles(gather_multiplexed(coded[name], src).words,
                                               types, wout)
                 for cap, eu, acc in zip(caps[wout], uncoded[wout], gains[name][i]):
-                    ec = exact_energy(trace, cap, tech).energy_per_cycle_fj
+                    ec = exact_energy(trace, cap, TECH).energy_per_cycle_fj
                     acc.append(coding_gain(eu, ec))
     rows = []
     for name in codec_names:

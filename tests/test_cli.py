@@ -5,9 +5,11 @@ import shutil
 import numpy as np
 import pytest
 
+from noclink import cli, sweeps
 from noclink.cli import main
 from noclink.codecs import make_codec
 from noclink.energy import save_capacitance_model, template_2d_bus, template_3d_tsv
+from noclink.linkmodel import link_bit_probabilities
 from noclink.streams import DataStream, write_stream_binary
 
 CONFIG = """\
@@ -119,6 +121,20 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "flit width 16 does not match capacitance width 8" in err
         assert "codec" not in err
+
+    def test_eq11_literal_prices_the_printed_formula(self, recorded_run, tmp_path):
+        # the run has idle cycles, whose idle->idle mass the printed Eq. 11 omits
+        for name, extra in (("literal", ["--eq11-literal"]), ("plain", [])):
+            assert main(["analyze", "--run", str(recorded_run),
+                         "--out", str(tmp_path / name), *extra]) == 0
+        literal, plain = (json.loads((tmp_path / name / "energy.json").read_text())
+                          for name in ("literal", "plain"))
+        result = cli._load_run(recorded_run)
+        link = next(iter(literal))
+        p = link_bit_probabilities(sweeps.link_stats_from_result(result, link),
+                                   result.data_flow[link], literal=True)
+        assert literal[link]["p_link"] == list(map(float, p))
+        assert literal[link]["p_link"] != plain[link]["p_link"]
 
     def test_codec_reanalysis_without_resimulation(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -441,6 +457,42 @@ class TestSweeps:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_energy_mode_defaults_to_its_sweeps_mux_grid(self, tmp_path):
+        out = tmp_path / "mux.csv"
+        assert main(["sweep-mux", "--mode", "energy", "--runs", "1", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.0", "0.2", "0.4", "0.6", "0.8", "1.0"]
+
+    @pytest.mark.parametrize("argv, sweep, kwargs", [
+        (["sweep-mux"], "mux_accuracy_sweep", {}),
+        (["sweep-mux", "--mode", "energy"], "mux_energy_sweep", {}),
+        (["sweep-coding"], "coding_sweep", {}),
+        (["sweep-mux", "--streams", "2..3", "--widths", "16", "--mux", "0.5", "--runs", "3",
+          "--flits", "10", "--jobs", "2", "--seed", "7"], "mux_accuracy_sweep",
+         {"stream_counts": [2, 3], "widths": [16], "mux_probs": [0.5], "runs": 3,
+          "flits": 10, "jobs": 2, "seed": 7}),
+        (["sweep-mux", "--mode", "energy", "--mux", "0,1", "--runs", "2", "--seed", "3"],
+         "mux_energy_sweep", {"mux_probs": [0.0, 1.0], "runs": 2, "seed": 3}),
+        (["sweep-coding", "--codecs", "gray,invert", "--mux", "0.5", "--dist", "uniform",
+          "--runs", "2", "--seed", "4"], "coding_sweep",
+         {"codec_names": ["gray", "invert"], "mux_probs": [0.5], "distribution": "uniform",
+          "runs": 2, "seed": 4}),
+    ])
+    def test_only_the_given_flags_reach_the_sweep(self, tmp_path, monkeypatch, argv, sweep,
+                                                  kwargs):
+        calls = []
+
+        def recorder(name):
+            def sweep(**kw):
+                calls.append((name, kw))
+                return [{"row": 1}]
+            return sweep
+
+        for name in ("mux_accuracy_sweep", "mux_energy_sweep", "coding_sweep"):
+            monkeypatch.setattr(sweeps, name, recorder(name))
+        assert main([*argv, "--out", str(tmp_path / "rows.csv")]) == 0
+        assert calls == [(sweep, kwargs)]
+
     def test_jobs_leave_the_rows_unchanged(self, tmp_path):
         rows = []
         for jobs in ("1", "2"):
@@ -467,6 +519,15 @@ class TestParser:
         assert exc.value.code == 1
         assert "usage: noclink" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--run", "run"], ["oracle", "--trace", "link.protocol", "--width", "16"],
+    ])
+    def test_seed_of_a_command_that_draws_nothing_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noclink import sweeps
 from noclink.streams import (
     BitStats,
     DataStream,
@@ -212,3 +213,16 @@ class TestValidation:
     def test_bitstats_rejects_asymmetric(self):
         with pytest.raises(StreamError):
             BitStats(np.array([[0.5, 0.1], [0.3, 0.5]]))
+
+
+def test_mux_energy_sweep_draws_each_runs_streams_once(monkeypatch):
+    seeds = []
+
+    def counted(spec):
+        seeds.append(spec.seed)
+        return generate_stream(spec)
+
+    monkeypatch.setattr(sweeps, "generate_stream", counted)
+    rows = sweeps.mux_energy_sweep((0.0, 0.5, 1.0), length=2000, runs=2, seed=3)
+    assert len(rows) == 3
+    assert sorted(seeds) == [3, 4, 103, 104]
