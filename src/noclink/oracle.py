@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import Capacitance, TechnologyParams, absolute_energy_fj
-from .streams import SwitchingMatrix, word_bits
+from .streams import BLOCK, SwitchingMatrix, gram, word_bits
 
 IDLE = -1
 
@@ -81,13 +81,15 @@ class LinkTrace:
 
     @cached_property
     def held_products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-difference products summed over cycle pairs, and bit probabilities."""
-        # every sum is an exact integer, so these equal the per-cycle sums bit for bit
+        """Bit-difference products summed over cycle pairs (``gram`` of the
+        held words' bit diffs), and bit probabilities (the run lengths times
+        the bits, in float32 while the runs total at most ``BLOCK``).  Each
+        sum is an exact integer, so both equal the per-cycle sums bit for bit."""
         words, runs = _held_runs(self)
         bits = word_bits(words, self.width)
-        p = np.einsum("i,ij->j", runs, bits) / self.length
-        d = np.diff(bits, axis=0).astype(np.float64)
-        products = d.T @ d
+        dtype = np.float32 if self.length <= BLOCK else np.float64
+        p = (runs.astype(dtype) @ bits.astype(dtype)).astype(np.float64) / self.length
+        products = gram(np.diff(bits, axis=0))
         products.flags.writeable = p.flags.writeable = False  # shared by every caller
         return products, p
 

@@ -19,12 +19,15 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 STREAM_MAGIC = b"NESTRM"
 
 DISTRIBUTIONS = ("uniform", "gaussian", "lognormal")
+
+BLOCK = 1 << 24  # rows per float32 block of ``gram``; float32 holds integers to 2^24
 
 
 class StreamError(ValueError):
@@ -36,6 +39,17 @@ def word_bits(words: np.ndarray, width: int) -> np.ndarray:
     octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
     bits = np.unpackbits(octets, axis=1, count=width, bitorder="little")
     return bits.view(np.int8)
+
+
+def gram(a: np.ndarray) -> np.ndarray:
+    """aᵀa of an (n, w) int8 0/±1 matrix as exact float64 counts: float32
+    products of ``BLOCK``-row blocks, whose partial sums are integers within
+    ±BLOCK and so exact in any order, summed in float64."""
+    out = np.zeros((a.shape[1],) * 2)
+    for lo in range(0, len(a), BLOCK):
+        f = a[lo:lo + BLOCK].astype(np.float32)
+        out += f.T @ f
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,14 @@ class DataStream:
         return int(self.words.size)
 
     def bits(self) -> np.ndarray:
-        return word_bits(self.words, self.width)
+        """The (len, width) 0/1 matrix, unpacked once and shared read-only."""
+        return self._bits
+
+    @cached_property
+    def _bits(self) -> np.ndarray:
+        bits = word_bits(self.words, self.width)
+        bits.flags.writeable = False
+        return bits
 
 
 @dataclass(frozen=True)
@@ -72,12 +93,11 @@ class BitStats:
 
     @classmethod
     def from_bits(cls, bits: np.ndarray) -> BitStats:
-        """S = bᵀb / n of an (n, width) 0/1 matrix, n >= 1.  Its entries are
-        exact counts over n, so S is symmetric, lies in [0, 1] and has
+        """S = bᵀb / n of an (n, width) int8 0/1 matrix, n >= 1.  ``gram``
+        forms bᵀb as exact counts, so S is symmetric, lies in [0, 1] and has
         S_ij <= min(p_i, p_j) without a check."""
-        b = bits.astype(np.float64)
         stats = object.__new__(cls)
-        object.__setattr__(stats, "s", (b.T @ b) / len(b))
+        object.__setattr__(stats, "s", gram(bits) / len(bits))
         return stats
 
     @property
@@ -300,11 +320,11 @@ def compute_bit_stats(stream: DataStream) -> BitStats:
 
 
 def compute_sequential_switching(stream: DataStream) -> SwitchingMatrix:
+    """Mean switching of consecutive words, from ``gram`` of their bit diffs."""
     if len(stream) < 2:
         raise StreamError("sequential switching needs at least two words")
-    d = np.diff(stream.bits(), axis=0).astype(np.float64)
-    m = len(stream) - 1
-    return SwitchingMatrix.from_products((d.T @ d) / m)
+    d = np.diff(stream.bits(), axis=0)
+    return SwitchingMatrix.from_products(gram(d) / (len(stream) - 1))
 
 
 # --- stream / matrix serialization -------------------------------------------

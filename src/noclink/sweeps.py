@@ -411,6 +411,9 @@ def _check_runs(runs: int) -> None:
 
 # --- stream-level energy and coding sweeps -------------------------------------
 
+# the AR(1) spread and lag-1 correlation of the sweeps' correlated streams
+SWEEP_SIGMA, SWEEP_RHO = 256.0, 0.99
+
 
 def _two_streams(distribution: str, width: int, sigma: float, rho: float,
                  length: int, seed: int):
@@ -425,8 +428,8 @@ def mux_energy_sweep(
     mux_probs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     *,
     width: int = 16,
-    sigma: float = 256.0,
-    rho: float = 0.99,
+    sigma: float = SWEEP_SIGMA,
+    rho: float = SWEEP_RHO,
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
@@ -462,8 +465,6 @@ def coding_sweep(
     *,
     distribution: str = "gaussian",
     width: int = 16,
-    sigma: float = 256.0,
-    rho: float = 0.99,
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
@@ -471,9 +472,9 @@ def coding_sweep(
     """Coding gain of each codec vs mux probability (bit-level oracle).
 
     Each run multiplexes two streams of ``distribution``, one of
-    ``streams.DISTRIBUTIONS``; ``sigma`` and ``rho`` apply to ``gaussian``
-    and ``lognormal``.  Codecs that add wires (bus invert) are evaluated
-    against uncoded transmission on the same widened link.
+    ``streams.DISTRIBUTIONS``; ``SWEEP_SIGMA`` and ``SWEEP_RHO`` apply to
+    ``gaussian`` and ``lognormal``.  Codecs that add wires (bus invert) are
+    evaluated against uncoded transmission on the same widened link.
     """
     _check_runs(runs)
     widths = {name: make_codec(name, width).width_out for name in codec_names}
@@ -481,7 +482,7 @@ def coding_sweep(
     gains = {name: [([], []) for _ in mux_probs] for name in codec_names}
     for r in range(runs):
         rs = seed + 100 * r
-        streams = _two_streams(distribution, width, sigma, rho, length, rs)
+        streams = _two_streams(distribution, width, SWEEP_SIGMA, SWEEP_RHO, length, rs)
         coded = {name: [make_codec(name, width).encode(s) for s in streams]
                  for name in codec_names}
         for i, mp in enumerate(mux_probs):

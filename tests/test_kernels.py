@@ -4,10 +4,11 @@ Each reference below is the straightforward word-by-word definition of
 its kernel; the kernels must reproduce it bit for bit.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from noclink.codecs import InvertCodec
-from noclink.streams import DataStream, multiplex_streams, word_bits
+from noclink.streams import BLOCK, DataStream, gram, multiplex_streams, word_bits
 
 
 def reference_multiplex(streams, mux_prob, seed):
@@ -158,3 +159,17 @@ class TestWordBitsKernel:
         words = np.array([1 << 63, (1 << 64) - 1], dtype=np.uint64)
         assert np.array_equal(word_bits(words, 64), reference_word_bits(words, 64))
         assert word_bits(np.array([], dtype=np.uint64), 64).shape == (0, 64)
+
+
+class TestGramKernel:
+    @given(st.integers(1, 64), st.integers(0, 300), st.sampled_from((0, -1)),
+           st.sampled_from((1, 2, 3, 7, BLOCK)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_float64_product(self, width, rows, low, block, seed):
+        # blocks of 1, 2, 3 and 7 rows make the products cross block bounds
+        a = np.random.default_rng(seed).integers(low, 2, (rows, width), dtype=np.int8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("noclink.streams.BLOCK", block)
+            g = gram(a)
+        assert g.dtype == np.float64
+        assert np.array_equal(g, a.astype(np.float64).T @ a)

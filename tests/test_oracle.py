@@ -221,6 +221,13 @@ class TestExactEnergy:
         assert tr.held_products[0] is products and tr.held_products[1] is p
         assert not products.flags.writeable and not p.flags.writeable
 
+    def test_held_probabilities_exact_past_float32(self):
+        # runs of 2^24 + 1 and 2^24 + 2 cycles, which float32 cannot hold
+        tr = LinkTrace([0, 2**24 + 1], [0, 0], [1, 3], length=2**25 + 3, width=2)
+        runs = np.array([2**24 + 1, 2**24 + 2], dtype=np.int64)
+        held = runs @ np.array([[1, 0], [1, 1]], dtype=np.int64)
+        assert np.array_equal(tr.held_products[1], held / tr.length)
+
 
 def protocol_reference(trace) -> bytes:
     """The protocol format written one record at a time."""

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from noclink import sweeps
+from noclink import oracle, streams, sweeps
+from noclink.oracle import LinkTrace
 from noclink.streams import (
     BitStats,
     DataStream,
@@ -14,6 +15,7 @@ from noclink.streams import (
     multiplex_streams,
     read_stream_binary,
     read_stream_csv,
+    word_bits,
     write_stream_binary,
     write_stream_csv,
 )
@@ -226,3 +228,29 @@ def test_mux_energy_sweep_draws_each_runs_streams_once(monkeypatch):
     rows = sweeps.mux_energy_sweep((0.0, 0.5, 1.0), length=2000, runs=2, seed=3)
     assert len(rows) == 3
     assert sorted(seeds) == [3, 4, 103, 104]
+
+
+def test_each_types_words_and_each_trace_are_unpacked_once(monkeypatch):
+    unpacked = []
+
+    def counted(words, width):
+        unpacked.append(len(words))
+        return word_bits(words, width)
+
+    for module in (streams, oracle):
+        monkeypatch.setattr(module, "word_bits", counted)
+    rng = np.random.default_rng(2)
+    words = rng.integers(0, 256, 600, dtype=np.uint64)
+    types = rng.integers(0, 3, 600)
+    sweeps.per_type_stats(words, types, 3, 8)
+    assert len(unpacked) == 3
+
+    unpacked.clear()
+    tr = LinkTrace.from_cycles(words, types, 8)
+    oracle.exact_switching(tr)
+    oracle.exact_switching(tr)
+    assert unpacked == [600]
+
+    bits = stream([1, 2, 3], 2).bits()
+    with pytest.raises(ValueError):
+        bits[0, 0] = 0
