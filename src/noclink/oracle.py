@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import Capacitance, TechnologyParams, absolute_energy_fj
-from .streams import BLOCK, SwitchingMatrix, gram, word_bits
+from .streams import SwitchingMatrix, gram, word_bits
 
 IDLE = -1
 
@@ -81,14 +81,11 @@ class LinkTrace:
 
     @cached_property
     def held_products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bit-difference products summed over cycle pairs (``gram`` of the
-        held words' bit diffs), and bit probabilities (the run lengths times
-        the bits, in float32 while the runs total at most ``BLOCK``).  Each
-        sum is an exact integer, so both equal the per-cycle sums bit for bit."""
+        """Bit-difference products summed over cycle pairs, and bit probabilities.
+        Each sum is an exact integer, so both equal the per-cycle sums bit for bit."""
         words, runs = _held_runs(self)
         bits = word_bits(words, self.width)
-        dtype = np.float32 if self.length <= BLOCK else np.float64
-        p = (runs.astype(dtype) @ bits.astype(dtype)).astype(np.float64) / self.length
+        p = (runs.astype(np.float64) @ bits.astype(np.float64)) / self.length
         products = gram(np.diff(bits, axis=0))
         products.flags.writeable = p.flags.writeable = False  # shared by every caller
         return products, p
