@@ -22,6 +22,8 @@ import json
 import math
 import shutil
 import sys
+import zipfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -104,16 +106,19 @@ def _load_run(run_dir: Path) -> SimulationResult:
         n_types=meta["n_types"],
         flit_width=meta["flit_width"],
     )
-    with np.load(run_dir / "traces.npz") as data:
-        _require(data, [f"{link_file_name(link)}.{name}"
-                        for link in meta["links"] for name in TRACE_COLUMNS],
-                 run_dir / "traces.npz")
-        for link_id, vertical in meta["links"].items():
-            key = link_file_name(link_id)
-            trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
-                              length=result.cycles, width=result.flit_width)
-            result.add_link(link_id, LinkObserver.from_trace(trace, result.n_types, link_id),
-                            vertical, trace)
+    archive = run_dir / "traces.npz"
+    try:
+        with np.load(archive) as data:
+            _require(data, [f"{link_file_name(link)}.{name}"
+                            for link in meta["links"] for name in TRACE_COLUMNS], archive)
+            for link_id, vertical in meta["links"].items():
+                key = link_file_name(link_id)
+                trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
+                                  length=result.cycles, width=result.flit_width)
+                result.add_link(link_id, LinkObserver.from_trace(trace, result.n_types, link_id),
+                                vertical, trace)
+    except (zipfile.BadZipFile, zlib.error) as exc:
+        raise ReportingError(f"{archive} is damaged ({exc}); re-run `noclink simulate`") from exc
     return result
 
 

@@ -9,8 +9,6 @@ import numpy as np
 
 from .streams import DataStream
 
-CODEC_NAMES = ("none", "invert", "gray", "correlator", "correlator+inv")
-
 
 class CodecError(ValueError):
     """Unknown codec or width mismatch while decoding."""
@@ -135,18 +133,19 @@ class InvertCodec(Codec):
         return DataStream(out.astype(np.uint64), self.width_in)
 
 
+CODECS = {  # every codec's name and constructor, taking the width
+    "none": NoneCodec,
+    "invert": InvertCodec,
+    "gray": GrayCodec,
+    "correlator": CorrelatorCodec,
+    "correlator+inv": lambda width: CorrelatorCodec(width, invert_output=True),
+}
+
+
 def make_codec(name: str, width: int) -> Codec:
-    if name == "none":
-        return NoneCodec(width)
-    if name == "invert":
-        return InvertCodec(width)
-    if name == "gray":
-        return GrayCodec(width)
-    if name == "correlator":
-        return CorrelatorCodec(width, invert_output=False)
-    if name == "correlator+inv":
-        return CorrelatorCodec(width, invert_output=True)
-    raise CodecError(f"unknown codec {name!r}")
+    if name not in CODECS:
+        raise CodecError(f"unknown codec {name!r}")
+    return CODECS[name](width)
 
 
 def coding_gain(uncoded_per_byte: float, coded_per_byte: float) -> float:

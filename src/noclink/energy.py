@@ -165,12 +165,15 @@ def effective_tsv_capacitance(model: Capacitance3D, p: np.ndarray) -> np.ndarray
 
 def normalized_energy(t: SwitchingMatrix, cap: Capacitance, p: np.ndarray | None = None) -> float:
     """Normalized link energy per cycle: Frobenius product <T, C(p)> (aF);
-    ``p`` (the bit probabilities) matters to 3D models only."""
+    ``p`` (the bit probabilities) matters to 3D models only.  The model and
+    the oracle share this sum, diagonal first: the oracle's tests pin that order."""
     if t.width != cap.width:
         raise CapacitanceError(
             f"switching width {t.width} does not match capacitance width {cap.width}"
         )
-    return float(np.sum(t.t * cap.at(p)))
+    c = cap.at(p)
+    coupling = c - np.diag(np.diag(c))  # C with its diagonal zeroed
+    return float(np.sum(np.diag(c) * np.diag(t.t))) + float(np.sum(t.t * coupling))
 
 
 def energy_2d(t: SwitchingMatrix, cap: Capacitance2D) -> float:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import Capacitance, TechnologyParams, absolute_energy_fj
+from .energy import Capacitance, TechnologyParams, absolute_energy_fj, normalized_energy
 from .streams import SwitchingMatrix, gram, word_bits
 
 IDLE = -1
@@ -142,13 +142,8 @@ def exact_energy(
             f"trace width {trace.width} does not match capacitance width {cap.width}"
         )
     products, p = trace.held_products
-    c = cap.at(p)
     # unnormalized switching: summed over the transitions, not averaged
-    t = SwitchingMatrix.from_products(products).t
-    total = float(np.sum(np.diag(c) * np.diag(t)))
-    c_off = c.copy()
-    np.fill_diagonal(c_off, 0.0)
-    total += float(np.sum(t * c_off))
+    total = normalized_energy(SwitchingMatrix.from_products(products), cap, p)
     cycles = len(trace)
     per_cycle = total / max(cycles - 1, 1)
     e_cyc = absolute_energy_fj(per_cycle, tech)

@@ -216,8 +216,8 @@ class Link:
         self.awake = False
         self.wakes: list[Link] = []
 
-    def holds_work(self) -> bool:
-        return self.reg_flit is not None
+    def occupancy(self) -> int:
+        return 0 if self.reg_flit is None else 1
 
     def put(self, flit: Flit, vc: int) -> None:
         if self.reg_flit is not None:
@@ -420,9 +420,6 @@ class Router:
                       if ivc.buffer and not ivc.allocated and ivc.buffer[0].is_head)
         return self.occupancy(), waiting
 
-    def holds_work(self) -> bool:
-        return self.occupancy() > 0
-
     def tick(self) -> None:
         # stage 3: output arbitration and sending, on ports with an active VC
         for op in self.ports:
@@ -515,9 +512,6 @@ class SourceNI:
         queued = sum(len(p) for fifo in self.fifos.values() for _, p in fifo)
         return queued + sum(len(v.flits) for v in self.out.vcs)
 
-    def holds_work(self) -> bool:
-        return self.occupancy() > 0
-
     def tick(self) -> None:
         out = self.out
         if self.backlog:
@@ -567,9 +561,6 @@ class SinkNI:
 
     def occupancy(self) -> int:
         return sum(len(b) for b in self.buffers)
-
-    def holds_work(self) -> bool:
-        return self.occupancy() > 0
 
     def tick(self, cycle: int) -> None:
         res = self.result
@@ -740,7 +731,7 @@ class Network:
             router.buffered, router.waiting = router.recount()
         for wakes, parts in self._wake_sets:
             for part in parts:
-                part.awake = part.holds_work()
+                part.awake = part.occupancy() > 0
             wakes[:] = [part for part in parts if part.awake]
 
     def check_wake_invariant(self) -> None:
@@ -749,7 +740,7 @@ class Network:
         for kind, parts in (("link", links), ("router", self.routers),
                             ("sink NI", self.sinks), ("source NI", self.sources)):
             for name, part in parts.items():
-                if not part.awake and part.holds_work():
+                if not part.awake and part.occupancy():
                     raise SimulationError(f"{kind} {name} is asleep while it holds work")
 
     def check_count_invariant(self) -> None:
@@ -762,11 +753,7 @@ class Network:
                     f" recount gives {router.recount()}")
 
     def in_flight(self) -> int:
-        total = sum(r.occupancy() for r in self.routers.values())
-        total += sum(1 for link in self.links if link.reg_flit is not None)
-        total += sum(s.occupancy() for s in self.sources.values())
-        total += sum(s.occupancy() for s in self.sinks.values())
-        return total
+        return sum(part.occupancy() for _, parts in self._wake_sets for part in parts)
 
     def _flit_balance(self) -> int:
         """Injected flits less ejected flits less flits in the network."""

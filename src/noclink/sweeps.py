@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codecs import coding_gain, make_codec
+from .codecs import CODECS, coding_gain, make_codec
 from .energy import (
     Capacitance2D,
     Capacitance3D,
@@ -255,18 +255,12 @@ def run_case_study(
     *,
     cycles: int = 100_000,
     seed: int = 1,
-    payload_kind: str = "pixel-packed",
-    rate: float = CASE_STUDY_RATE,
-    sigma: float = 40.0,
-    rho: float = 0.995,
-    stream_seed: int = 100,
     collect_traces: bool = True,
     check_invariants: bool = False,
+    **traffic_kw,
 ) -> CaseStudyRun:
-    traffic = case_study_traffic(
-        payload_kind=payload_kind, rate=rate, sigma=sigma, rho=rho,
-        stream_seed=stream_seed,
-    )
+    """Simulate the case study; ``traffic_kw`` go to :func:`case_study_traffic`."""
+    traffic = case_study_traffic(**traffic_kw)
     net = build_network(
         CASE_STUDY_NODES,
         traffic,
@@ -388,6 +382,8 @@ def mux_accuracy_sweep(
     _check_runs(runs)
     if flits < 2:
         raise SweepError(f"an accuracy run needs at least two flits, got flits={flits}")
+    if min(stream_counts, default=2) < 2:
+        raise SweepError(f"a mux needs at least two streams, got stream_counts={stream_counts}")
     configs = [
         (n, dist, width, mp, runs, flits, seed + 104729 * i)
         for i, (n, dist, width, mp) in enumerate(
@@ -460,7 +456,7 @@ def mux_energy_sweep(
 
 
 def coding_sweep(
-    codec_names=("invert", "gray", "correlator", "correlator+inv"),
+    codec_names=tuple(name for name in CODECS if name != "none"),
     mux_probs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     *,
     distribution: str = "gaussian",

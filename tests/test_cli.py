@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import zipfile
 
 import numpy as np
 import pytest
@@ -215,6 +216,26 @@ class TestAnalyze:
         capsys.readouterr()
         assert main(["analyze", "--run", str(out)]) == 1
         assert "error: trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_archive_exit_1(self, recorded_run, tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        archive = run / "traces.npz"
+        raw = bytearray(archive.read_bytes())
+        if damage == "truncated":
+            raw = raw[:300]
+        else:
+            # one byte in the middle of the largest member's compressed data
+            with zipfile.ZipFile(archive) as zf:
+                info = max(zf.infolist(), key=lambda i: i.compress_size)
+            start = info.header_offset + 30 + len(info.filename.encode()) + len(info.extra)
+            raw[start + info.compress_size // 2] ^= 0x5A
+        archive.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert "traces.npz" in err and "re-run `noclink simulate`" in err
 
     @pytest.mark.parametrize("entry", ["A__B.words", "links"])
     def test_incomplete_run_exit_1(self, config_path, tmp_path, capsys, entry):
@@ -445,6 +466,14 @@ class TestSweeps:
         assert main(["sweep-mux", "--streams", "2", "--widths", "16", "--mux", "0.4",
                      "--runs", "1", "--flits", flits, "--out", str(out)]) == 1
         assert f"flits={flits}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("streams", ["0", "1", "-1"])
+    def test_too_few_streams_exit_1(self, tmp_path, capsys, streams):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep-mux", "--streams", streams, "--widths", "16", "--mux", "0.4",
+                     "--runs", "1", "--flits", "200", "--out", str(out)]) == 1
+        assert f"stream_counts=[{streams}]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag, value", [

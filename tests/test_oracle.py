@@ -6,6 +6,7 @@ from noclink.energy import (
     Capacitance3D,
     TechnologyParams,
     energy_2d,
+    normalized_energy,
     template_2d_bus,
     template_3d_tsv,
 )
@@ -179,6 +180,19 @@ class TestAgainstPerCycleReference:
             assert np.array_equal(rep.p, p_ref)
             assert rep.cycles == types.size
             assert rep.active_cycles == int((types != IDLE).sum())
+
+
+class TestOnePricingSum:
+    @given(per_cycle_records())
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_prices_through_normalized_energy(self, case):
+        width, words, types, _ = case
+        tr = trace(words, types, width)
+        products, p = tr.held_products
+        t = SwitchingMatrix.from_products(products)
+        for cap in (template_2d_bus(width, 100.0, 37.0),
+                    template_3d_tsv(1, width, 40.0, -2.0, 120.0, -6.0)):
+            assert exact_energy(tr, cap, TECH).normalized_total_af == normalized_energy(t, cap, p)
 
 
 class TestExactEnergy:
