@@ -4,7 +4,8 @@ The link model combines per-data-type statistics with a data-flow matrix
 M recorded during simulation.  M is a 2n x 2n joint distribution over
 consecutive link-cycle state pairs: states 0..n-1 mean "transmitting a
 flit of type x", states n..2n-1 mean "idle, link holds the last pattern
-of type x".  Head flits are type n-1 by convention.
+of type x".  Head flits are type n-1 by convention.  M is stored over the
+k types a link carried, as the others have no mass, and priced over them.
 
 Cross-type switching uses only the S matrices of the two streams (the
 cross-correlation of distinct sources is taken as zero); same-type
@@ -26,20 +27,42 @@ class LinkModelError(ValueError):
     """Inconsistent link-model inputs."""
 
 
+def embed_states(m: np.ndarray, at: np.ndarray, size: int) -> np.ndarray:
+    """``m``, over the states of k types, in the 2 size x 2 size matrix over
+    ``size`` types where those types sit at ``at``; zeros elsewhere."""
+    at = np.concatenate((at, size + at))
+    out = np.zeros((2 * size, 2 * size), dtype=m.dtype)
+    out[at[:, None], at] = m
+    return out
+
+
 @dataclass(frozen=True)
 class DataFlowMatrix:
-    """Joint probabilities of consecutive link-cycle states."""
+    """Joint probabilities of consecutive link-cycle states: ``compact``
+    over the k ascending ``types`` (all n by default), where state i < k
+    transmits ``types[i]`` and k + i holds it; ``m`` over all n types."""
 
-    m: np.ndarray
+    compact: np.ndarray
     n: int
+    types: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "compact", np.asarray(self.compact, dtype=np.float64))
+        types = np.arange(self.n) if self.types is None else np.asarray(self.types)
+        object.__setattr__(self, "types", types)
         self.validate()
 
+    @property
+    def k(self) -> int:
+        return len(self.types)
+
+    @property
+    def m(self) -> np.ndarray:
+        """M over all n types, built on each read."""
+        return embed_states(self.compact, self.types, self.n)
+
     def validate(self, atol: float = 1e-9) -> None:
-        n, m = self.n, self.m
+        n, m = self.k, self.compact
         if m.shape != (2 * n, 2 * n):
             raise LinkModelError(f"M must be {2 * n}x{2 * n}, got {m.shape}")
         if m.min() < -atol:
@@ -59,7 +82,11 @@ class DataFlowMatrix:
 
     def active_fraction(self) -> float:
         """Fraction of link cycles that transmit a flit."""
-        return float(self.m[:, : self.n].sum())
+        return float(self.compact[:, : self.k].sum())
+
+    def carried_frequencies(self) -> np.ndarray:
+        """``type_frequencies`` of the carried types."""
+        return self.compact[:, : self.k].sum(axis=0)
 
     def type_frequencies(self) -> np.ndarray:
         """Per-type fraction of link cycles transmitting that type."""
@@ -114,8 +141,8 @@ def mux_switching(sx: BitStats, sy: BitStats) -> SwitchingMatrix:
 
 
 def _check_dims(stats: LinkTypeStats, m: DataFlowMatrix) -> None:
-    if stats.n != m.n:
-        raise LinkModelError(f"type count mismatch: stats n={stats.n}, M n={m.n}")
+    if stats.n != m.k:
+        raise LinkModelError(f"type count mismatch: stats n={stats.n}, M carries {m.k}")
 
 
 def link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
@@ -126,8 +153,8 @@ def link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
     sum_k (Wo's column + row sum)_k S_k - P^T (Wo + Wo^T) P.
     """
     _check_dims(stats, m)
-    n, p = m.n, stats.p
-    w = m.m[:n, :n] + m.m[n:, :n]
+    k, mc, p = m.k, m.compact, stats.p
+    w = mc[:k, :k] + mc[k:, :k]
     wo = w - np.diag(np.diag(w))
     corr = np.einsum("k,kij->ij", wo.sum(0) + wo.sum(1), stats.s) - p.T @ (wo + wo.T) @ p
     t = SwitchingMatrix.from_products(corr).t + np.einsum("k,kij->ij", np.diag(w), stats.t_seq)
@@ -137,7 +164,7 @@ def link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
 def standard_link_switching(stats: LinkTypeStats, m: DataFlowMatrix) -> SwitchingMatrix:
     """VC-blind baseline: per-type active frequencies weight sequential T only."""
     _check_dims(stats, m)
-    return SwitchingMatrix(np.einsum("k,kij->ij", m.type_frequencies(), stats.t_seq))
+    return SwitchingMatrix(np.einsum("k,kij->ij", m.carried_frequencies(), stats.t_seq))
 
 
 def link_bit_probabilities(
@@ -150,10 +177,10 @@ def link_bit_probabilities(
     true probability.  ``literal=True`` reproduces the uncorrected form.
     """
     _check_dims(stats, m)
-    n = m.n
-    w = m.m[:, :n].sum(0) + m.m[:n, n:].sum(0)
+    k, mc = m.k, m.compact
+    w = mc[:, :k].sum(0) + mc[:k, k:].sum(0)
     if not literal:
-        w = w + np.diag(m.m[n:, n:])
+        w = w + np.diag(mc[k:, k:])
     return w @ stats.p
 
 
@@ -203,9 +230,9 @@ def link_energy_report(
     e_std = normalized_energy(t_std, cap, p_link)
 
     active = m.active_fraction()
-    freqs = m.type_frequencies()
+    freqs = m.carried_frequencies()
     bits = stats.width if payload_bits is None else payload_bits
-    body = freqs.sum() if head_type is None else freqs.sum() - freqs[head_type]
+    body = freqs.sum() if head_type is None else freqs.sum() - freqs[m.types == head_type].sum()
     bytes_per_cycle = body * bits / 8.0
 
     e_cyc = absolute_energy_fj(e_norm, tech)

@@ -1,10 +1,11 @@
 """Per-link data-flow accumulation and result serialization.
 
 A ``LinkObserver`` folds a link's flits, one (cycle, data type) event
-each, into the 2n x 2n transition count matrix of its cycle states in
-closed form, without visiting idle cycles.  It carries only the last
-state between segments of cycles, so its memory is O(n^2) however many
-cycles it counts, and any split into segments gives the same counts.
+each, into the transition count matrix of its cycle states in closed
+form, without visiting idle cycles.  It counts over the k types the link
+has carried, not all n, and carries only the last state between segments
+of cycles, so its memory is O(k^2) however many cycles it counts, and any
+split into segments gives the same counts.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linkmodel import DataFlowMatrix, save_data_flow_matrix
+from .linkmodel import DataFlowMatrix, embed_states, save_data_flow_matrix
 from .oracle import IDLE, LinkTrace  # noqa: F401 (IDLE is part of this module's API)
 
 
@@ -30,7 +31,9 @@ class LinkObserver:
 
     States are 0..n-1 (transmitting type x) and n..2n-1 (idle holding
     the last pattern of type x).  Before the first observed cycle the
-    link idles holding the head type (index n-1).
+    link idles holding the head type (index n-1).  The counts cover the
+    k ascending ``types`` carried, the head type always among them, as
+    ``DataFlowMatrix.compact`` does.
     """
 
     def __init__(self, link_id: str, n_types: int):
@@ -38,9 +41,12 @@ class LinkObserver:
             raise ReportingError("need at least one data type")
         self.link_id = link_id
         self.n = n_types
-        self.counts = np.zeros((2 * n_types, 2 * n_types), dtype=np.int64)
+        self.types = np.array([n_types - 1])
+        self._slot = np.full(n_types, -1)  # type -> its index in ``types``, -1 if not carried
+        self._slot[-1] = 0
+        self._counts = np.zeros((2, 2), dtype=np.int64)
         self.cycles = 0
-        self._last: int | None = None  # state of the last counted cycle
+        self._last: int | None = None  # compact state of the last counted cycle
 
     @classmethod
     def from_trace(cls, trace: LinkTrace, n_types: int, link_id: str = "trace") -> LinkObserver:
@@ -49,6 +55,11 @@ class LinkObserver:
         observer.record(trace.cycles, trace.types, len(trace))
         return observer
 
+    @property
+    def counts(self) -> np.ndarray:
+        """The 2n x 2n transition counts over all types, built on each read."""
+        return embed_states(self._counts, self.types, self.n)
+
     def record(self, cycles, types, end: int) -> None:
         """Fold cycles ``self.cycles`` to ``end`` - 1 into the counts: a flit of
         type ``types[i]`` on each of the ascending ``cycles``, idle cycles
@@ -56,41 +67,63 @@ class LinkObserver:
         t -> held(t), (c' - c - 2) x held(t) -> held(t) and held(t) -> t'."""
         if end <= self.cycles:
             return
-        n, k = self.n, 2 * self.n
-        t = np.asarray(types, dtype=np.int64)
-        bad = (t < 0) | (t >= n)
-        if bad.any():
-            raise ReportingError(f"{self.link_id}: type {int(t[bad][0])} out of range (n={n})")
-        # the cycle before this segment and each flit: state, idle cycles after
-        at = np.concatenate(([self.cycles - 1], np.asarray(cycles, dtype=np.int64)))
+        n = self.n
+        ty = np.asarray(types, dtype=np.int64)
+        if ty.size and (ty.min() < 0 or ty.max() >= n):
+            bad = ty[(ty < 0) | (ty >= n)]
+            raise ReportingError(f"{self.link_id}: type {int(bad[0])} out of range (n={n})")
+        t = self._slot[ty]  # each flit's compact state, -1 for a type not yet carried
+        if ty.size and t.min() < 0:
+            self._grow(ty)
+            t = self._slot[ty]
+        c = len(self.types)
+        k = 2 * c
+        # the cycle before this segment, each flit and the end: the state on
+        # each but the end, the idle cycles after it
+        at = np.concatenate(([self.cycles - 1], np.asarray(cycles, dtype=np.int64), [end]))
         state = np.concatenate(([k - 1 if self._last is None else self._last], t))
-        held = n + state % n
-        gap = np.diff(at, append=end) - 1
+        held = c + state % c
+        gap = at[1:] - at[:-1] - 1
         into = np.where(gap[:-1] == 0, state[:-1], held[:-1])
-        counts = np.bincount(into * k + t, minlength=k * k)
         idle = gap > 0
-        np.add.at(counts, state[idle] * k + held[idle], 1)
+        counts = np.bincount(np.concatenate((into * k + t, state[idle] * k + held[idle])),
+                             minlength=k * k)
         np.add.at(counts, held[idle] * (k + 1), gap[idle] - 1)
         if self._last is None:
             # no transition precedes the link's first cycle (held head type or a flit)
             counts[(k - 1) * k + (int(t[0]) if gap[0] == 0 else k - 1)] -= 1
-        self.counts += counts.reshape(k, k)
+        self._counts += counts.reshape(k, k)
         self._last = int(state[-1] if gap[-1] == 0 else held[-1])
         self.cycles = end
 
+    def _grow(self, new: np.ndarray) -> None:
+        """Add the types in ``new`` to the index, moving the counts and the
+        last state to their places in the larger matrix."""
+        carried = self._slot >= 0
+        carried[new] = True
+        types = carried.nonzero()[0]
+        at = np.searchsorted(types, self.types)
+        if self._last is not None:
+            self._last = int(np.concatenate((at, len(types) + at))[self._last])
+        self._counts = embed_states(self._counts, at, len(types))
+        self._slot[types] = np.arange(len(types))
+        self.types = types
+
     def type_flit_counts(self) -> np.ndarray:
         """Flits of each type that traversed the link within the counted transitions."""
-        return self.counts[:, : self.n].sum(axis=0)
+        out = np.zeros(self.n, dtype=np.int64)
+        out[self.types] = self._counts[:, : len(self.types)].sum(axis=0)
+        return out
 
     def finalize(self) -> DataFlowMatrix:
-        """The counts normalized into a data-flow matrix."""
-        total = self.counts.sum()
+        """The counts normalized into a data-flow matrix over ``types``."""
+        total = self._counts.sum()
         if total != max(self.cycles - 1, 0):
             raise SimulationError(
                 f"{self.link_id}: {total} transitions in {self.cycles} cycles")
         if total < 1:
             raise ReportingError(f"{self.link_id}: need at least two observed cycles")
-        return DataFlowMatrix(self.counts / total, self.n)
+        return DataFlowMatrix(self._counts / total, self.n, self.types)
 
 
 def data_flow_from_trace(states, n_types: int, link_id: str = "trace") -> DataFlowMatrix:

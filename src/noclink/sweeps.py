@@ -90,8 +90,9 @@ def _grid_shape(width: int) -> tuple[int, int]:
 # --- per-link statistics from recorded traces -------------------------------
 
 
-def per_type_stats(words: np.ndarray, types: np.ndarray, n: int, width: int) -> LinkTypeStats:
-    """Bit and sequential switching statistics of each type's subsequence.
+def per_type_stats(words: np.ndarray, types: np.ndarray, carried, width: int) -> LinkTypeStats:
+    """Bit and sequential switching statistics of the subsequence of each
+    ``carried`` type (a ``DataFlowMatrix``'s ``types``, or n for 0..n-1).
 
     ``words[types == k]`` is type k's subsequence in transmission order,
     the sequence the per-type switching matrices describe; idle entries
@@ -99,7 +100,7 @@ def per_type_stats(words: np.ndarray, types: np.ndarray, n: int, width: int) -> 
     the statistics of an all-zero pair.
     """
     bit_stats, seq = [], []
-    for k in range(n):
+    for k in (range(carried) if np.ndim(carried) == 0 else carried):
         sel = words[types == k]
         if sel.size < 2:
             sel = np.zeros(2, dtype=np.uint64)
@@ -118,7 +119,7 @@ def link_stats_from_result(
         trace = result.link_traces.get(link_id)
         if trace is None:
             raise SweepError(f"no recorded trace for link {link_id!r}")
-    return per_type_stats(trace.words, trace.types, result.n_types, trace.width)
+    return per_type_stats(trace.words, trace.types, result.data_flow[link_id].types, trace.width)
 
 
 def coded_traces(result: SimulationResult, codec_name: str) -> dict[str, LinkTrace]:
@@ -338,7 +339,7 @@ def _mixed_link(words, types, n: int, width: int
     every cycle, with the model's per-type statistics and M taken from it."""
     trace = LinkTrace.from_cycles(words, types, width)
     m = LinkObserver.from_trace(trace, n).finalize()
-    return trace, per_type_stats(trace.words, trace.types, n, width), m
+    return trace, per_type_stats(trace.words, trace.types, m.types, width), m
 
 
 def _accuracy_config(args) -> dict:
@@ -380,6 +381,8 @@ def mux_accuracy_sweep(
 ) -> list[dict]:
     """Model-vs-oracle switching error grid over multiplexed streams."""
     _check_runs(runs)
+    if jobs < 1:
+        raise SweepError(f"a sweep needs at least one job, got jobs={jobs}")
     if flits < 2:
         raise SweepError(f"an accuracy run needs at least two flits, got flits={flits}")
     if min(stream_counts, default=2) < 2:

@@ -476,6 +476,14 @@ class TestSweeps:
         assert f"stream_counts=[{streams}]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_no_jobs_exit_1(self, tmp_path, capsys, jobs):
+        out = tmp_path / "rows.csv"
+        assert main(["sweep-mux", "--streams", "2", "--widths", "16", "--mux", "0.4",
+                     "--runs", "1", "--flits", "100", "--jobs", jobs, "--out", str(out)]) == 1
+        assert f"jobs={jobs}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--streams", "7"), ("--widths", "32"), ("--flits", "100"), ("--jobs", "2"),
     ])

@@ -17,6 +17,7 @@ from noclink.linkmodel import (
 )
 from noclink.oracle import LinkTrace, exact_switching
 from noclink.reporting import data_flow_from_trace
+from noclink.sweeps import case_study_cap2d, case_study_cap3d, per_type_stats, run_case_study
 from noclink.streams import (
     BitStats,
     StreamSpec,
@@ -474,3 +475,31 @@ class TestEnergyReport:
         )
         assert rep.payload_bytes_per_cycle == pytest.approx(1.0)
         assert rep.energy_per_byte_fj == pytest.approx(rep.energy_per_cycle_fj)
+
+
+class TestCompactPricing:
+    @pytest.mark.parametrize("vc_count", [4, 1])
+    def test_compact_equals_dense_on_case_study_links(self, vc_count):
+        # a type a link never carried has zero weight in every term, so
+        # pricing its carried types alone moves at most the summation order
+        result = run_case_study(vc_count, cycles=20_000, seed=2).result
+        n = result.n_types
+        carried = []
+        for link, dfm in result.data_flow.items():
+            trace = result.link_traces[link]
+            cap = (case_study_cap3d if result.link_vertical[link] else case_study_cap2d)()
+            kw = dict(link=link, payload_bits=result.flit_width, head_type=n - 1)
+            compact = link_energy_report(
+                per_type_stats(trace.words, trace.types, dfm.types, trace.width),
+                dfm, cap, TECH, **kw).to_dict()
+            dense = link_energy_report(
+                per_type_stats(trace.words, trace.types, n, trace.width),
+                DataFlowMatrix(dfm.m, n), cap, TECH, **kw).to_dict()
+            assert compact.keys() == dense.keys()
+            for key, value in dense.items():
+                if isinstance(value, (float, list)):
+                    assert np.allclose(compact[key], value, rtol=1e-15, atol=0.0), (link, key)
+                else:
+                    assert compact[key] == value, (link, key)
+            carried.append(dfm.k)
+        assert min(carried) < n  # some link leaves types out

@@ -146,6 +146,51 @@ class TestLinkObserver:
         assert list(obs.type_flit_counts()) == expect == [2, 2]
 
 
+@st.composite
+def carried_states(draw):
+    """n, a state sequence over a few of the n types, drawn in any order
+    of first appearance (the head type n-1 possibly never sent), with idle
+    runs anywhere, and sorted cut points."""
+    n = draw(st.integers(1, 12))
+    carried = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1, max_size=5))
+    states = []
+    for _ in range(draw(st.integers(0, 12))):
+        states += [IDLE] * draw(st.integers(0, 6))
+        states += draw(st.lists(st.sampled_from(carried), max_size=6))
+    cuts = sorted(draw(st.lists(st.integers(0, len(states)), max_size=8)))
+    return n, states, cuts
+
+
+class TestCompactCounts:
+    @given(carried_states())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_view_equals_online_counts(self, case):
+        # types appear mid-segment, after held idle runs or never, and
+        # each appearance may fall in any segment
+        n, states, cuts = case
+        obs = observed(states, n, cuts)
+        counts = obs.counts
+        assert counts.shape == (2 * n, 2 * n)
+        assert np.array_equal(counts, reference_counts(states, n))
+        assert np.array_equal(obs.type_flit_counts(), counts[:, :n].sum(axis=0))
+        sent = {s for s in states if s != IDLE}
+        assert set(obs.types.tolist()) == sent | {n - 1}
+        if len(states) >= 2:
+            assert np.array_equal(obs.finalize().m, counts / counts.sum())
+
+    def test_stores_only_carried_types(self):
+        # 33 types, two of them carried: every array the observer and its
+        # M keep covers at most the 3 indexed types' 6 states
+        obs = observed([IDLE, 20, 20, IDLE, IDLE, 4, 20, IDLE], 33, cuts=[3, 6])
+        dfm = obs.finalize()
+        assert obs.types.tolist() == [4, 20, 32]
+        for owner in (obs, dfm):
+            sizes = {name: a.size for name, a in vars(owner).items()
+                     if isinstance(a, np.ndarray)}
+            assert sizes and max(sizes.values()) <= (2 * 3) ** 2, sizes
+        assert dfm.m.shape == (66, 66)
+
+
 class TestLatencyStats:
     def test_two_samples(self):
         st_ = latency_stats([2, 4], 1e-9)
