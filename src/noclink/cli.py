@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shutil
@@ -48,22 +49,24 @@ from .sweeps import SweepError
 
 # every noclink error for bad input is a ValueError
 VALIDATION_ERRORS = (
-    ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
+    ValueError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+    PermissionError,
 )
 
 
 # --- shared helpers -----------------------------------------------------------
 
-# Run directory layout version; version 3 stores in traces.npz each link's
-# TRACE_COLUMNS, one entry per flit.  Earlier format-3 runs also hold each
-# flow's consumed payload, which loading ignores.
-RUN_FORMAT = 3
+# Run directory layout version; version 4 stores in traces.npz each of the
+# TRACE_COLUMNS once, every link's flits one after another in meta.json's
+# link order, and ``flits``, each link's flit count.
+RUN_FORMAT = 4
 
 
 def _save_traces(result: SimulationResult, out: Path) -> None:
-    np.savez_compressed(out / "traces.npz", **{
-        f"{link_file_name(link_id)}.{name}": getattr(trace, name)
-        for link_id, trace in result.link_traces.items() for name in TRACE_COLUMNS})
+    traces = [result.link_traces[link] for link in result.link_vertical]
+    np.savez_compressed(
+        out / "traces.npz", flits=np.array([t.cycles.size for t in traces], dtype=np.int64),
+        **{name: np.concatenate([getattr(t, name) for t in traces]) for name in TRACE_COLUMNS})
 
 
 def _require(entries, keys, source: Path) -> None:
@@ -97,7 +100,8 @@ def _load_run(run_dir: Path) -> SimulationResult:
         raise ReportingError(f"{source} is not a JSON object")
     if meta.get("format") != RUN_FORMAT:
         raise ReportingError(f"{run_dir} was written by an earlier noclink, not in"
-                             f" run-directory format {RUN_FORMAT}; re-run `noclink simulate`")
+                             f" run-directory format {RUN_FORMAT} (one array per trace"
+                             f" column in traces.npz); re-run `noclink simulate`")
     _require(meta, ("flows", "cycles", "clock_period_s", "n_types", "flit_width", "links"), source)
     _check_meta(meta, source)
     result = SimulationResult(
@@ -106,19 +110,27 @@ def _load_run(run_dir: Path) -> SimulationResult:
         n_types=meta["n_types"],
         flit_width=meta["flit_width"],
     )
-    archive = run_dir / "traces.npz"
+    links, archive = meta["links"], run_dir / "traces.npz"
     try:
         with np.load(archive) as data:
-            _require(data, [f"{link_file_name(link)}.{name}"
-                            for link in meta["links"] for name in TRACE_COLUMNS], archive)
-            for link_id, vertical in meta["links"].items():
-                key = link_file_name(link_id)
-                trace = LinkTrace(*(data[f"{key}.{name}"] for name in TRACE_COLUMNS),
-                                  length=result.cycles, width=result.flit_width)
-                result.add_link(link_id, LinkObserver.from_trace(trace, result.n_types, link_id),
-                                vertical, trace)
+            _require(data, ("flits", *TRACE_COLUMNS), archive)
+            flits, columns = data["flits"], [data[name] for name in TRACE_COLUMNS]
     except (zipfile.BadZipFile, zlib.error) as exc:
         raise ReportingError(f"{archive} is damaged ({exc}); re-run `noclink simulate`") from exc
+    if flits.dtype.kind not in "iu" or flits.shape != (len(links),) or (flits < 0).any():
+        raise ReportingError(f"{archive}: flits is not one non-negative integer per link"
+                             f" of meta.json's {len(links)}; re-run `noclink simulate`")
+    total = int(flits.sum())
+    short = [name for name, c in zip(TRACE_COLUMNS, columns) if c.shape != (total,)]
+    if short:
+        raise ReportingError(f"{archive}: {', '.join(short)} not {total} entries long, the sum"
+                             f" of flits; re-run `noclink simulate`")
+    bounds = np.cumsum(flits)[:-1]
+    for (link_id, vertical), *parts in zip(links.items(),
+                                           *(np.split(c, bounds) for c in columns)):
+        trace = LinkTrace(*parts, length=result.cycles, width=result.flit_width)
+        result.add_link(link_id, LinkObserver.from_trace(trace, result.n_types, link_id),
+                        vertical, trace)
     return result
 
 
@@ -328,7 +340,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``noclink`` parser, built once per process at its first call.  Each
+    subcommand's ``func`` names its ``cmd_*`` function, which ``main`` looks
+    up when it runs."""
     parser = _Parser(
         prog="noclink",
         description="NoC simulation and pattern-dependent link energy analysis",
@@ -345,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--debug-protocol", action="store_true")
     p.add_argument("--check-invariants", action="store_true")
     common(p)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("analyze", help="energy from a recorded simulation")
     p.add_argument("--run", required=True, help="simulate output directory")
@@ -354,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--codec", default="none")
     p.add_argument("--eq11-literal", action="store_true", dest="eq11_literal")
     p.add_argument("--out", help="output directory")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func="cmd_analyze")
 
     p = sub.add_parser("oracle", help="bit-level energy of a link protocol")
     p.add_argument("--trace", required=True)
@@ -364,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertical", action="store_true",
                    help="use the 3d template when no model file is given")
     p.add_argument("--out", help="output path")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func="cmd_oracle")
 
     p = sub.add_parser("streams", help="generate a synthetic stream")
     p.add_argument("--dist", default="gaussian", choices=DISTRIBUTIONS)
@@ -373,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float)
     p.add_argument("--rho", type=float)
     common(p, out_required=False)
-    p.set_defaults(func=cmd_streams)
+    p.set_defaults(func="cmd_streams")
 
     # a sweep flag left out is None, and cmd_sweep leaves it to the sweep
     p = sub.add_parser("sweep-mux", help="accuracy or energy vs mux probability")
@@ -386,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flits", type=int, help="accuracy mode only")
     p.add_argument("--jobs", type=int, help="accuracy mode only")
     common(p, seed=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     p = sub.add_parser("sweep-coding", help="coding gain vs mux probability")
     p.add_argument("--codecs", type=str_list, dest="codec_names")
@@ -395,21 +411,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", dest="distribution", metavar="{%s}" % ",".join(DISTRIBUTIONS))
     p.add_argument("--runs", type=int)
     common(p, seed=None)
-    p.set_defaults(func=cmd_sweep, mode="coding")
+    p.set_defaults(func="cmd_sweep", mode="coding")
 
     p = sub.add_parser("case-study", help="seven-router reference study")
     p.add_argument("--cycles", type=int, default=100_000)
     common(p)
-    p.set_defaults(func=cmd_case_study)
+    p.set_defaults(func="cmd_case_study")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

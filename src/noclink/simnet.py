@@ -69,7 +69,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .oracle import LinkTrace
-from .reporting import LinkObserver, SimulationError, latency_stats
+from .reporting import LinkObserver, SimulationError, latency_stats, link_file_name
 
 if TYPE_CHECKING:
     from .traffic import PayloadSource
@@ -946,6 +946,17 @@ def build_network(
                 node_flows, source, head_type=n_types - 1,
                 seed=np.random.SeedSequence([seed, dest_index_of[nid]]))
         sources[nid], sinks[nid], pes[nid] = source, sink, pe
+
+    # a run directory names each link's files by its file name
+    named = {}
+    for link in links:
+        name = link_file_name(link.link_id)
+        if name in named:
+            other = named[name]
+            shared = (f"the id {other!r}" if other == link.link_id else
+                      f"the file name {name!r}: {other!r} and {link.link_id!r}")
+            raise ConfigurationError(f"two links share {shared}; rename a node")
+        named[name] = link.link_id
 
     net = Network(routers, sources, sinks, pes, links, node_coords, result)
     _validate_paths(net, flows)

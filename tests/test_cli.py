@@ -9,8 +9,10 @@ import pytest
 from noclink import cli, sweeps
 from noclink.cli import main
 from noclink.codecs import make_codec
+from noclink.config import build_simulation, parse_config
 from noclink.energy import save_capacitance_model, template_2d_bus, template_3d_tsv
 from noclink.linkmodel import link_bit_probabilities
+from noclink.oracle import TRACE_COLUMNS
 from noclink.streams import DataStream, write_stream_binary
 
 CONFIG = """\
@@ -68,6 +70,25 @@ def run_simulate(config_path, out, extra=()):
     ])
 
 
+def read_traces(run):
+    """Each link's trace columns in ``run``'s traces.npz, by link id."""
+    links = json.loads((run / "meta.json").read_text())["links"]
+    with np.load(run / "traces.npz") as data:
+        bounds = np.cumsum(data["flits"])[:-1]
+        columns = {name: np.split(data[name], bounds) for name in TRACE_COLUMNS}
+    return {link: {name: columns[name][i] for name in TRACE_COLUMNS}
+            for i, link in enumerate(links)}
+
+
+def write_traces(run, traces):
+    """Write ``traces``, as ``read_traces`` gives them, as ``run``'s traces.npz,
+    each link's flit count taken from its cycles."""
+    links = list(traces.values())
+    np.savez_compressed(
+        run / "traces.npz", flits=np.array([link["cycles"].size for link in links]),
+        **{name: np.concatenate([link[name] for link in links]) for name in TRACE_COLUMNS})
+
+
 class TestSimulate:
     def test_artifacts(self, config_path, tmp_path):
         out = tmp_path / "run"
@@ -75,6 +96,36 @@ class TestSimulate:
         for name in ("meta.json", "traces.npz", "summary.json", "config.xml"):
             assert (out / name).exists()
         assert (out / "M_A__B.csv").exists()
+
+    def test_saved_traces_load_column_for_column(self, config_path, recorded_run):
+        net = build_simulation(parse_config(config_path), seed=3, collect_traces=True)
+        simulated = net.run(5000).link_traces
+        with np.load(recorded_run / "traces.npz") as data:
+            assert sorted(data) == sorted(["flits", *TRACE_COLUMNS])
+        loaded = cli._load_run(recorded_run).link_traces
+        assert list(loaded) == list(simulated)
+        for link, trace in simulated.items():
+            for name in TRACE_COLUMNS:
+                column = getattr(loaded[link], name)
+                assert column.dtype == getattr(trace, name).dtype
+                assert np.array_equal(column, getattr(trace, name)), (link, name)
+
+    @pytest.mark.parametrize("nodes, links", [
+        ({"PE_A": (0, 0, 0), "A": (1, 0, 0)}, "the id 'PE_A->A'"),
+        ({"X__Y": (0, 0, 0), "Z": (1, 0, 0), "X": (0, 1, 0), "Y__Z": (1, 1, 0)},
+         "the file name 'X__Y__Z': 'X->Y__Z' and 'X__Y->Z'"),
+    ], ids=["same_id", "same_file_name"])
+    def test_links_sharing_a_file_name_exit_1(self, tmp_path, capsys, nodes, links):
+        # CONFIG's settings without its flows, on the given nodes
+        before, _, after = CONFIG.partition("  <topology>")
+        settings = after.partition("</topology>\n")[2].partition("  <traffic>")[0]
+        topology = "".join(f'    <node id="{nid}" x="{x}" y="{y}" z="{z}"/>\n'
+                           for nid, (x, y, z) in nodes.items())
+        config = tmp_path / "sim.xml"
+        config.write_text(f"{before}  <topology>\n{topology}  </topology>\n{settings}"
+                          "</simulation>\n")
+        assert run_simulate(config, tmp_path / "run") == 1
+        assert f"two links share {links}" in capsys.readouterr().err
 
     def test_seed_reproducibility(self, config_path, tmp_path):
         run_simulate(config_path, tmp_path / "r1")
@@ -198,24 +249,59 @@ class TestAnalyze:
         assert main(["analyze", "--run", str(out)]) == 1
         assert "re-run `noclink simulate`" in capsys.readouterr().err
 
+    def test_format_3_run_exit_1(self, recorded_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        meta = json.loads((run / "meta.json").read_text())
+        meta["format"] = 3  # five traces.npz members per link
+        (run / "meta.json").write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert "traces.npz" in err and "re-run `noclink simulate`" in err
+
     @pytest.mark.parametrize("tamper", ["descending", "at_end", "unequal"])
     def test_tampered_traces_exit_1(self, config_path, tmp_path, capsys, tamper):
         out = tmp_path / "run"
         run_simulate(config_path, out)
-        with np.load(out / "traces.npz") as data:
-            arrays = dict(data)
-        cycles = arrays["A__B.cycles"]
-        assert cycles.size >= 2
+        traces = read_traces(out)
+        link = traces["A->B"]
+        assert link["cycles"].size >= 2
         if tamper == "descending":
-            arrays["A__B.cycles"] = cycles[::-1].copy()
+            link["cycles"] = link["cycles"][::-1].copy()
         elif tamper == "at_end":
-            arrays["A__B.cycles"][-1] = 5000  # meta.json's cycles
+            link["cycles"][-1] = 5000  # meta.json's cycles
         else:
-            arrays["A__B.words"] = arrays["A__B.words"][:-1]
-        np.savez_compressed(out / "traces.npz", **arrays)
+            link["words"] = link["words"][:-1]
+        write_traces(out, traces)
         capsys.readouterr()
         assert main(["analyze", "--run", str(out)]) == 1
-        assert "error: trace" in capsys.readouterr().err
+        assert ("traces.npz: words not" if tamper == "unequal"
+                else "error: trace cycles must ascend") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["one_short", "negative", "fractional", "over_sum"])
+    def test_bad_flit_counts_exit_1(self, recorded_run, tmp_path, capsys, tamper):
+        run = tmp_path / "run"
+        shutil.copytree(recorded_run, run)
+        with np.load(run / "traces.npz") as data:
+            arrays = dict(data)
+        flits = arrays["flits"]
+        assert flits.size == len(json.loads((run / "meta.json").read_text())["links"])
+        if tamper == "one_short":
+            arrays["flits"] = flits[:-1]
+        elif tamper == "negative":
+            flits[flits.argmax()] *= -1
+        elif tamper == "fractional":
+            arrays["flits"] = flits.astype(np.float64)
+        else:
+            flits[0] += 1
+        np.savez_compressed(run / "traces.npz", **arrays)
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(run)]) == 1
+        err = capsys.readouterr().err
+        assert "traces.npz" in err and "re-run `noclink simulate`" in err
+        assert ("entries long, the sum of flits" if tamper == "over_sum"
+                else "flits is not one non-negative integer per link") in err
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
     def test_damaged_archive_exit_1(self, recorded_run, tmp_path, capsys, damage):
@@ -237,7 +323,7 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "traces.npz" in err and "re-run `noclink simulate`" in err
 
-    @pytest.mark.parametrize("entry", ["A__B.words", "links"])
+    @pytest.mark.parametrize("entry", ["words", "flits", "links"])
     def test_incomplete_run_exit_1(self, config_path, tmp_path, capsys, entry):
         out = tmp_path / "run"
         run_simulate(config_path, out)
@@ -255,29 +341,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert entry in err and "re-run `noclink simulate`" in err
 
-    def test_earlier_payload_entries_are_ignored(self, recorded_run, tmp_path):
-        run = tmp_path / "run"
-        shutil.copytree(recorded_run, run)
-        with np.load(run / "traces.npz") as data:
-            arrays = dict(data)
-        arrays["payload.0"] = np.arange(3, dtype=np.uint64)  # as earlier format-3 runs hold
-        np.savez_compressed(run / "traces.npz", **arrays)
-        for source, out in ((recorded_run, "plain"), (run, "with_payload")):
-            assert main(["analyze", "--run", str(source), "--codec", "gray",
-                         "--out", str(tmp_path / out)]) == 0
-        assert ((tmp_path / "plain" / "energy_gray.json").read_text()
-                == (tmp_path / "with_payload" / "energy_gray.json").read_text())
-
     def test_unrecorded_sent_word_exit_1(self, recorded_run, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(recorded_run, run)
-        with np.load(run / "traces.npz") as data:
-            arrays = dict(data)
-        for link in {key.rsplit(".", 1)[0] for key in arrays}:
-            keep = (arrays[f"{link}.flows"] != 0) | (arrays[f"{link}.indices"] != 1)
-            for name in ("cycles", "types", "words", "flows", "indices"):
-                arrays[f"{link}.{name}"] = arrays[f"{link}.{name}"][keep]
-        np.savez_compressed(run / "traces.npz", **arrays)
+        traces = read_traces(run)
+        for columns in traces.values():
+            keep = (columns["flows"] != 0) | (columns["indices"] != 1)
+            for name in TRACE_COLUMNS:
+                columns[name] = columns[name][keep]
+        write_traces(run, traces)
         capsys.readouterr()
         assert main(["analyze", "--run", str(run)]) == 0
         assert main(["analyze", "--run", str(run), "--codec", "gray"]) == 1
@@ -583,6 +655,29 @@ class TestParser:
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{config}", "--cycles", "100"],
+        ["analyze", "--run", "{run}"],
+        ["case-study", "--cycles", "100"],
+    ])
+    def test_out_naming_a_file_exits_1(self, config_path, recorded_run, tmp_path, capsys,
+                                       argv):
+        out = tmp_path / "file"
+        out.write_text("")
+        paths = {"config": str(config_path), "run": str(recorded_run)}
+        assert main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == 1
+        assert "File exists" in capsys.readouterr().err
+        assert out.read_text() == ""
+
+    def test_parser_is_built_once_and_finds_replaced_commands(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_streams", lambda args: calls.append(args.length) or 0)
+        cli.build_parser.cache_clear()
+        for length in ("5", "6"):
+            assert main(["streams", "--length", length]) == 0
+        assert calls == [5, 6]
+        assert cli.build_parser.cache_info().misses == 1
+
 
 CASE_NODES = {
     "R1": (0, 0, 0), "R2": (1, 0, 0), "R3": (2, 0, 0),
@@ -704,8 +799,8 @@ class TestCodingAcrossPayloadWrap:
                 CONFIG.split("  <traffic>")[0]
                 + f"  <traffic>\n{flows}  </traffic>\n</simulation>\n")
             assert run_simulate(f"{name}.xml", name) == 0
-        with np.load(tmp_path / "short" / "traces.npz") as data:
-            assert data["A__B.indices"].max() >= 10  # wrapped at least twice
+        # wrapped at least twice
+        assert read_traces(tmp_path / "short")["A->B"]["indices"].max() >= 10
         assert main(["analyze", "--run", "short", "--codec", codec]) == 0
         assert main(["analyze", "--run", "coded"]) == 0
         post = json.loads((tmp_path / "short" / f"energy_{codec}.json").read_text())

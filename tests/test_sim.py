@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from noclink.linkmodel import DataFlowMatrix
-from noclink.reporting import IDLE, data_flow_from_trace
+from noclink.oracle import TRACE_COLUMNS
+from noclink.reporting import IDLE, LinkObserver, data_flow_from_trace
 from noclink.simnet import (
     CHUNK,
     LOCAL,
@@ -29,6 +31,7 @@ from noclink.simnet import (
     Router,
     RouterConfig,
     SimulationError,
+    _validate_paths,
     build_network,
     encode_head_word,
     route_xyz,
@@ -756,6 +759,55 @@ class TestRandomMeshes:
             ref.run(150)
             ref_result = ref.run(50)
         assert ordered_digest(result) == ordered_digest(ref_result)
+
+
+@st.composite
+def sparse_meshes(draw):
+    """2-12 nodes drawn from a 3x3x3 box, with random flows between the
+    node pairs whose XYZ routes ``build_network`` accepts."""
+    cells = draw(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=2, max_size=12,
+                          unique=True))
+    nodes = {f"N{x}{y}{z}": (x, y, z) for x, y, z in cells}
+    net = build_network(nodes, [])
+    pairs = []
+    for src, dst in itertools.permutations(sorted(nodes), 2):
+        try:
+            _validate_paths(net, [FlowSpec(0, 0, src, dst, 0.0, 2, None)])
+        except ConfigurationError:
+            continue
+        pairs.append((src, dst))
+    assume(pairs)
+    flows = []
+    for i in range(draw(st.integers(1, 2 * len(nodes)))):
+        src, dst = draw(st.sampled_from(pairs))
+        flows.append(FlowSpec(i, i % 3, src, dst, draw(st.sampled_from([0.05, 0.2, 0.5, 1.0])),
+                              draw(st.integers(2, 5)), ramp_payload()))
+    cfg = RouterConfig(vc_count=draw(st.integers(1, 4)), buffer_depth=draw(st.integers(1, 4)),
+                       clock_delay=draw(st.integers(1, 2)))
+    return dict(nodes=nodes, flows=flows, flit_width=W, router_cfg=cfg,
+                pe_clock_delay=draw(st.integers(1, 2)), collect_traces=True,
+                seed=draw(st.integers(0, 2**16)))
+
+
+class TestSparseMeshes:
+    @given(sparse_meshes())
+    @settings(max_examples=40, deadline=None)
+    def test_conserved_deterministic_and_m_is_the_recount(self, mesh):
+        result = build_network(**mesh).run(200, check_invariants=True)
+        assert result.injected_flits == result.ejected_flits + result.in_flight_flits
+
+        again = build_network(**mesh).run(200)
+        assert ordered_digest(again) == ordered_digest(result)
+        assert again.link_traces.keys() == result.link_traces.keys()
+        for link, trace in result.link_traces.items():
+            for name in TRACE_COLUMNS:
+                assert np.array_equal(getattr(again.link_traces[link], name),
+                                      getattr(trace, name)), (link, name)
+
+            recount = LinkObserver.from_trace(trace, result.n_types, link).finalize()
+            m = result.data_flow[link]
+            assert np.array_equal(m.types, recount.types), link
+            assert np.array_equal(m.compact, recount.compact), link
 
 
 class TestClockDelays:
