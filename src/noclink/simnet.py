@@ -40,11 +40,12 @@ Update order within one base cycle is fixed and fully deterministic:
 
 1. the credits in flight return to their output VCs and the staged ones
    take off; awake links deliver their flits into the downstream buffers,
-2. awake routers due this cycle tick (send, then, while a head waits, VC
-   allocation and route computation in one pass, so information advances
-   one stage per cycle),
-3. awake sink NIs due this cycle drain, in build order; PEs due to
-   inject do so; awake source NIs due this cycle send,
+2. on a multiple of the router clock delay, awake routers tick (send,
+   then, while a head waits, VC allocation and route computation in one
+   pass, so information advances one stage per cycle),
+3. on a multiple of the PE clock delay, awake sink NIs drain, in build
+   order; PEs due to inject, whose ticks fall on those cycles, do so;
+   awake source NIs send,
 4. awake links, each holding the flit put this cycle, record it; idle
    cycles cost nothing.
 
@@ -389,7 +390,6 @@ class Router:
         self.node_id = node_id
         self.coords = coords
         self.cfg = cfg
-        self.clock_delay = cfg.clock_delay
         self.in_vcs: list[InputVC] = []
         self.outputs: list[OutputPort | None] = [None] * len(PORT_NAMES)
         self.ports: list[OutputPort] = []
@@ -483,8 +483,7 @@ class SourceNI:
     whether the queue or a VC deque still holds flits.  A VC's deque holds
     flits exactly while the VC is ``ACTIVE``."""
 
-    def __init__(self, link: Link, vc_count, downstream_depth, clock_delay, arbitration):
-        self.clock_delay = clock_delay
+    def __init__(self, link: Link, vc_count, downstream_depth, arbitration):
         self.out = OutputPort(link, vc_count, downstream_depth, arbitration)
         for ov in self.out.vcs:
             ov.flits = deque()
@@ -542,13 +541,12 @@ class SourceNI:
 
 class SinkNI:
     """Consumes ejected flits, returns credits and records latency.  A
-    delivery wakes it; ``rank`` is its place in build order, the order in
-    which woken sinks drain.  Deliveries raise a router's ``buffered`` and
-    ``waiting`` counts here too, and a drain zeroes them."""
+    delivery wakes it and the next PE-clock cycle drains it, woken sinks in
+    build order (``rank``).  Deliveries raise ``buffered`` and ``waiting``
+    here as at a router, and a drain zeroes them."""
 
-    def __init__(self, in_link: Link, vc_count, clock_delay, result):
+    def __init__(self, in_link: Link, vc_count, result):
         self.in_link = in_link
-        self.clock_delay = clock_delay
         self.buffers = [deque() for _ in range(vc_count)]
         in_link.buffers = self.buffers
         in_link.down = self
@@ -692,9 +690,11 @@ class SimulationResult:
 class Network:
     """A built mesh: routers, NIs, PEs and observed links, with the wake
     sets of an activity-driven run.  ``staged_credits`` and
-    ``flying_credits`` are the two stages of the credit return."""
+    ``flying_credits`` are the two stages of the credit return.  Routers
+    tick every ``router_clock`` cycles, NIs and PEs every ``pe_clock``."""
 
-    def __init__(self, routers, sources, sinks, pes, links, dest_coords, result):
+    def __init__(self, routers, sources, sinks, pes, links, dest_coords, result,
+                 router_clock, pe_clock):
         self.routers = routers
         self.sources = sources
         self.sinks = sinks
@@ -702,6 +702,8 @@ class Network:
         self.links = links
         self.dest_coords = dest_coords
         self.result = result
+        self.router_clock = router_clock
+        self.pe_clock = pe_clock
         self._router_list = [routers[k] for k in sorted(routers)]
         self._sink_list = [sinks[k] for k in sorted(sinks)]
         self._source_list = [sources[k] for k in sorted(sources)]
@@ -798,6 +800,7 @@ class Network:
         staged, flying = self.staged_credits, self.flying_credits
         links_awake, routers_awake = self._links_awake, self._routers_awake
         sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
+        router_clock, pe_clock = self.router_clock, self.pe_clock
 
         # cycles count from the network's start, so that latencies and clock
         # phases carry across runs
@@ -818,19 +821,17 @@ class Network:
                 for link in links_awake:
                     link.deliver()
                 links_awake.clear()
-                _tick_due(routers_awake, cycle)
-                if sinks_awake:
-                    awake = sorted(sinks_awake, key=_RANK)
+                if cycle % router_clock == 0:
+                    _tick(routers_awake)
+                if cycle % pe_clock == 0:
+                    sinks_awake.sort(key=_RANK)
+                    for sink in sinks_awake:
+                        sink.tick(cycle)
+                        sink.awake = False
                     sinks_awake.clear()
-                    for sink in awake:
-                        if cycle % sink.clock_delay == 0:
-                            sink.tick(cycle)
-                            sink.awake = False
-                        else:
-                            sinks_awake.append(sink)
-                for pe, draws in due.get(cycle, ()):
-                    pe.tick(cycle, draws, dest_coords)
-                _tick_due(sources_awake, cycle)
+                    for pe, draws in due.get(cycle, ()):
+                        pe.tick(cycle, draws, dest_coords)
+                    _tick(sources_awake)
                 for link in links_awake:
                     link.observe(cycle)
                 if check_invariants:
@@ -863,18 +864,13 @@ class Network:
 _RANK = attrgetter("rank")
 
 
-def _tick_due(awake: list[Router] | list[SourceNI], cycle: int) -> None:
-    """Tick the awake routers or source NIs that are due at ``cycle``; one
-    that holds no flit after its tick falls asleep."""
-    parts = awake[:]
-    awake.clear()
-    for part in parts:
-        if cycle % part.clock_delay == 0:
-            part.tick()
-            if not part.holding:
-                part.awake = False
-                continue
-        awake.append(part)
+def _tick(awake: list[Router] | list[SourceNI]) -> None:
+    """Tick the awake routers or source NIs; one that holds no flit after
+    its tick falls asleep."""
+    for part in awake:
+        part.tick()
+        part.awake = part.holding
+    awake[:] = [part for part in awake if part.awake]
 
 
 def build_network(
@@ -938,9 +934,8 @@ def build_network(
         links.extend([up, down])
         routers[nid].attach_input(LOCAL, up)
         routers[nid].attach_output(LOCAL, down, cfg.buffer_depth)
-        sink = SinkNI(down, cfg.vc_count, pe_clock_delay, result)
-        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, pe_clock_delay,
-                          cfg.arbitration)
+        sink = SinkNI(down, cfg.vc_count, result)
+        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration)
         node_flows = [f for f in flows if f.src == nid]
         pe = PE(nid, dest_index_of, flit_width, pe_clock_delay,
                 node_flows, source, head_type=n_types - 1,
@@ -958,7 +953,8 @@ def build_network(
             raise ConfigurationError(f"two links share {shared}; rename a node")
         named[name] = link.link_id
 
-    net = Network(routers, sources, sinks, pes, links, node_coords, result)
+    net = Network(routers, sources, sinks, pes, links, node_coords, result,
+                  cfg.clock_delay, pe_clock_delay)
     _validate_paths(net, flows)
     return net
 

@@ -6,7 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from noclink import cli, sweeps
+from noclink import cli, simnet, sweeps
 from noclink.cli import main
 from noclink.codecs import make_codec
 from noclink.config import build_simulation, parse_config
@@ -56,8 +56,8 @@ def config_path(tmp_path):
 
 @pytest.fixture()
 def cap_files(tmp_path):
-    cap2d = tmp_path / "cap2d.npz"
-    cap3d = tmp_path / "cap3d.npz"
+    cap2d = tmp_path / "cap2d.csv"
+    cap3d = tmp_path / "cap3d"
     save_capacitance_model(cap2d, template_2d_bus(16, 120.0, 40.0, 1))
     save_capacitance_model(cap3d, template_3d_tsv(4, 4, 40.0, -2.0, 120.0, -6.0))
     return str(cap2d), str(cap3d)
@@ -100,8 +100,11 @@ class TestSimulate:
     def test_saved_traces_load_column_for_column(self, config_path, recorded_run):
         net = build_simulation(parse_config(config_path), seed=3, collect_traces=True)
         simulated = net.run(5000).link_traces
-        with np.load(recorded_run / "traces.npz") as data:
-            assert sorted(data) == sorted(["flits", *TRACE_COLUMNS])
+        with zipfile.ZipFile(recorded_run / "traces.npz") as archive:
+            members = archive.infolist()
+        assert sorted(m.filename for m in members) == sorted(
+            f"{name}.npy" for name in ["flits", *TRACE_COLUMNS])
+        assert all(m.compress_type == zipfile.ZIP_DEFLATED for m in members)
         loaded = cli._load_run(recorded_run).link_traces
         assert list(loaded) == list(simulated)
         for link, trace in simulated.items():
@@ -165,7 +168,7 @@ class TestAnalyze:
                 == (tmp_path / "plain" / "energy.json").read_bytes())
 
     def test_capacitance_width_mismatch_exit_1(self, recorded_run, tmp_path, capsys):
-        cap2d = tmp_path / "cap8.npz"
+        cap2d = tmp_path / "cap8.csv"
         save_capacitance_model(cap2d, template_2d_bus(8, 120.0, 40.0, 1))
         capsys.readouterr()
         assert main(["analyze", "--run", str(recorded_run), "--cap2d", str(cap2d),
@@ -668,6 +671,18 @@ class TestParser:
         assert main([*(arg.format(**paths) for arg in argv), "--out", str(out)]) == 1
         assert "File exists" in capsys.readouterr().err
         assert out.read_text() == ""
+
+    def test_simulate_checks_out_before_simulating(self, config_path, tmp_path, capsys,
+                                                   monkeypatch):
+        def run(net, cycles, **kwargs):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(simnet.Network, "run", run)
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["simulate", "--config", str(config_path), "--cycles", "100",
+                     "--out", str(out)]) == 1
+        assert "File exists" in capsys.readouterr().err
 
     def test_parser_is_built_once_and_finds_replaced_commands(self, monkeypatch):
         calls = []
