@@ -285,21 +285,21 @@ def cmd_case_study(args) -> int:
     # performance: identical traffic with and without virtual channels
     perf_rows = []
     for vc in (4, 1):
-        run = sweeps.run_case_study(
+        result = sweeps.run_case_study(
             vc, cycles=args.cycles, seed=args.seed, collect_traces=(vc == 4)
         )
-        summary = run.result.summary()
+        summary = result.summary()
         row = {"vc_count": vc}
         for key in ("flit_latency", "packet_latency"):
             if key in summary:
                 row[f"{key}_ns"] = summary[key]["ns"]["mean"]
         perf_rows.append(row)
         if vc == 4:
-            reports = sweeps.network_energy_reports(run.result, cap2d, cap3d)
+            reports = sweeps.network_energy_reports(result, cap2d, cap3d)
             energy_rows = []
             for link_id, rep in sorted(reports.items()):
-                cap = cap3d if run.result.link_vertical[link_id] else cap2d
-                orc = exact_energy(run.result.link_traces[link_id], cap, sweeps.TECH,
+                cap = cap3d if result.link_vertical[link_id] else cap2d
+                orc = exact_energy(result.link_traces[link_id], cap, sweeps.TECH,
                                    link=link_id)
                 energy_rows.append({
                     "link": link_id,
@@ -309,18 +309,18 @@ def cmd_case_study(args) -> int:
                     "oracle_fj_per_cycle": orc.energy_per_cycle_fj,
                 })
             sweeps.write_csv(out / "energy.csv", energy_rows)
-            emit_reports(run.result, out / "vc4")
+            emit_reports(result, out / "vc4")
             write_energy_json(out / "vc4" / "energy.json", reports)
     sweeps.write_csv(out / "latency.csv", perf_rows)
 
     # coding comparison on image-like payloads, with and without VCs
     coding_rows = []
     for vc in (4, 1):
-        run = sweeps.run_case_study(
+        result = sweeps.run_case_study(
             vc, cycles=args.cycles, seed=args.seed,
             payload_kind="pixel-msb", rho=0.9999, rate=0.0075, stream_seed=110,
         )
-        gains = sweeps.evaluate_coding(run, ["gray", "correlator+inv"], cap2d, cap3d)
+        gains = sweeps.evaluate_coding(result, ["gray", "correlator+inv"], cap2d, cap3d)
         for name, entry in gains.items():
             coding_rows.append({
                 "vc_count": vc,

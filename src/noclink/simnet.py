@@ -784,11 +784,14 @@ class Network:
         the network was built: a further run extends and returns the same
         object.
         """
-        if cycles < 1:
-            raise ConfigurationError("cycles must be >= 1")
         result = self.result
         start = result.cycles
         end = start + cycles
+        if cycles < 1:
+            raise ConfigurationError("cycles must be >= 1")
+        # M counts transitions between cycles, so a link needs two observed
+        if end < 2:
+            raise ConfigurationError(f"a network needs at least two cycles, got {end}")
         result.cycles = end
 
         pe_list = self._pe_list

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -245,12 +244,6 @@ def case_study_traffic(
     ]
 
 
-@dataclass
-class CaseStudyRun:
-    result: SimulationResult
-    traffic: list[FlowSpec]
-
-
 def run_case_study(
     vc_count: int,
     *,
@@ -259,12 +252,11 @@ def run_case_study(
     collect_traces: bool = True,
     check_invariants: bool = False,
     **traffic_kw,
-) -> CaseStudyRun:
+) -> SimulationResult:
     """Simulate the case study; ``traffic_kw`` go to :func:`case_study_traffic`."""
-    traffic = case_study_traffic(**traffic_kw)
     net = build_network(
         CASE_STUDY_NODES,
-        traffic,
+        case_study_traffic(**traffic_kw),
         flit_width=CASE_STUDY_FLIT_WIDTH,
         router_cfg=RouterConfig(
             vc_count=vc_count, buffer_depth=4, arbitration="fair", clock_delay=1,
@@ -274,23 +266,21 @@ def run_case_study(
         collect_traces=collect_traces,
         seed=seed,
     )
-    result = net.run(cycles, check_invariants=check_invariants)
-    return CaseStudyRun(result, traffic)
+    return net.run(cycles, check_invariants=check_invariants)
 
 
 def evaluate_coding(
-    run: CaseStudyRun,
+    result: SimulationResult,
     codec_names: list[str],
     cap2d: Capacitance2D,
     cap3d: Capacitance3D,
 ) -> dict[str, dict]:
     """Post-simulation coding comparison over one recorded simulation.
 
-    Returns, per codec, the total network energy per cycle, the gain
-    relative to uncoded transmission and each link's energy per cycle,
-    priced from the recorded traces coded by ``coded_traces``.
+    Returns, per codec, the total network energy per cycle and the gain
+    relative to uncoded transmission, priced from the recorded traces
+    coded by ``coded_traces``.
     """
-    result = run.result
     out: dict[str, dict] = {}
     for name in ("none", *(n for n in codec_names if n != "none")):
         traces = None if name == "none" else coded_traces(result, name)
@@ -300,7 +290,6 @@ def evaluate_coding(
             "energy_per_cycle_fj": total,
             "gain_percent": coding_gain(out["none"]["energy_per_cycle_fj"], total)
             if out else 0.0,
-            "links": {k: r.energy_per_cycle_fj for k, r in reports.items()},
         }
     return out
 

@@ -104,44 +104,33 @@ def source_from_spec(spec: StreamSpec, name: str = "synthetic") -> PayloadSource
     return PayloadSource((), spec.width, name, draw=stream_draw(spec), length=spec.length)
 
 
-def packed_pixel_source(
-    flit_width: int, length: int, sigma: float, rho: float, seed: int,
-    name: str = "pixel-packed",
+def pixel_source(
+    kind: str, flit_width: int, length: int, sigma: float, rho: float, seed: int,
 ) -> PayloadSource:
-    """Two independent correlated pixel streams packed per flit.
+    """A correlated pixel payload of ``kind``, named ``kind``.
 
-    Each flit carries two (flit_width/2)-bit AR(1) pixel samples, the
-    first in the upper half, matching row-major two-pixels-per-flit
-    image packing.
+    Each flit's upper half is an AR(1) gaussian pixel sample of
+    ``flit_width/2`` bits drawn with ``seed``.  Its lower half is
+
+    * ``pixel-packed``: a second, independent pixel sample (``seed + 500``),
+      so two row-major pixels share a flit as in two-pixels-per-flit image
+      packing;
+    * ``pixel-msb``: uniform bits (``seed + 5000``), a pixel in the upper
+      half over noise in the lower.
     """
     if flit_width % 2:
-        raise TrafficError("packed-pixel payloads need an even flit width")
+        raise TrafficError(f"{kind} payloads need an even flit width")
     half = flit_width // 2
     hi = stream_draw(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
-    lo = stream_draw(
-        StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed + 500)
-    )
-    return _halves_source(hi, lo, flit_width, length, name)
-
-
-def msb_pixel_source(
-    flit_width: int, length: int, sigma: float, rho: float, seed: int,
-    name: str = "pixel-msb",
-) -> PayloadSource:
-    """Correlated pixel sample in the upper flit half, uniform lower half."""
-    if flit_width % 2:
-        raise TrafficError("msb-pixel payloads need an even flit width")
-    half = flit_width // 2
-    hi = stream_draw(StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed))
-    lo = stream_draw(StreamSpec("uniform", half, length, seed=seed + 5000))
-    return _halves_source(hi, lo, flit_width, length, name)
-
-
-def _halves_source(hi, lo, flit_width: int, length: int, name: str) -> PayloadSource:
-    """A source whose words are ``(hi << flit_width/2) | lo`` of two draws."""
-    shift = np.uint64(flit_width // 2)
+    if kind == "pixel-packed":
+        low = StreamSpec("gaussian", half, length, sigma=sigma, rho=rho, seed=seed + 500)
+    elif kind == "pixel-msb":
+        low = StreamSpec("uniform", half, length, seed=seed + 5000)
+    else:
+        raise TrafficError(f"unknown pixel payload kind {kind!r}")
+    lo, shift = stream_draw(low), np.uint64(half)
     return PayloadSource(
-        (), flit_width, name, draw=lambda count: (hi(count) << shift) | lo(count),
+        (), flit_width, kind, draw=lambda count: (hi(count) << shift) | lo(count),
         length=length,
     )
 
@@ -221,8 +210,7 @@ def make_payload_source(cfg: dict, flit_width: int) -> PayloadSource:
         sigma, rho = _attr(cfg, "sigma", float), _attr(cfg, "rho", float)
         if sigma is None or rho is None:
             raise TrafficError(f"{kind} payload needs sigma and rho")
-        build = packed_pixel_source if kind == "pixel-packed" else msb_pixel_source
-        return build(flit_width, length, sigma, rho, seed)
+        return pixel_source(kind, flit_width, length, sigma, rho, seed)
     if kind == "raw":
         return raw_byte_source(_file_of(cfg, kind), flit_width)
     if kind == "pgm":
@@ -284,10 +272,6 @@ def load_traffic_spec(
                 if node not in nodes:
                     raise TrafficError(f"unknown node {node!r} in traffic flow")
             payload = make_payload_source(cfg, flit_width)
-            if payload.width != flit_width:
-                raise TrafficError(
-                    f"payload width {payload.width} does not match flit width {flit_width}"
-                )
             if "typeId" in cfg:
                 type_id = _attr(cfg, "typeId", int)
                 next_type = max(next_type, type_id + 1)

@@ -92,7 +92,7 @@ def test_criterion_1_switching_accuracy():
 
 
 def test_criterion_2_end_to_end_energy(packed_run4):
-    result = packed_run4.result
+    result = packed_run4
     cap2d, cap3d = case_study_cap2d(), case_study_cap3d()
     reports = network_energy_reports(result, cap2d, cap3d)
     errs = {}
@@ -117,7 +117,7 @@ def test_criterion_2_end_to_end_energy(packed_run4):
 
 def test_coded_links_against_the_oracle(packed_run4):
     """Criterion 2's bound on the links re-priced for each codec."""
-    result = packed_run4.result
+    result = packed_run4
     details, ok = [], True
     for name in ("gray", "invert", "correlator+inv"):
         traces = coded_traces(result, name)
@@ -201,7 +201,7 @@ def test_criterion_6_standard_model_underestimation():
     result = run_case_study(
         4, cycles=100_000, seed=1, payload_kind="pixel-packed",
         rate=0.0075, sigma=40.0, rho=0.9999, stream_seed=410,
-    ).result
+    )
     cap2d, cap3d = case_study_cap2d(), case_study_cap3d()
     reports = network_energy_reports(result, cap2d, cap3d)
     ratios = {}
@@ -221,8 +221,8 @@ def test_criterion_6_standard_model_underestimation():
 def test_criterion_7_vc_latency():
     lat = {}
     for vc in (4, 1):
-        run = run_case_study(vc, cycles=100_000, seed=1, collect_traces=False)
-        lat[vc] = float(np.mean(run.result.flit_latencies))
+        result = run_case_study(vc, cycles=100_000, seed=1, collect_traces=False)
+        lat[vc] = float(np.mean(result.flit_latencies))
     ok = lat[4] <= 0.7 * lat[1]
     verdict(
         "criterion 7 VC latency benefit",
@@ -298,7 +298,7 @@ def _per_cycle_types(trace) -> np.ndarray:
 def test_criterion_8_property_suites(packed_run4):
     checks = []
 
-    result = packed_run4.result
+    result = packed_run4
     for dfm in result.data_flow.values():
         dfm.validate()
         assert abs(dfm.m.sum() - 1.0) <= 1e-9
@@ -321,7 +321,7 @@ def test_criterion_8_property_suites(packed_run4):
     stress = run_case_study(
         2, cycles=100_000, seed=3, rate=0.02,
         collect_traces=False, check_invariants=True,
-    ).result
+    )
     assert stress.injected_flits == stress.ejected_flits + stress.in_flight_flits
     assert stress.injected_flits > 100_000
     checks.append("credit/flit conservation over 1e5 cycles")

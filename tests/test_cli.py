@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import shutil
@@ -154,6 +155,30 @@ class TestSimulate:
         assert main(argv) == 1
         assert f"--cycles {cycles}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCaseStudy:
+    def test_artifacts(self, tmp_path):
+        out = tmp_path / "cs"
+        assert main(["case-study", "--cycles", "3000", "--seed", "5", "--out", str(out)]) == 0
+
+        def rows(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.DictReader(fh))
+
+        counts = json.loads((out / "vc4" / "link_counts.json").read_text())
+        energy = json.loads((out / "vc4" / "energy.json").read_text())
+        priced = rows("energy.csv")
+        assert [row["link"] for row in priced] == sorted(
+            link for link, flits in counts.items() if sum(flits))
+        for row in priced:
+            assert float(row["model_fj_per_cycle"]) == energy[row["link"]]["energy_per_cycle_fj"]
+        assert [row["vc_count"] for row in rows("latency.csv")] == ["4", "1"]
+        coding = rows("coding.csv")
+        assert [(row["vc_count"], row["codec"]) for row in coding] == [
+            (vc, codec) for vc in ("4", "1") for codec in ("none", "gray", "correlator+inv")]
+        assert [float(row["gain_percent"]) for row in coding if row["codec"] == "none"] == [
+            0.0, 0.0]
 
 
 class TestAnalyze:

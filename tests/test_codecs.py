@@ -16,7 +16,8 @@ from noclink.streams import (
     generate_stream,
 )
 from noclink.oracle import LinkTrace
-from noclink.sweeps import SweepError, coded_traces, coding_sweep, run_case_study
+from noclink.sweeps import (SweepError, case_study_traffic, coded_traces, coding_sweep,
+                            run_case_study)
 
 
 def stream(words, width):
@@ -164,7 +165,7 @@ def recorded():
 
 class TestCodedTraces:
     def test_none_keeps_every_column(self, recorded):
-        result = recorded.result
+        result = recorded
         coded = coded_traces(result, "none")
         assert coded.keys() == result.link_traces.keys()
         for link, trace in result.link_traces.items():
@@ -174,9 +175,10 @@ class TestCodedTraces:
 
     @pytest.mark.parametrize("name", ["gray", "invert", "correlator+inv"])
     def test_body_words_are_the_sent_payload_coded(self, recorded, name):
-        result = recorded.result
+        result = recorded
         coded = coded_traces(result, name)
         codec = make_codec(name, result.flit_width)
+        traffic = case_study_traffic()  # the recorded run's flows, built afresh
         for link, trace in result.link_traces.items():
             out = coded[link]
             for col in ("cycles", "types", "flows", "indices"):
@@ -186,14 +188,14 @@ class TestCodedTraces:
             assert np.array_equal(out.words[head], trace.words[head])
             for flow in np.unique(trace.flows[~head]).tolist():
                 sel = ~head & (trace.flows == flow)
-                payload = recorded.traffic[flow].payload
+                payload = traffic[flow].payload
                 sent = payload.take(0, int(trace.indices[sel].max()) + 1)
                 expect = codec.encode(DataStream(sent, result.flit_width)).words
                 assert np.array_equal(out.words[sel], expect[trace.indices[sel]])
 
     @pytest.mark.parametrize("tamper", ["missing", "disagree"])
     def test_tampered_result_raises(self, recorded, tamper):
-        result = recorded.result
+        result = recorded
         traces = {}
         for link, t in result.link_traces.items():
             picked = (t.flows == 0) & (t.indices == 3)
@@ -207,6 +209,6 @@ class TestCodedTraces:
             coded_traces(tampered, "gray")
 
     def test_untraced_result_raises(self):
-        result = run_case_study(4, cycles=200, collect_traces=False).result
+        result = run_case_study(4, cycles=200, collect_traces=False)
         with pytest.raises(SweepError, match="no link traces"):
             coded_traces(result, "gray")

@@ -1,9 +1,11 @@
 import textwrap
 
+import numpy as np
 import pytest
 
 from noclink.cli import main
 from noclink.config import ConfigError, build_simulation, parse_config
+from noclink.streams import StreamSpec, generate_stream
 
 NODE_TYPES = """\
 <nodeTypes>
@@ -30,14 +32,77 @@ TOPOLOGY = """\
 """
 
 
+def document(body, root="simulation"):
+    return f"<{root}>\n{textwrap.indent(body, '  ')}</{root}>\n"
+
+
 def write_config(tmp_path, body, name="sim.xml"):
     path = tmp_path / name
-    path.write_text(f"<simulation>\n{textwrap.indent(body, '  ')}</simulation>\n")
+    path.write_text(document(body))
     return path
 
 
 def minimal(tmp_path, extra="", node_types=NODE_TYPES):
     return write_config(tmp_path, node_types + TOPOLOGY + extra)
+
+
+SECOND_PE_TYPE = """\
+    <nodeType id="2">
+        <model value="ProcessingElementVC"/>
+        <clockDelay value="2"/>
+    </nodeType>
+"""
+# each broken configuration: its text, the message it must raise ({path} and
+# {line} filled in), and a text found on the line the message names, if any
+BROKEN = {
+    "root": (document(NODE_TYPES + TOPOLOGY, root="config"),
+             "{path}: root element must be <simulation>, got <config>", None),
+    "duplicate child": (document(NODE_TYPES + TOPOLOGY + '<flitWidth value="32"/>\n'),
+                        "duplicate <flitWidth> at line {line}", 'value="32"'),
+    "unknown model": (document(NODE_TYPES.replace('"ProcessingElementVC"', '"Cpu"') + TOPOLOGY),
+                      "unknown model 'Cpu' in nodeType id=1 at line {line}",
+                      '<nodeType id="1">'),
+    "element in nodeTypes": (
+        document(NODE_TYPES.replace("</nodeTypes>", "    <router/>\n</nodeTypes>") + TOPOLOGY),
+        "unknown element <router> at line {line}", "<router/>"),
+    "element in topology": (
+        document(NODE_TYPES + TOPOLOGY.replace("</topology>", "    <wire/>\n</topology>")),
+        "unknown element <wire> at line {line}", "<wire/>"),
+    "element in traffic": (
+        document(NODE_TYPES + TOPOLOGY + "<traffic>\n    <burst/>\n</traffic>\n"),
+        "unknown element <burst> at line {line}", "<burst/>"),
+    "duplicate nodeType id": (document(NODE_TYPES.replace('id="1"', 'id="0"') + TOPOLOGY),
+                              "duplicate nodeType id=0", None),
+    "two PE types": (
+        document(NODE_TYPES.replace("</nodeTypes>", SECOND_PE_TYPE + "</nodeTypes>") + TOPOLOGY),
+        "exactly one RouterVC and one ProcessingElementVC nodeType required", None),
+    "no nodeTypes": (document(TOPOLOGY),
+                     "exactly one RouterVC and one ProcessingElementVC nodeType required",
+                     None),
+    "no topology": (document(NODE_TYPES + '<flitWidth value="16"/>\n'),
+                    "{path}: missing <topology>", None),
+    "empty topology": (document(NODE_TYPES + '<topology/>\n<flitWidth value="16"/>\n'),
+                       "{path}: <topology> lists no nodes", None),
+    "routerType": (document(NODE_TYPES + TOPOLOGY.replace('id="B"', 'id="B" routerType="1"')),
+                   "node 'B' references unknown routerType 1 at line {line}", 'id="B"'),
+    "peType": (document(NODE_TYPES + TOPOLOGY.replace('id="B"', 'id="B" peType="0"')),
+               "node 'B' references unknown peType 0 at line {line}", 'id="B"'),
+    "flitWidth 0": (document(NODE_TYPES + TOPOLOGY.replace('"16"', '"0"')),
+                    "flitWidth 0 outside [1, 64]", None),
+    "flitWidth 65": (document(NODE_TYPES + TOPOLOGY.replace('"16"', '"65"')),
+                     "flitWidth 65 outside [1, 64]", None),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN)
+def test_broken_config_names_the_element_and_its_line(tmp_path, case):
+    text, message, marker = BROKEN[case]
+    path = tmp_path / "sim.xml"
+    path.write_text(text)
+    line = marker and next(i for i, row in enumerate(text.splitlines(), 1) if marker in row)
+    with pytest.raises(ConfigError) as info:
+        parse_config(path)
+    assert str(info.value) == message.format(path=path, line=line)
 
 
 class TestNodeTypes:
@@ -239,3 +304,54 @@ class TestTraffic:
         result = build_simulation(cfg, seed=2).run(2000)
         assert result.injected_flits > 0
         assert result.ejected_flits > 0
+
+
+def flows_config(tmp_path, flows):
+    return minimal(tmp_path, extra=f"<traffic>\n{textwrap.indent(flows, '  ')}</traffic>\n")
+
+
+class TestFlowFeatures:
+    def test_explicit_and_auto_types_mix(self, tmp_path):
+        # an auto type is new per (source, payload name, seed) and follows the
+        # highest type given so far; an explicit one may repeat or go lower
+        flows = (
+            '<flow src="A" dst="B" rate="0.1" payload="uniform" seed="1"/>\n'
+            '<flow src="A" dst="B" rate="0.1" payload="uniform" seed="2" typeId="4"/>\n'
+            '<flow src="B" dst="A" rate="0.1" payload="uniform" seed="3"/>\n'
+            '<flow src="B" dst="A" rate="0.1" payload="uniform" seed="4" typeId="2"/>\n'
+            '<flow src="A" dst="B" rate="0.1" payload="uniform" seed="1"/>\n'
+            '<flow src="B" dst="A" rate="0.1" payload="uniform" seed="5" typeId="4"/>\n'
+            '<flow src="A" dst="B" rate="0.1" payload="gaussian" seed="1" sigma="9" rho="0.5"/>\n'
+        )
+        cfg = parse_config(flows_config(tmp_path, flows))
+        assert [spec.type_id for spec in cfg.traffic] == [0, 4, 5, 2, 0, 4, 6]
+        assert build_simulation(cfg).result.n_types == 8
+
+    def test_pixel_kinds_of_one_source_and_seed_get_distinct_types(self, tmp_path):
+        flows = "".join(
+            f'<flow src="A" dst="B" rate="0.1" payload="{kind}" sigma="40" rho="0.9"'
+            ' seed="7"/>\n' for kind in ("pixel-packed", "pixel-msb", "pixel-packed"))
+        cfg = parse_config(flows_config(tmp_path, flows))
+        assert [spec.payload.name for spec in cfg.traffic] == [
+            "pixel-packed", "pixel-msb", "pixel-packed"]
+        assert [spec.type_id for spec in cfg.traffic] == [0, 1, 0]
+
+    def test_pgm_payload(self, tmp_path):
+        pixels = bytes(range(7, 7 + 6 * 3))  # 6 x 3 pixels, 9 flits of two
+        image = tmp_path / "img.pgm"
+        image.write_bytes(b"P5\n# sensor\n6 3\n255\n" + pixels)
+        flows = f'<flow src="A" dst="B" rate="0.1" payload="pgm" file="{image}"/>\n'
+        (spec,) = parse_config(flows_config(tmp_path, flows)).traffic
+        assert spec.payload.name == str(image)
+        assert spec.payload.words.tolist() == [
+            pixels[i] << 8 | pixels[i + 1] for i in range(0, len(pixels), 2)]
+
+    def test_lognormal_payload_is_drawn_whole(self, tmp_path):
+        flows = ('<flow src="A" dst="B" rate="0.1" payload="lognormal" sigma="300"'
+                 ' rho="0.8" seed="4" length="500"/>\n')
+        (spec,) = parse_config(flows_config(tmp_path, flows)).traffic
+        whole = generate_stream(StreamSpec("lognormal", 16, 500, sigma=300.0, rho=0.8, seed=4))
+        assert spec.payload.name == "lognormal"
+        # normalized over all 500 words, not over the first block taken
+        taken = np.concatenate([spec.payload.take(0, 10), spec.payload.take(10, 490)])
+        assert np.array_equal(taken, whole.words)

@@ -482,7 +482,7 @@ class TestCompactPricing:
     def test_compact_equals_dense_on_case_study_links(self, vc_count):
         # a type a link never carried has zero weight in every term, so
         # pricing its carried types alone moves at most the summation order
-        result = run_case_study(vc_count, cycles=20_000, seed=2).result
+        result = run_case_study(vc_count, cycles=20_000, seed=2)
         n = result.n_types
         carried = []
         for link, dfm in result.data_flow.items():

@@ -569,6 +569,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             net.run(0)
 
+    def test_a_run_ending_before_cycle_2_is_rejected_before_simulating(self):
+        # M counts transitions between cycles, so one cycle gives a link none
+        net = case_net(4)
+        with pytest.raises(ConfigurationError, match="at least two cycles, got 1$"):
+            net.run(1)
+        assert net.result.cycles == 0
+        assert all(link.observer.cycles == 0 for link in net.links)
+        result = net.run(2)
+        assert result.cycles == 2
+        assert all(len(trace) == 2 for trace in result.link_traces.values())
+
 
 class TestWiring:
     def test_input_vcs_know_their_link_in_port_order(self):

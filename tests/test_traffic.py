@@ -16,9 +16,8 @@ from noclink.traffic import (
     TrafficError,
     load_traffic_spec,
     make_payload_source,
-    msb_pixel_source,
-    packed_pixel_source,
     pgm_source,
+    pixel_source,
     raw_byte_source,
     source_from_spec,
 )
@@ -59,18 +58,22 @@ class TestPayloadSource:
 
 class TestBuilders:
     def test_packed_pixels_layout(self):
-        src = packed_pixel_source(16, 100, sigma=40.0, rho=0.9, seed=3)
+        src = pixel_source("pixel-packed", 16, 100, sigma=40.0, rho=0.9, seed=3)
         hi = generate_stream(StreamSpec("gaussian", 8, 100, sigma=40.0, rho=0.9, seed=3))
         assert np.array_equal(src.words >> np.uint64(8), hi.words)
 
     def test_msb_pixels_layout(self):
-        src = msb_pixel_source(16, 100, sigma=40.0, rho=0.9, seed=3)
+        src = pixel_source("pixel-msb", 16, 100, sigma=40.0, rho=0.9, seed=3)
         hi = generate_stream(StreamSpec("gaussian", 8, 100, sigma=40.0, rho=0.9, seed=3))
         assert np.array_equal(src.words >> np.uint64(8), hi.words)
 
     def test_odd_width_rejected(self):
         with pytest.raises(TrafficError):
-            packed_pixel_source(15, 10, sigma=4.0, rho=0.5, seed=0)
+            pixel_source("pixel-packed", 15, 10, sigma=4.0, rho=0.5, seed=0)
+
+    def test_unknown_pixel_kind_rejected(self):
+        with pytest.raises(TrafficError, match="unknown pixel payload kind 'pixel-lsb'"):
+            pixel_source("pixel-lsb", 16, 10, sigma=4.0, rho=0.5, seed=0)
 
     def test_raw_bytes_packed_msb_first(self, tmp_path):
         path = tmp_path / "img.raw"
