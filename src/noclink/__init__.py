@@ -29,9 +29,7 @@ from .energy import (  # noqa: F401
     Capacitance2D,
     Capacitance3D,
     TechnologyParams,
-    effective_tsv_capacitance,
-    energy_2d,
-    energy_3d,
+    normalized_energy,
     template_2d_bus,
     template_3d_tsv,
 )

@@ -317,9 +317,7 @@ def cmd_case_study(args) -> int:
     coding_rows = []
     for vc in (4, 1):
         result = sweeps.run_case_study(
-            vc, cycles=args.cycles, seed=args.seed,
-            payload_kind="pixel-msb", rho=0.9999, rate=0.0075, stream_seed=110,
-        )
+            vc, cycles=args.cycles, seed=args.seed, **sweeps.CASE_STUDY_CODING_TRAFFIC)
         gains = sweeps.evaluate_coding(result, ["gray", "correlator+inv"], cap2d, cap3d)
         for name, entry in gains.items():
             coding_rows.append({

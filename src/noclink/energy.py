@@ -30,6 +30,8 @@ def _check_square_symmetric(c: np.ndarray, name: str) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise CapacitanceError(f"{name}: capacitance matrix must be square")
+    if not np.isfinite(c).all():
+        raise CapacitanceError(f"{name}: non-finite capacitance entry")
     scale = max(np.abs(c).max(), 1.0)
     if np.abs(c - c.T).max() > 1e-12 * scale:
         raise CapacitanceError(f"{name}: asymmetric capacitance matrix")
@@ -86,7 +88,14 @@ class Capacitance3D:
 
     def at(self, p: np.ndarray) -> np.ndarray:
         """C_T0 + dC_T (p_i + p_j) at bit probabilities ``p``."""
-        return effective_tsv_capacitance(self, p)
+        p = np.asarray(p, dtype=np.float64)
+        if p.shape != (self.width,):
+            raise CapacitanceError(
+                f"probability vector length {p.shape} does not match width {self.width}"
+            )
+        if p.min() < -1e-12 or p.max() > 1 + 1e-12:
+            raise CapacitanceError("bit probabilities must lie in [0, 1]")
+        return self.ct0 + self.dct * (p[:, None] + p[None, :])
 
 
 Capacitance = Capacitance2D | Capacitance3D  # a link's model, priced through ``at(p)``
@@ -152,17 +161,6 @@ def template_3d_tsv(
     return Capacitance3D(ct0, dct)
 
 
-def effective_tsv_capacitance(model: Capacitance3D, p: np.ndarray) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (model.width,):
-        raise CapacitanceError(
-            f"probability vector length {p.shape} does not match width {model.width}"
-        )
-    if p.min() < -1e-12 or p.max() > 1 + 1e-12:
-        raise CapacitanceError("bit probabilities must lie in [0, 1]")
-    return model.ct0 + model.dct * (p[:, None] + p[None, :])
-
-
 def normalized_energy(t: SwitchingMatrix, cap: Capacitance, p: np.ndarray | None = None) -> float:
     """Normalized link energy per cycle: Frobenius product <T, C(p)> (aF);
     ``p`` (the bit probabilities) matters to 3D models only.  The model and
@@ -174,16 +172,6 @@ def normalized_energy(t: SwitchingMatrix, cap: Capacitance, p: np.ndarray | None
     c = cap.at(p)
     coupling = c - np.diag(np.diag(c))  # C with its diagonal zeroed
     return float(np.sum(np.diag(c) * np.diag(t.t))) + float(np.sum(t.t * coupling))
-
-
-def energy_2d(t: SwitchingMatrix, cap: Capacitance2D) -> float:
-    """Normalized 2D link energy per cycle: Frobenius product <T, C_M> (aF)."""
-    return normalized_energy(t, cap)
-
-
-def energy_3d(t: SwitchingMatrix, p: np.ndarray, model: Capacitance3D) -> float:
-    """Normalized 3D link energy per cycle with probability-dependent C (aF)."""
-    return normalized_energy(t, model, p)
 
 
 # --- serialization ------------------------------------------------------------

@@ -85,12 +85,8 @@ class DataFlowMatrix:
         return float(self.compact[:, : self.k].sum())
 
     def carried_frequencies(self) -> np.ndarray:
-        """``type_frequencies`` of the carried types."""
+        """Per carried type, the fraction of link cycles transmitting it."""
         return self.compact[:, : self.k].sum(axis=0)
-
-    def type_frequencies(self) -> np.ndarray:
-        """Per-type fraction of link cycles transmitting that type."""
-        return self.m[:, : self.n].sum(axis=0)
 
 
 @dataclass(frozen=True)

@@ -14,17 +14,19 @@ points at the input VC that holds it, so a sent flit's credit goes
 straight back to that input VC's link.
 
 The simulator is activity-driven: each phase of a cycle visits only
-the components of its wake set, the ones that hold work.
+the components of its wake list, the ones that hold work.  A component
+joins its list when the work counter it keeps leaves zero, and a phase
+that finds the counter at zero drops it.
 
-- A link is awake while its register holds a flit; ``put`` wakes it and
-  ``deliver`` puts it back to sleep.
-- A router or sink NI is woken when a link delivers a flit into its
-  buffers, and a router stays awake while any input buffer holds one.
-  Each router counts its buffered flits and its waiting heads (delivered,
-  not yet allocated an output VC), and a tick scans its input VCs for
-  route computation and VC allocation only while a head waits.
-- A source NI is woken when a packet is enqueued, and stays awake while
-  its queue holds a packet or one of its VCs is ``ACTIVE``.
+- A link is listed while its register holds a flit: ``put`` lists it,
+  and the delivery phase clears the list.
+- A router or sink NI is listed by the delivery that takes its
+  ``buffered`` count from zero, and a router stays listed while any
+  input buffer holds a flit.  Each router also counts its waiting heads
+  (delivered, not yet allocated an output VC), and a tick scans its
+  input VCs for route computation and VC allocation only while one waits.
+- A source NI is listed by the packet enqueued while its ``backlog`` and
+  its ``ACTIVE`` VCs are both zero, and stays listed while either is not.
 - A PE draws the uniforms of a chunk's ticks when the chunk starts, in
   the order of per-tick scalar draws, and acts only on the ticks on which
   some flow injects.
@@ -39,21 +41,21 @@ return does not change a result.
 Update order within one base cycle is fixed and fully deterministic:
 
 1. the credits in flight return to their output VCs and the staged ones
-   take off; awake links deliver their flits into the downstream buffers,
-2. on a multiple of the router clock delay, awake routers tick (send,
+   take off; listed links deliver their flits into the downstream buffers,
+2. on a multiple of the router clock delay, listed routers tick (send,
    then, while a head waits, VC allocation and route computation in one
    pass, so information advances one stage per cycle),
-3. on a multiple of the PE clock delay, awake sink NIs drain, in build
+3. on a multiple of the PE clock delay, listed sink NIs drain, in build
    order; PEs due to inject, whose ticks fall on those cycles, do so;
-   awake source NIs send,
-4. awake links, each holding the flit put this cycle, record it; idle
+   listed source NIs send,
+4. listed links, each holding the flit put this cycle, record it; idle
    cycles cost nothing.
 
 Routers, source NIs and PEs touch disjoint state within a cycle, so
 their order within a phase does not change a result.  The order in
 which sinks drain fixes the order of the latency lists, so it does.
-Each run starts by recounting the routers' buffers and rebuilding the
-wake sets from the network's state.
+Each run starts by recounting the routers' and sinks' buffers and
+rebuilding the wake lists from the network's state.
 
 A link records one event per flit it carries and folds the events into
 its observer's M every ``CHUNK`` cycles and at the end of a run.  An
@@ -187,9 +189,9 @@ class Link:
     cycle, which returns it to ``out_port`` two cycles later.
 
     ``down`` is the router or sink NI that owns ``buffers``; a delivery
-    counts the flit there and wakes it.  A link is in its network's link
-    wake set (``wakes``) while ``awake``, which is while its register
-    holds a flit.
+    counts the flit there and lists it in its wake list when its count
+    leaves zero.  A link is in its network's link wake list (``wakes``)
+    while its register holds a flit.
 
     ``observe`` appends the flit's cycle and type to the current chunk's
     lists, and on a traced link its word, flow and word index; ``fold``
@@ -199,7 +201,7 @@ class Link:
     __slots__ = (
         "link_id", "out_port", "buffers", "down", "observer", "vertical", "reg_flit",
         "reg_vc", "credits", "chunk_cycles", "chunk_types", "chunk_words",
-        "chunk_flows", "chunk_indices", "chunks", "awake", "wakes",
+        "chunk_flows", "chunk_indices", "chunks", "wakes",
     )
 
     def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
@@ -214,7 +216,6 @@ class Link:
         self.credits: list[OutputVC] = []
         self.chunks: list[tuple[np.ndarray, ...]] | None = [] if collect_trace else None
         self._start_chunk()
-        self.awake = False
         self.wakes: list[Link] = []
 
     def occupancy(self) -> int:
@@ -225,7 +226,6 @@ class Link:
             raise SimulationError(f"{self.link_id}: link register busy")
         self.reg_flit = flit
         self.reg_vc = vc
-        self.awake = True
         self.wakes.append(self)
 
     def stage_credit(self, vc: int) -> None:
@@ -239,14 +239,12 @@ class Link:
             raise SimulationError(f"{self.link_id}: buffer overflow on vc {self.reg_vc}")
         buf.append(flit)
         self.reg_flit = None
-        self.awake = False
         down = self.down
+        if not down.buffered:
+            down.wakes.append(down)
         down.buffered += 1
         if flit.is_head:
             down.waiting += 1
-        if not down.awake:
-            down.awake = True
-            down.wakes.append(down)
 
     def observe(self, cycle: int) -> None:
         """Record the flit in the register; called only when there is one."""
@@ -382,9 +380,9 @@ class Router:
     are back, so a waiting head is the first flit of its buffer.  A tick
     scans the input VCs only while a head waits.
 
-    It is in its network's router wake set (``wakes``) while ``awake``;
-    ``holding`` tells, after a tick, whether an input buffer still holds a
-    flit."""
+    It is in its network's router wake list (``wakes``) while
+    ``buffered`` is not zero; ``holding`` tells, after a tick, whether an
+    input buffer still holds a flit."""
 
     def __init__(self, node_id: str, coords: tuple[int, int, int], cfg: RouterConfig):
         self.node_id = node_id
@@ -396,7 +394,6 @@ class Router:
         self.buffered = 0
         self.waiting = 0
         self.holding = False
-        self.awake = False
         self.wakes: list[Router] = []
 
     def attach_input(self, port: int, link: Link) -> None:
@@ -479,7 +476,8 @@ class SourceNI:
     so flow-level packet order is preserved end to end.  Blocking: the
     queue grows without loss when the router back-pressures.
 
-    Enqueueing a packet wakes the NI; ``holding`` tells, after a tick,
+    A packet enqueued while ``backlog`` and ``out.active`` are both zero
+    lists the NI in its wake list; ``holding`` tells, after a tick,
     whether the queue or a VC deque still holds flits.  A VC's deque holds
     flits exactly while the VC is ``ACTIVE``."""
 
@@ -493,19 +491,17 @@ class SourceNI:
         self.enqueued_packets = 0
         self.max_backlog = 0
         self.holding = False
-        self.awake = False
         self.wakes: list[SourceNI] = []
 
     def enqueue_packet(self, flits: list[Flit]) -> None:
+        if not self.backlog and not self.out.active:
+            self.wakes.append(self)
         fifo = self.fifos.setdefault(flits[0].flow_id, deque())
         fifo.append((self.enqueued_packets, flits))
         self.enqueued_packets += 1
         self.backlog += 1
         if self.backlog > self.max_backlog:
             self.max_backlog = self.backlog
-        if not self.awake:
-            self.awake = True
-            self.wakes.append(self)
 
     def occupancy(self) -> int:
         queued = sum(len(p) for fifo in self.fifos.values() for _, p in fifo)
@@ -541,9 +537,9 @@ class SourceNI:
 
 class SinkNI:
     """Consumes ejected flits, returns credits and records latency.  A
-    delivery wakes it and the next PE-clock cycle drains it, woken sinks in
-    build order (``rank``).  Deliveries raise ``buffered`` and ``waiting``
-    here as at a router, and a drain zeroes them."""
+    delivery lists it and the next PE-clock cycle drains it, listed sinks
+    in build order (``rank``).  Deliveries raise ``buffered`` and
+    ``waiting`` here as at a router, and a drain zeroes them."""
 
     def __init__(self, in_link: Link, vc_count, result):
         self.in_link = in_link
@@ -554,7 +550,6 @@ class SinkNI:
         self.buffered = 0
         self.waiting = 0
         self.rank = 0
-        self.awake = False
         self.wakes: list[SinkNI] = []
 
     def occupancy(self) -> int:
@@ -689,7 +684,7 @@ class SimulationResult:
 
 class Network:
     """A built mesh: routers, NIs, PEs and observed links, with the wake
-    sets of an activity-driven run.  ``staged_credits`` and
+    lists of an activity-driven run.  ``staged_credits`` and
     ``flying_credits`` are the two stages of the credit return.  Routers
     tick every ``router_clock`` cycles, NIs and PEs every ``pe_clock``."""
 
@@ -727,22 +722,25 @@ class Network:
                 part.wakes = wakes
 
     def _wake_holders(self) -> None:
-        """Recount the routers' buffers and wake exactly the components
-        that hold work: state may have changed between runs."""
+        """Recount the routers' and sinks' buffers and list exactly the
+        components that hold work: state may have changed between runs,
+        and a delivery lists a part only when its count leaves zero."""
         for router in self._router_list:
             router.buffered, router.waiting = router.recount()
+        for sink in self._sink_list:
+            sink.buffered = sink.occupancy()
         for wakes, parts in self._wake_sets:
-            for part in parts:
-                part.awake = part.occupancy() > 0
-            wakes[:] = [part for part in parts if part.awake]
+            wakes[:] = [part for part in parts if part.occupancy()]
 
     def check_wake_invariant(self) -> None:
-        """No component sleeps while it holds work."""
+        """No component is missing from its wake list while it holds work."""
         links = {link.link_id: link for link in self.links}
-        for kind, parts in (("link", links), ("router", self.routers),
-                            ("sink NI", self.sinks), ("source NI", self.sources)):
+        for (wakes, _), (kind, parts) in zip(self._wake_sets, (
+                ("link", links), ("router", self.routers),
+                ("sink NI", self.sinks), ("source NI", self.sources))):
+            listed = set(wakes)
             for name, part in parts.items():
-                if not part.awake and part.occupancy():
+                if part not in listed and part.occupancy():
                     raise SimulationError(f"{kind} {name} is asleep while it holds work")
 
     def check_count_invariant(self) -> None:
@@ -830,7 +828,6 @@ class Network:
                     sinks_awake.sort(key=_RANK)
                     for sink in sinks_awake:
                         sink.tick(cycle)
-                        sink.awake = False
                     sinks_awake.clear()
                     for pe, draws in due.get(cycle, ()):
                         pe.tick(cycle, draws, dest_coords)
@@ -868,12 +865,11 @@ _RANK = attrgetter("rank")
 
 
 def _tick(awake: list[Router] | list[SourceNI]) -> None:
-    """Tick the awake routers or source NIs; one that holds no flit after
-    its tick falls asleep."""
+    """Tick the listed routers or source NIs; one that holds no flit after
+    its tick leaves the list."""
     for part in awake:
         part.tick()
-        part.awake = part.holding
-    awake[:] = [part for part in awake if part.awake]
+    awake[:] = [part for part in awake if part.holding]
 
 
 def build_network(

@@ -341,8 +341,11 @@ def read_stream_binary(path) -> DataStream:
         if len(header) != 8 or header[:6] != STREAM_MAGIC:
             raise StreamError(f"{path}: not a stream file (bad magic)")
         (width,) = struct.unpack("<H", header[6:])
-        words = np.frombuffer(fh.read(), dtype="<u8")
-    return DataStream(words.copy(), width)
+        body = fh.read()
+    if len(body) % 8:
+        raise StreamError(
+            f"{path}: {8 + len(body)} bytes, not an 8-byte header plus whole 8-byte words")
+    return DataStream(np.frombuffer(body, dtype="<u8").copy(), width)
 
 
 def write_stream_csv(path, stream: DataStream) -> None:

@@ -220,6 +220,9 @@ CASE_STUDY_FLITS_PER_PACKET = 32
 # 20% mean injection, counted in flits per PE cycle, over 32-flit packets.
 CASE_STUDY_RATE = 0.2 / CASE_STUDY_FLITS_PER_PACKET
 CASE_STUDY_VC_LINKS = ("R2->R5", "R5->R7")
+# the coding comparison's traffic: slow flows of strongly correlated MSB pixels
+CASE_STUDY_CODING_TRAFFIC = dict(
+    payload_kind="pixel-msb", rate=0.0075, rho=0.9999, stream_seed=110)
 
 
 def case_study_traffic(

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 
 from noclink.codecs import make_codec
-from noclink.energy import Capacitance2D, Capacitance3D, energy_2d, energy_3d
+from noclink.energy import Capacitance2D, Capacitance3D, normalized_energy
 from noclink.linkmodel import mux_switching
 from noclink.oracle import IDLE, LinkTrace, exact_energy
 from noclink.linkmodel import link_energy_report
 from noclink.reporting import data_flow_from_trace
 from noclink.streams import DataStream, compute_bit_stats, word_bits
 from noclink.sweeps import (
+    CASE_STUDY_CODING_TRAFFIC,
     CASE_STUDY_VC_LINKS,
     TECH,
     case_study_cap2d,
@@ -68,11 +69,8 @@ def packed_run4():
 @pytest.fixture(scope="module")
 def msb_runs():
     """Case-study runs with strongly correlated MSB payloads (criteria 5, 6)."""
-    kwargs = dict(
-        cycles=100_000, seed=1, payload_kind="pixel-msb",
-        rate=0.0075, sigma=40.0, rho=0.9999, stream_seed=110,
-    )
-    return {vc: run_case_study(vc, **kwargs) for vc in (4, 1)}
+    return {vc: run_case_study(vc, cycles=100_000, seed=1, **CASE_STUDY_CODING_TRAFFIC)
+            for vc in (4, 1)}
 
 
 def test_criterion_1_switching_accuracy():
@@ -282,8 +280,8 @@ def _check_energy_model_consistency() -> float:
         )
         t = stats.seq_switching[0]
         p = rng.uniform(0.0, 1.0, 8)
-        e2 = energy_2d(t, Capacitance2D(c))
-        e3 = energy_3d(t, p, Capacitance3D(c, np.zeros((8, 8))))
+        e2 = normalized_energy(t, Capacitance2D(c))
+        e3 = normalized_energy(t, Capacitance3D(c, np.zeros((8, 8))), p)
         worst = max(worst, abs(e2 - e3))
     return worst
 

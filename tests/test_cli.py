@@ -202,6 +202,15 @@ class TestAnalyze:
         assert "flit width 16 does not match capacitance width 8" in err
         assert "codec" not in err
 
+    def test_non_finite_capacitance_exit_1(self, recorded_run, tmp_path, capsys):
+        cap2d = tmp_path / "nan.csv"
+        np.savetxt(cap2d, np.full((16, 16), np.nan), delimiter=",")
+        capsys.readouterr()
+        assert main(["analyze", "--run", str(recorded_run), "--cap2d", str(cap2d),
+                     "--out", str(tmp_path / "post")]) == 1
+        assert "2d model: non-finite capacitance entry" in capsys.readouterr().err
+        assert not (tmp_path / "post" / "energy.json").exists()
+
     def test_eq11_literal_prices_the_printed_formula(self, recorded_run, tmp_path):
         # the run has idle cycles, whose idle->idle mass the printed Eq. 11 omits
         for name, extra in (("literal", ["--eq11-literal"]), ("plain", [])):

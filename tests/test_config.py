@@ -5,7 +5,7 @@ import pytest
 
 from noclink.cli import main
 from noclink.config import ConfigError, build_simulation, parse_config
-from noclink.streams import StreamSpec, generate_stream
+from noclink.streams import DataStream, StreamSpec, generate_stream, write_stream_binary
 
 NODE_TYPES = """\
 <nodeTypes>
@@ -274,6 +274,27 @@ class TestTraffic:
         line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
                     if 'src="B"' in row)
         message = f"{path}: <flow> at line {line}: {expect}"
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--cycles", "10"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_truncated_stream_file_names_path_line_and_size(self, tmp_path, capsys):
+        short = tmp_path / "short.bin"
+        write_stream_binary(short, DataStream(np.arange(4, dtype=np.uint64), 16))
+        short.write_bytes(short.read_bytes()[:11])  # the header and 3 bytes
+        extra = (
+            "<traffic>\n"
+            f'  <flow src="A" dst="B" rate="0.1" payload="stream" file="{short}"/>\n'
+            "</traffic>\n"
+        )
+        path = minimal(tmp_path, extra=extra)
+        line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                    if "short.bin" in row)
+        message = (f"{path}: <flow> at line {line}: {short}: 11 bytes,"
+                   " not an 8-byte header plus whole 8-byte words")
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == message

@@ -7,10 +7,8 @@ from noclink.energy import (
     CapacitanceError,
     TechnologyParams,
     absolute_energy_fj,
-    effective_tsv_capacitance,
-    energy_2d,
-    energy_3d,
     load_capacitance_model,
+    normalized_energy,
     save_capacitance_model,
     template_2d_bus,
     template_3d_tsv,
@@ -62,22 +60,22 @@ class TestTemplates:
 class TestEffectiveCapacitance:
     def test_linear_evaluation(self):
         m = Capacitance3D(np.full((2, 2), 100.0), np.full((2, 2), -20.0))
-        c = effective_tsv_capacitance(m, np.array([1.0, 1.0]))
+        c = m.at(np.array([1.0, 1.0]))
         assert c[0, 1] == pytest.approx(60.0)
 
     def test_zero_probability_gives_ct0(self):
         m = Capacitance3D(np.full((2, 2), 100.0), np.full((2, 2), -20.0))
-        assert np.allclose(effective_tsv_capacitance(m, np.zeros(2)), 100.0)
+        assert np.allclose(m.at(np.zeros(2)), 100.0)
 
     def test_half_probability(self):
         m = Capacitance3D(np.full((2, 2), 100.0), np.full((2, 2), -20.0))
-        c = effective_tsv_capacitance(m, np.array([0.5, 0.5]))
+        c = m.at(np.array([0.5, 0.5]))
         assert c[0, 0] == pytest.approx(80.0)
 
     def test_length_mismatch(self):
         m = Capacitance3D(np.full((2, 2), 100.0), np.zeros((2, 2)))
         with pytest.raises(CapacitanceError):
-            effective_tsv_capacitance(m, np.zeros(3))
+            m.at(np.zeros(3))
 
 
 class TestEnergy:
@@ -85,11 +83,11 @@ class TestEnergy:
         # frozen from summing every T_ij * C_ij term by hand
         t = sw([[0.5, 0.5], [0.5, 0.5]])
         c = Capacitance2D(np.array([[100.0, 50.0], [50.0, 100.0]]))
-        assert energy_2d(t, c) == pytest.approx(150.0)
+        assert normalized_energy(t, c) == pytest.approx(150.0)
 
     def test_zero_switching(self):
         c = template_2d_bus(4, 100.0, 50.0, 1)
-        assert energy_2d(sw(np.zeros((4, 4))), c) == 0.0
+        assert normalized_energy(sw(np.zeros((4, 4))), c) == 0.0
 
     def test_diagonal_only_capacitance(self):
         rng = np.random.default_rng(0)
@@ -98,21 +96,21 @@ class TestEnergy:
         np.fill_diagonal(t, ts)
         diag = rng.random(4) * 100
         c = Capacitance2D(np.diag(diag))
-        assert energy_2d(sw(t), c) == pytest.approx(float(ts @ diag))
+        assert normalized_energy(sw(t), c) == pytest.approx(float(ts @ diag))
 
     def test_3d_zero_slope_equals_2d(self):
         ct0 = template_2d_bus(4, 100.0, 50.0, 1).c
         m3 = Capacitance3D(ct0, np.zeros((4, 4)))
         t = sw(np.random.default_rng(1).random((4, 4)))
         p = np.random.default_rng(2).random(4)
-        assert energy_3d(t, p, m3) == pytest.approx(energy_2d(t, Capacitance2D(ct0)))
+        assert normalized_energy(t, m3, p) == pytest.approx(normalized_energy(t, Capacitance2D(ct0)))
 
     def test_3d_hand_evaluation(self):
         # frozen: p = 1 everywhere scales every entry by 1 - 2*0.2 = 0.6
         ct0 = np.array([[100.0, 50.0], [50.0, 100.0]])
         m3 = Capacitance3D(ct0, -0.2 * ct0)
         t = sw([[0.5, 0.5], [0.5, 0.5]])
-        assert energy_3d(t, np.array([1.0, 1.0]), m3) == pytest.approx(90.0)
+        assert normalized_energy(t, m3, np.array([1.0, 1.0])) == pytest.approx(90.0)
 
     def test_3d_consistency_identity(self):
         rng = np.random.default_rng(3)
@@ -120,15 +118,15 @@ class TestEnergy:
         for _ in range(20):
             t = sw(rng.random((4, 4)))
             p = rng.random(4)
-            c_eff = Capacitance2D(effective_tsv_capacitance(m3, p))
-            assert energy_3d(t, p, m3) == pytest.approx(energy_2d(t, c_eff))
+            c_eff = Capacitance2D(m3.at(p))
+            assert normalized_energy(t, m3, p) == pytest.approx(normalized_energy(t, c_eff))
 
     def test_linearity_in_switching(self):
         c = template_2d_bus(4, 100.0, 50.0, 2)
         t = np.random.default_rng(5).random((4, 4))
-        base = energy_2d(sw(t), c)
+        base = normalized_energy(sw(t), c)
         for alpha in (0.0, 0.5, 3.0):
-            assert energy_2d(sw(alpha * t), c) == pytest.approx(alpha * base)
+            assert normalized_energy(sw(alpha * t), c) == pytest.approx(alpha * base)
 
     def test_absolute_energy(self):
         tech = TechnologyParams(vdd=1.1, clock_period=1e-9)
@@ -137,7 +135,7 @@ class TestEnergy:
     def test_dimension_mismatch(self):
         c = template_2d_bus(4, 100.0, 50.0, 1)
         with pytest.raises(CapacitanceError):
-            energy_2d(sw(np.zeros((3, 3))), c)
+            normalized_energy(sw(np.zeros((3, 3))), c)
 
 
 class TestValidationAndIO:
@@ -148,6 +146,18 @@ class TestValidationAndIO:
     def test_3d_dimension_mismatch(self):
         with pytest.raises(CapacitanceError, match="mismatch"):
             Capacitance3D(np.eye(16), np.eye(15))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, build", [
+        ("2d model", Capacitance2D),
+        ("3d model C_T0", lambda c: Capacitance3D(c, np.zeros((2, 2)))),
+        ("3d model dC_T", lambda c: Capacitance3D(np.eye(2), c)),
+    ])
+    def test_non_finite_entry_rejected(self, name, build, bad):
+        c = np.eye(2)
+        c[0, 1] = c[1, 0] = bad
+        with pytest.raises(CapacitanceError, match=f"^{name}: non-finite capacitance entry$"):
+            build(c)
 
     def test_3d_unphysical_slope(self):
         with pytest.raises(CapacitanceError):
@@ -229,5 +239,5 @@ class TestOnePricing:
     def test_capacitance_at_p(self, kind):
         cap = CAPS[kind](4)
         p = np.array([0.0, 0.25, 0.5, 1.0])
-        expect = cap.c if kind == "2d" else effective_tsv_capacitance(cap, p)
+        expect = cap.c if kind == "2d" else cap.ct0 + cap.dct * (p[:, None] + p[None, :])
         assert np.array_equal(cap.at(p), expect)

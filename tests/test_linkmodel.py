@@ -240,7 +240,7 @@ def reference_link_switching(stats, m):
 
 def reference_standard_link_switching(stats, m):
     t = np.zeros((stats.width, stats.width))
-    for y, f in enumerate(m.type_frequencies()):
+    for y, f in enumerate(m.m[:, : m.n].sum(axis=0)):
         if f != 0.0:
             t += f * stats.seq_switching[y].t
     return t

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from noclink.energy import (
     Capacitance3D,
     TechnologyParams,
-    energy_2d,
     normalized_energy,
     template_2d_bus,
     template_3d_tsv,
@@ -214,7 +213,7 @@ class TestExactEnergy:
         cap = template_2d_bus(8, 100.0, 60.0, 2)
         rep = exact_energy(tr, cap, TECH)
         t, _ = exact_switching(tr)
-        expect = energy_2d(t, cap) * (len(tr) - 1)
+        expect = normalized_energy(t, cap) * (len(tr) - 1)
         assert rep.normalized_total_af == pytest.approx(expect, rel=1e-9)
 
     def test_3d_uses_global_probabilities(self):

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,8 @@ from noclink.simnet import (
     Router,
     RouterConfig,
     SimulationError,
+    SinkNI,
+    SourceNI,
     _validate_paths,
     build_network,
     encode_head_word,
@@ -709,6 +711,38 @@ class TestInvariantErrors:
         net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
         with pytest.raises(SimulationError,
                            match=r"^link PE_A->A is asleep while it holds work$"):
+            net.run(200, check_invariants=True)
+
+    @pytest.mark.parametrize("part, name", [
+        (Router, "router A"), (SinkNI, "sink NI B"), (SourceNI, "source NI A"),
+    ], ids=["router", "sink", "source"])
+    def test_sleeping_part_with_work_is_caught(self, monkeypatch, part, name):
+        # a router or sink that a delivery does not wake, or a source NI
+        # that an enqueued packet does not wake, would keep its flits
+        # forever; the check names the part
+        deliver = Link.deliver
+
+        def deliver_without_wake(link):
+            down = link.down
+            if not isinstance(down, part):
+                return deliver(link)
+            flit = link.reg_flit
+            link.buffers[link.reg_vc].append(flit)
+            link.reg_flit = None
+            down.buffered += 1
+            down.waiting += flit.is_head
+
+        def enqueue_without_wake(ni, flits):
+            ni.fifos.setdefault(flits[0].flow_id, deque()).append((ni.enqueued_packets, flits))
+            ni.enqueued_packets += 1
+            ni.backlog += 1
+
+        if part is SourceNI:
+            monkeypatch.setattr(SourceNI, "enqueue_packet", enqueue_without_wake)
+        else:
+            monkeypatch.setattr(Link, "deliver", deliver_without_wake)
+        net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
+        with pytest.raises(SimulationError, match=rf"^{name} is asleep while it holds work$"):
             net.run(200, check_invariants=True)
 
     @pytest.mark.parametrize("count", ["buffered", "waiting"])
