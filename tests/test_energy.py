@@ -103,7 +103,8 @@ class TestEnergy:
         m3 = Capacitance3D(ct0, np.zeros((4, 4)))
         t = sw(np.random.default_rng(1).random((4, 4)))
         p = np.random.default_rng(2).random(4)
-        assert normalized_energy(t, m3, p) == pytest.approx(normalized_energy(t, Capacitance2D(ct0)))
+        assert normalized_energy(t, m3, p) == pytest.approx(
+            normalized_energy(t, Capacitance2D(ct0)))
 
     def test_3d_hand_evaluation(self):
         # frozen: p = 1 everywhere scales every entry by 1 - 2*0.2 = 0.6
