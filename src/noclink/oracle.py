@@ -4,7 +4,10 @@ This is the slow, trusted path used to validate the statistical link
 model.  A :class:`LinkTrace` holds one event per flit a link carried.
 Idle cycles hold the last transmitted word (no switching), all-zeros
 before the first flit, so the oracle sums the true transition quantities
-over these held runs without visiting idle cycles.
+over these held runs without visiting idle cycles.  It takes the held
+words in blocks of ``streams.BLOCK``, so its memory beyond the held words
+and their runs is one block's, and every sum is an exact integer count
+for traces of up to 2^53 cycles.
 """
 from __future__ import annotations
 
@@ -15,9 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .energy import Capacitance, TechnologyParams, absolute_energy_fj, normalized_energy
-from .streams import SwitchingMatrix, gram, word_bits
+from .streams import BLOCK, SwitchingMatrix, gram, word_bits
 
 IDLE = -1
+FLOAT32_EXACT = 1 << 24  # float32 holds every integer up to 2^24
 
 # a LinkTrace's columns and their dtypes; a run directory stores each link's
 # columns under these names
@@ -82,11 +86,28 @@ class LinkTrace:
     @cached_property
     def held_products(self) -> tuple[np.ndarray, np.ndarray]:
         """Bit-difference products summed over cycle pairs, and bit probabilities.
-        Each sum is an exact integer, so both equal the per-cycle sums bit for bit."""
+
+        One pass over blocks of held words (``_held_blocks``) unpacks each
+        block, adds the products of its bit differences through ``gram``,
+        its first word differenced against the last word of the block
+        before, and adds its held bit counts Σ runs·bits as a float32
+        product.  A block's run total stays below 2^24, so that product
+        sums integers float32 holds exactly; a single run of 2^24 cycles or
+        more is a block of its own, counted in float64.  The blocks are
+        summed in float64, so both results are exact integer sums, bit for
+        bit the per-cycle ones.  Beyond the held words and their runs
+        (16 bytes each), a block's unpacked bits, differences and float32
+        copies take about 10·BLOCK·width bytes."""
         words, runs = _held_runs(self)
-        bits = word_bits(words, self.width)
-        p = (runs.astype(np.float64) @ bits.astype(np.float64)) / self.length
-        products = gram(np.diff(bits, axis=0))
+        products = np.zeros((self.width,) * 2)
+        counts = np.zeros(self.width)
+        for lo, hi in _held_blocks(runs, self.length):
+            start = max(lo - 1, 0)  # the block before's last word, to difference against
+            bits = word_bits(words[start:hi], self.width)
+            products += gram(np.diff(bits, axis=0))
+            dtype = np.float32 if runs[lo] < FLOAT32_EXACT else np.float64  # a lone long run
+            counts += runs[lo:hi].astype(dtype) @ bits[lo - start:].astype(dtype)
+        p = counts / self.length
         products.flags.writeable = p.flags.writeable = False  # shared by every caller
         return products, p
 
@@ -98,6 +119,22 @@ def _held_runs(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
         starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
         words = np.concatenate((np.zeros(1, dtype=np.uint64), words))
     return words, np.diff(starts, append=trace.length)
+
+
+def _held_blocks(runs: np.ndarray, length: int):
+    """Row bounds ``(lo, hi)`` of consecutive blocks of at most ``BLOCK`` held
+    words whose run totals stay below 2^24, so that float32 sums them
+    exactly; a run of 2^24 cycles or more makes a block of its own.  Only a
+    trace of 2^24 cycles or more can reach that total."""
+    ends = np.cumsum(runs) if length >= FLOAT32_EXACT else None
+    lo = 0
+    while lo < len(runs):
+        hi = min(lo + BLOCK, len(runs))
+        if ends is not None:  # end before the first word whose run reaches the total
+            reach = int(np.searchsorted(ends, ends[lo] - runs[lo] + FLOAT32_EXACT))
+            hi = min(hi, max(reach, lo + 1))
+        yield lo, hi
+        lo = hi
 
 
 def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:

@@ -82,7 +82,7 @@ class LinkObserver:
         # each but the end, the idle cycles after it
         at = np.concatenate(([self.cycles - 1], np.asarray(cycles, dtype=np.int64), [end]))
         state = np.concatenate(([k - 1 if self._last is None else self._last], t))
-        held = c + state % c
+        held = state + c * (state < c)  # state's idle twin: 0 <= state < 2c
         gap = at[1:] - at[:-1] - 1
         into = np.where(gap[:-1] == 0, state[:-1], held[:-1])
         idle = gap > 0

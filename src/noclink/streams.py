@@ -10,6 +10,9 @@ stream we derive two kinds of statistics:
   diagonal holds the self-switching probabilities E{db_i^2}, off-diagonal
   entries hold E{db_i^2 - db_i*db_j}.
 
+Every statistic is a product aᵀa of a 0/±1 bit matrix, formed by ``gram``
+in float32 blocks of ``BLOCK`` rows and returned as exact float64 counts.
+
 scipy is imported only by the AR(1) recursion behind ``gaussian`` and
 ``lognormal`` streams and the pixel payloads built from them, at the first
 such draw, so importing noclink does not load it.
@@ -27,7 +30,11 @@ STREAM_MAGIC = b"NESTRM"
 
 DISTRIBUTIONS = ("uniform", "gaussian", "lognormal")
 
-BLOCK = 1 << 24  # rows per float32 block of ``gram``; float32 holds integers to 2^24
+# rows per float32 block of ``gram`` and of the oracle's held words, chosen by
+# timing the oracle on 10k- to 1M-row traces and the whole stream-sweep
+# benchmark pass (README, "Statistics kernels"); any block of at most 2^24
+# rows sums exactly, since float32 holds every integer up to 2^24
+BLOCK = 1 << 15
 
 
 class StreamError(ValueError):
@@ -44,11 +51,15 @@ def word_bits(words: np.ndarray, width: int) -> np.ndarray:
 def gram(a: np.ndarray) -> np.ndarray:
     """aᵀa of an (n, w) int8 0/±1 matrix as exact float64 counts: float32
     products of ``BLOCK``-row blocks, whose partial sums are integers within
-    ±BLOCK and so exact in any order, summed in float64."""
-    out = np.zeros((a.shape[1],) * 2)
-    for lo in range(0, len(a), BLOCK):
-        f = a[lo:lo + BLOCK].astype(np.float32)
-        out += f.T @ f
+    ±BLOCK and so exact in any order, summed in float64 (exact below 2^53
+    rows).  Later blocks reuse the first block's float32 copy, so the
+    blocks take 4·BLOCK·w bytes however long ``a`` is."""
+    f = a[:BLOCK].astype(np.float32)
+    out = (f.T @ f).astype(np.float64)
+    for lo in range(BLOCK, len(a), BLOCK):
+        block = f[:len(a) - lo]
+        np.copyto(block, a[lo:lo + BLOCK])
+        out += block.T @ block
     return out
 
 
@@ -345,7 +356,10 @@ def read_stream_binary(path) -> DataStream:
     if len(body) % 8:
         raise StreamError(
             f"{path}: {8 + len(body)} bytes, not an 8-byte header plus whole 8-byte words")
-    return DataStream(np.frombuffer(body, dtype="<u8").copy(), width)
+    try:
+        return DataStream(np.frombuffer(body, dtype="<u8").copy(), width)
+    except StreamError as exc:  # a header width outside [1, 64], or a word wider
+        raise StreamError(f"{path}: {exc}") from None
 
 
 def write_stream_csv(path, stream: DataStream) -> None:

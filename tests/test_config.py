@@ -1,3 +1,4 @@
+import struct
 import textwrap
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 
 from noclink.cli import main
 from noclink.config import ConfigError, build_simulation, parse_config
-from noclink.streams import DataStream, StreamSpec, generate_stream, write_stream_binary
+from noclink.streams import (
+    STREAM_MAGIC,
+    DataStream,
+    StreamSpec,
+    generate_stream,
+    write_stream_binary,
+)
 
 NODE_TYPES = """\
 <nodeTypes>
@@ -295,6 +302,32 @@ class TestTraffic:
                     if "short.bin" in row)
         message = (f"{path}: <flow> at line {line}: {short}: 11 bytes,"
                    " not an 8-byte header plus whole 8-byte words")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
+                     "--cycles", "10"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width, words, reason", [
+        (0, [1, 2], "stream width 0 is outside [1, 64]"),
+        (65, [1, 2], "stream width 65 is outside [1, 64]"),
+        (4, [3, 16], "word out of range for width 4"),
+    ])
+    def test_bad_stream_content_names_path_and_line(self, tmp_path, capsys, width, words,
+                                                    reason):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(STREAM_MAGIC + struct.pack("<H", width)
+                        + np.array(words, dtype="<u8").tobytes())
+        extra = (
+            "<traffic>\n"
+            f'  <flow src="A" dst="B" rate="0.1" payload="stream" file="{bad}"/>\n'
+            "</traffic>\n"
+        )
+        path = minimal(tmp_path, extra=extra)
+        line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                    if "bad.bin" in row)
+        message = f"{path}: <flow> at line {line}: {bad}: {reason}"
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == message

@@ -19,6 +19,7 @@ from noclink.oracle import (
     write_link_protocol,
 )
 from noclink.streams import (
+    BLOCK,
     StreamSpec,
     SwitchingMatrix,
     generate_stream,
@@ -240,6 +241,81 @@ class TestExactEnergy:
         runs = np.array([2**24 + 1, 2**24 + 2], dtype=np.int64)
         held = runs @ np.array([[1, 0], [1, 1]], dtype=np.int64)
         assert np.array_equal(tr.held_products[1], held / tr.length)
+
+
+def int64_held_sums(trace):
+    """The held products and p·length in int64: Σ ddᵀ over the bit
+    differences of consecutive held words, and Σ run·bits, with all-zeros
+    held before the first flit."""
+    lead = int(not trace.cycles.size or trace.cycles[0] > 0)
+    starts = np.concatenate((np.zeros(lead, dtype=np.int64), trace.cycles))
+    words = np.concatenate((np.zeros(lead, dtype=np.uint64), trace.words))
+    runs = np.diff(np.append(starts, trace.length))
+    bits = word_bits(words, trace.width).astype(np.int64)
+    d = np.diff(bits, axis=0)
+    return d.T @ d, runs @ bits
+
+
+def assert_held_exact(trace):
+    products, p = trace.held_products
+    products_ref, counts_ref = int64_held_sums(trace)
+    assert np.array_equal(products, products_ref)
+    assert np.array_equal(p, counts_ref / trace.length)
+
+
+class TestHeldBlocks:
+    """``held_products`` sums blocks of held words in float32; each sum must
+    equal the int64 one bit for bit."""
+
+    def test_trace_longer_than_one_block(self):
+        rng = np.random.default_rng(5)
+        n = 2 * BLOCK + 123
+        cycles = np.sort(rng.choice(5 * n, n, replace=False)) + 1  # idle first cycle
+        tr = LinkTrace(cycles, np.zeros(n), rng.integers(0, 2**17, n, dtype=np.uint64),
+                       length=5 * n + 1, width=17)
+        assert_held_exact(tr)
+
+    def test_block_boundary_inside_a_run(self):
+        # held word BLOCK - 1, the last of the first block, idles for 1000
+        # cycles, and one word is held from there into the next block
+        rng = np.random.default_rng(6)
+        n = BLOCK + 50
+        gaps = np.ones(n, dtype=np.int64)
+        gaps[BLOCK] = 1001
+        words = rng.integers(0, 2**16, n, dtype=np.uint64)
+        words[BLOCK - 10:BLOCK + 10] = 0xBEEF
+        tr = LinkTrace(np.cumsum(gaps) - 1, np.zeros(n), words, length=int(gaps.sum()) + 7,
+                       width=16)
+        assert_held_exact(tr)
+
+    def test_run_totals_stop_before_float32_skips_integers(self):
+        # cycle 2^24 falls inside the run of flit 4099, over 2^20 cycles
+        # long; one float32 sum over all 6000 runs would round
+        rng = np.random.default_rng(7)
+        cycles = np.concatenate((np.sort(rng.choice(2**24 - 2**19, 4100, replace=False)),
+                                 2**24 + 2**19 + np.sort(rng.choice(2**24, 1900, replace=False))))
+        tr = LinkTrace(cycles, np.zeros(cycles.size), rng.integers(0, 2**9, cycles.size,
+                       dtype=np.uint64), length=2**25 + 2**19 + 5, width=9)
+        assert_held_exact(tr)
+
+    def test_one_run_longer_than_float32_integers(self):
+        # flits at cycles 0 and 2^25 - 1: the first word is held for 2^25 - 1
+        # cycles, an odd count past 2^24 that float32 rounds to 2^25
+        tr = LinkTrace([0, 2**25 - 1], [0, 0], [0b1011, 0b0110], length=2**25, width=4)
+        assert_held_exact(tr)
+        assert tr.held_products[1][0] == (2**25 - 1) / 2**25
+
+    @given(st.integers(1, 64), st.integers(0, 200), st.integers(1, 2**26),
+           st.sampled_from((1, 2, 3, 7, BLOCK)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_size_is_exact(self, width, flits, length, block, seed):
+        rng = np.random.default_rng(seed)
+        cycles = np.sort(rng.choice(length, min(flits, length), replace=False))
+        words = rng.integers(0, 2**width, cycles.size, dtype=np.uint64)
+        tr = LinkTrace(cycles, np.zeros(cycles.size), words, length=length, width=width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("noclink.oracle.BLOCK", block)
+            assert_held_exact(tr)
 
 
 def protocol_reference(trace) -> bytes:
