@@ -87,26 +87,25 @@ class LinkTrace:
     def held_products(self) -> tuple[np.ndarray, np.ndarray]:
         """Bit-difference products summed over cycle pairs, and bit probabilities.
 
-        One pass over blocks of held words (``_held_blocks``) unpacks each
-        block, adds the products of its bit differences through ``gram``,
-        its first word differenced against the last word of the block
-        before, and adds its held bit counts Σ runs·bits as a float32
-        product.  A block's run total stays below 2^24, so that product
-        sums integers float32 holds exactly; a single run of 2^24 cycles or
-        more is a block of its own, counted in float64.  The blocks are
-        summed in float64, so both results are exact integer sums, bit for
-        bit the per-cycle ones.  Beyond the held words and their runs
-        (16 bytes each), a block's unpacked bits, differences and float32
-        copies take about 10·BLOCK·width bytes."""
+        One pass over blocks of ``BLOCK`` held words unpacks each block,
+        adds the products of its bit differences through ``gram``, its
+        first word differenced against the last word of the block before,
+        and adds its held bit counts Σ runs·bits.  Those counts are float32
+        products when the trace is shorter than 2^24 cycles, so that every
+        partial sum is an integer float32 holds, and float64 ones otherwise.
+        The blocks are summed in float64, so both results are exact integer
+        sums, bit for bit the per-cycle ones.  Beyond the held words and
+        their runs (16 bytes each), a block's unpacked bits, differences
+        and float32 copies take about 10·BLOCK·width bytes."""
         words, runs = _held_runs(self)
         products = np.zeros((self.width,) * 2)
         counts = np.zeros(self.width)
-        for lo, hi in _held_blocks(runs, self.length):
+        dtype = np.float32 if self.length < FLOAT32_EXACT else np.float64
+        for lo in range(0, len(runs), BLOCK):
             start = max(lo - 1, 0)  # the block before's last word, to difference against
-            bits = word_bits(words[start:hi], self.width)
+            bits = word_bits(words[start:lo + BLOCK], self.width)
             products += gram(np.diff(bits, axis=0))
-            dtype = np.float32 if runs[lo] < FLOAT32_EXACT else np.float64  # a lone long run
-            counts += runs[lo:hi].astype(dtype) @ bits[lo - start:].astype(dtype)
+            counts += runs[lo:lo + BLOCK].astype(dtype) @ bits[lo - start:].astype(dtype)
         p = counts / self.length
         products.flags.writeable = p.flags.writeable = False  # shared by every caller
         return products, p
@@ -119,22 +118,6 @@ def _held_runs(trace: LinkTrace) -> tuple[np.ndarray, np.ndarray]:
         starts = np.concatenate((np.zeros(1, dtype=np.int64), starts))
         words = np.concatenate((np.zeros(1, dtype=np.uint64), words))
     return words, np.diff(starts, append=trace.length)
-
-
-def _held_blocks(runs: np.ndarray, length: int):
-    """Row bounds ``(lo, hi)`` of consecutive blocks of at most ``BLOCK`` held
-    words whose run totals stay below 2^24, so that float32 sums them
-    exactly; a run of 2^24 cycles or more makes a block of its own.  Only a
-    trace of 2^24 cycles or more can reach that total."""
-    ends = np.cumsum(runs) if length >= FLOAT32_EXACT else None
-    lo = 0
-    while lo < len(runs):
-        hi = min(lo + BLOCK, len(runs))
-        if ends is not None:  # end before the first word whose run reaches the total
-            reach = int(np.searchsorted(ends, ends[lo] - runs[lo] + FLOAT32_EXACT))
-            hi = min(hi, max(reach, lo + 1))
-        yield lo, hi
-        lo = hi
 
 
 def exact_switching(trace: LinkTrace) -> tuple[SwitchingMatrix, np.ndarray]:

@@ -52,14 +52,12 @@ def gram(a: np.ndarray) -> np.ndarray:
     """aᵀa of an (n, w) int8 0/±1 matrix as exact float64 counts: float32
     products of ``BLOCK``-row blocks, whose partial sums are integers within
     ±BLOCK and so exact in any order, summed in float64 (exact below 2^53
-    rows).  Later blocks reuse the first block's float32 copy, so the
-    blocks take 4·BLOCK·w bytes however long ``a`` is."""
-    f = a[:BLOCK].astype(np.float32)
-    out = (f.T @ f).astype(np.float64)
-    for lo in range(BLOCK, len(a), BLOCK):
-        block = f[:len(a) - lo]
-        np.copyto(block, a[lo:lo + BLOCK])
-        out += block.T @ block
+    rows).  Each block's float32 copy takes 4·BLOCK·w bytes however long
+    ``a`` is."""
+    out = np.zeros((a.shape[1],) * 2)
+    for lo in range(0, len(a), BLOCK):
+        f = a[lo:lo + BLOCK].astype(np.float32)
+        out += f.T @ f
     return out
 
 

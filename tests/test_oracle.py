@@ -241,6 +241,11 @@ class TestExactEnergy:
         runs = np.array([2**24 + 1, 2**24 + 2], dtype=np.int64)
         held = runs @ np.array([[1, 0], [1, 1]], dtype=np.int64)
         assert np.array_equal(tr.held_products[1], held / tr.length)
+        # flits at cycles 0 and 2^25 - 1: the first word is held for 2^25 - 1
+        # cycles, an odd count past 2^24 that float32 rounds to 2^25
+        tr = LinkTrace([0, 2**25 - 1], [0, 0], [0b1011, 0b0110], length=2**25, width=4)
+        assert_held_exact(tr)
+        assert tr.held_products[1][0] == (2**25 - 1) / 2**25
 
 
 def int64_held_sums(trace):
@@ -264,8 +269,8 @@ def assert_held_exact(trace):
 
 
 class TestHeldBlocks:
-    """``held_products`` sums blocks of held words in float32; each sum must
-    equal the int64 one bit for bit."""
+    """``held_products`` sums blocks of held words, in float32 below 2^24
+    cycles; each sum must equal the int64 one bit for bit."""
 
     def test_trace_longer_than_one_block(self):
         rng = np.random.default_rng(5)
@@ -288,22 +293,15 @@ class TestHeldBlocks:
                        width=16)
         assert_held_exact(tr)
 
-    def test_run_totals_stop_before_float32_skips_integers(self):
-        # cycle 2^24 falls inside the run of flit 4099, over 2^20 cycles
-        # long; one float32 sum over all 6000 runs would round
+    def test_many_runs_past_float32_integers(self):
+        # 6000 runs, none of 2^24 cycles, over 2^25 + 2^19 cycles: cycle 2^24
+        # falls inside the run of flit 4099, and a float32 sum would round
         rng = np.random.default_rng(7)
         cycles = np.concatenate((np.sort(rng.choice(2**24 - 2**19, 4100, replace=False)),
                                  2**24 + 2**19 + np.sort(rng.choice(2**24, 1900, replace=False))))
         tr = LinkTrace(cycles, np.zeros(cycles.size), rng.integers(0, 2**9, cycles.size,
                        dtype=np.uint64), length=2**25 + 2**19 + 5, width=9)
         assert_held_exact(tr)
-
-    def test_one_run_longer_than_float32_integers(self):
-        # flits at cycles 0 and 2^25 - 1: the first word is held for 2^25 - 1
-        # cycles, an odd count past 2^24 that float32 rounds to 2^25
-        tr = LinkTrace([0, 2**25 - 1], [0, 0], [0b1011, 0b0110], length=2**25, width=4)
-        assert_held_exact(tr)
-        assert tr.held_products[1][0] == (2**25 - 1) / 2**25
 
     @given(st.integers(1, 64), st.integers(0, 200), st.integers(1, 2**26),
            st.sampled_from((1, 2, 3, 7, BLOCK)), st.integers(0, 2**32 - 1))
