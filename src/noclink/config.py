@@ -122,10 +122,8 @@ class SimulationConfig:
     router_cfg: RouterConfig
     pe_clock_delay: int
     flit_width: int
-    flits_per_packet: int
     clock_period: float
     traffic: list[FlowSpec] = field(repr=False, default_factory=list)
-    node_types: dict[int, NodeTypeConfig] = field(default_factory=dict)
 
 
 # accepted values of a router's single-valued children
@@ -276,10 +274,8 @@ def parse_config(path) -> SimulationConfig:
         router_cfg=router_cfg,
         pe_clock_delay=pe_type.clock_delay,
         flit_width=flit_width,
-        flits_per_packet=flits_per_packet,
         clock_period=clock_period,
         traffic=specs,
-        node_types=node_types,
     )
 
 

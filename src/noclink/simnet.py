@@ -15,20 +15,25 @@ straight back to that input VC's link.
 
 The simulator is activity-driven: each phase of a cycle visits only
 the components of its wake list, the ones that hold work.  A component
-joins its list when the work counter it keeps leaves zero, and a phase
-that finds the counter at zero drops it.
+is listed exactly while the work counter it keeps is not zero: it joins
+its list when the counter leaves zero, and the phase that ticks it keeps
+it only while the counter, read after the tick, is not zero.  No part
+stores a second copy of that fact.
 
 - A link is listed while its register holds a flit: ``put`` lists it,
   and the delivery phase clears the list.
 - A router or sink NI is listed by the delivery that takes its
-  ``buffered`` count from zero, and a router stays listed while any
-  input buffer holds a flit.  Each router also counts its waiting heads
-  (delivered, not yet allocated an output VC), and a tick scans its
-  input VCs for route computation and VC allocation only while one waits.
+  ``buffered`` count from zero; a router stays listed while ``buffered``
+  is not zero, and a drain empties a sink.  Each router also counts its
+  waiting heads (delivered, not yet allocated an output VC), and a tick
+  scans its input VCs for route computation and VC allocation only while
+  one waits.
 - A source NI is listed by the packet enqueued while its ``backlog`` and
-  its ``ACTIVE`` VCs are both zero, and stays listed while either is not.
-- A PE draws the uniforms of a chunk's ticks when the chunk starts, in
-  the order of per-tick scalar draws, and acts only on the ticks on which
+  its output's ``active`` VC count are both zero, and stays listed while
+  either is not.
+- A PE keeps no clock of its own: it ticks on the network's PE clock.
+  It draws the uniforms of a chunk's ticks when the chunk starts, in the
+  order of per-tick scalar draws, and acts only on the ticks on which
   some flow injects.
 
 Credits do not wake links.  Whoever takes a flit out of a buffer stages
@@ -45,9 +50,9 @@ Update order within one base cycle is fixed and fully deterministic:
 2. on a multiple of the router clock delay, listed routers tick (send,
    then, while a head waits, VC allocation and route computation in one
    pass, so information advances one stage per cycle),
-3. on a multiple of the PE clock delay, listed sink NIs drain, in build
-   order; PEs due to inject, whose ticks fall on those cycles, do so;
-   listed source NIs send,
+3. on a multiple of the PE clock delay, listed sink NIs drain, in node-id
+   order; PEs due to inject on this tick of the PE clock do so; listed
+   source NIs send,
 4. listed links, each holding the flit put this cycle, record it; idle
    cycles cost nothing.
 
@@ -117,24 +122,23 @@ def encode_head_word(dest_index: int, packet_id: int, width: int) -> int:
 class Flit:
     __slots__ = (
         "flow_id", "type_id", "word", "is_head", "is_tail",
-        "packet_id", "dest", "word_index", "inject_cycle",
+        "dest", "word_index", "inject_cycle",
     )
 
     def __init__(self, flow_id, type_id, word, is_head, is_tail,
-                 packet_id, dest, word_index, inject_cycle):
+                 dest, word_index, inject_cycle):
         self.flow_id = flow_id
         self.type_id = type_id
         self.word = word
         self.is_head = is_head
         self.is_tail = is_tail
-        self.packet_id = packet_id
         self.dest = dest
         self.word_index = word_index
         self.inject_cycle = inject_cycle
 
     def __repr__(self):  # pragma: no cover - debugging aid
         kind = "H" if self.is_head else ("T" if self.is_tail else "B")
-        return f"<{kind} f{self.flow_id} p{self.packet_id} w={self.word:#x}>"
+        return f"<{kind} f{self.flow_id} w={self.word:#x}>"
 
 
 @dataclass
@@ -380,9 +384,8 @@ class Router:
     are back, so a waiting head is the first flit of its buffer.  A tick
     scans the input VCs only while a head waits.
 
-    It is in its network's router wake list (``wakes``) while
-    ``buffered`` is not zero; ``holding`` tells, after a tick, whether an
-    input buffer still holds a flit."""
+    It ticks on its network's router clock, and it is in the network's
+    router wake list (``wakes``) exactly while ``buffered`` is not zero."""
 
     def __init__(self, node_id: str, coords: tuple[int, int, int], cfg: RouterConfig):
         self.node_id = node_id
@@ -393,7 +396,6 @@ class Router:
         self.ports: list[OutputPort] = []
         self.buffered = 0
         self.waiting = 0
-        self.holding = False
         self.wakes: list[Router] = []
 
     def attach_input(self, port: int, link: Link) -> None:
@@ -436,7 +438,6 @@ class Router:
         # are allocated in a later tick at the earliest)
         if self.waiting:
             self._allocate()
-        self.holding = self.buffered > 0
 
     def _allocate(self) -> None:
         for ivc in self.in_vcs:
@@ -476,10 +477,10 @@ class SourceNI:
     so flow-level packet order is preserved end to end.  Blocking: the
     queue grows without loss when the router back-pressures.
 
-    A packet enqueued while ``backlog`` and ``out.active`` are both zero
-    lists the NI in its wake list; ``holding`` tells, after a tick,
-    whether the queue or a VC deque still holds flits.  A VC's deque holds
-    flits exactly while the VC is ``ACTIVE``."""
+    It ticks on its network's PE clock, and it is in the network's source
+    wake list (``wakes``) exactly while ``backlog`` or ``out.active`` is
+    not zero: a packet enqueued while both are zero lists it.  A VC's deque
+    holds flits exactly while the VC is ``ACTIVE``."""
 
     def __init__(self, link: Link, vc_count, downstream_depth, arbitration):
         self.out = OutputPort(link, vc_count, downstream_depth, arbitration)
@@ -490,7 +491,6 @@ class SourceNI:
         self.backlog = 0
         self.enqueued_packets = 0
         self.max_backlog = 0
-        self.holding = False
         self.wakes: list[SourceNI] = []
 
     def enqueue_packet(self, flits: list[Flit]) -> None:
@@ -532,13 +532,12 @@ class SourceNI:
                     break
         if out.active:
             out.send()
-        self.holding = self.backlog > 0 or out.active > 0
 
 
 class SinkNI:
     """Consumes ejected flits, returns credits and records latency.  A
     delivery lists it and the next PE-clock cycle drains it, listed sinks
-    in build order (``rank``).  Deliveries raise ``buffered`` and
+    in node-id order (``rank``).  Deliveries raise ``buffered`` and
     ``waiting`` here as at a router, and a drain zeroes them."""
 
     def __init__(self, in_link: Link, vc_count, result):
@@ -576,18 +575,18 @@ class SinkNI:
 class PE:
     """Bernoulli packet injector for the flows sourced at this node.
 
-    Tick k falls on cycle k * ``clock_delay``, and on each tick every flow
+    The PE keeps no clock: its network's PE clock ``clock`` gives its
+    ticks, tick k falling on cycle k * ``clock``.  On each tick every flow
     draws one uniform, in flow order, and injects a packet if it is below
     the flow's rate.  ``injections`` draws the uniforms of a span of ticks
     at once, in the same order, and keeps only the ticks on which some
     flow injects.
     """
 
-    def __init__(self, node_id, dest_index_of, flit_width, clock_delay,
+    def __init__(self, node_id, dest_index_of, flit_width,
                  flows: list[FlowSpec], ni: SourceNI, head_type: int, seed):
         self.node_id = node_id
         self.flit_width = flit_width
-        self.clock_delay = clock_delay
         self.head_type = head_type
         self.flows = flows
         self.ni = ni
@@ -598,17 +597,16 @@ class PE:
         self.injected_flits = 0
         self.injected_packets = 0
 
-    def injections(self, lo: int, hi: int) -> list[tuple[int, list[float]]]:
-        """(cycle, uniforms) of each tick in cycles [lo, hi) on which some
-        flow injects at its current rate.  Spans must follow one another,
-        since every tick in the span draws."""
-        cd = self.clock_delay
-        first, stop = -(-lo // cd), -(-hi // cd)
+    def injections(self, lo: int, hi: int, clock: int) -> list[tuple[int, list[float]]]:
+        """(cycle, uniforms) of each tick of the PE clock ``clock`` in cycles
+        [lo, hi) on which some flow injects at its current rate.  Spans must
+        follow one another, since every tick in the span draws."""
+        first, stop = -(-lo // clock), -(-hi // clock)
         if not self.flows or stop <= first:
             return []
         rows = self.rng.random((stop - first, len(self.flows)))
         hits = np.flatnonzero((rows < [f.rate for f in self.flows]).any(axis=1))
-        return [((first + hit) * cd, rows[hit].tolist()) for hit in hits.tolist()]
+        return [((first + hit) * clock, rows[hit].tolist()) for hit in hits.tolist()]
 
     def tick(self, cycle: int, draws: list[float], dest_coords) -> None:
         """Inject on the tick at ``cycle``, given its flows' uniforms."""
@@ -622,12 +620,12 @@ class PE:
             head_word = encode_head_word(
                 self.dest_index_of[flow.dst], pid, self.flit_width)
             flits = [Flit(flow.flow_id, self.head_type, head_word, True,
-                          False, pid, dest, -1, cycle)]
+                          False, dest, -1, cycle)]
             base = self.word_cursor[flow.flow_id]
             self.word_cursor[flow.flow_id] = base + n_body
             for k, w in enumerate(flow.payload.take(base, n_body).tolist()):
                 flits.append(Flit(flow.flow_id, flow.type_id, w, False,
-                                  k == n_body - 1, pid, dest, base + k, cycle))
+                                  k == n_body - 1, dest, base + k, cycle))
             self.ni.enqueue_packet(flits)
             self.injected_flits += len(flits)
             self.injected_packets += 1
@@ -684,9 +682,11 @@ class SimulationResult:
 
 class Network:
     """A built mesh: routers, NIs, PEs and observed links, with the wake
-    lists of an activity-driven run.  ``staged_credits`` and
-    ``flying_credits`` are the two stages of the credit return.  Routers
-    tick every ``router_clock`` cycles, NIs and PEs every ``pe_clock``."""
+    lists of an activity-driven run.  ``routers``, ``sources``, ``sinks``
+    and ``pes`` map node ids to parts in node-id order, the order in which
+    a run visits them.  ``staged_credits`` and ``flying_credits`` are the
+    two stages of the credit return.  Routers tick every ``router_clock``
+    cycles, NIs and PEs every ``pe_clock``."""
 
     def __init__(self, routers, sources, sinks, pes, links, dest_coords, result,
                  router_clock, pe_clock):
@@ -699,11 +699,7 @@ class Network:
         self.result = result
         self.router_clock = router_clock
         self.pe_clock = pe_clock
-        self._router_list = [routers[k] for k in sorted(routers)]
-        self._sink_list = [sinks[k] for k in sorted(sinks)]
-        self._source_list = [sources[k] for k in sorted(sources)]
-        self._pe_list = [pes[k] for k in sorted(pes)]
-        for rank, sink in enumerate(self._sink_list):
+        for rank, sink in enumerate(sinks.values()):
             sink.rank = rank
         self.staged_credits: list[OutputVC] = []
         self.flying_credits: list[OutputVC] = []
@@ -713,31 +709,30 @@ class Network:
         self._routers_awake: list[Router] = []
         self._sinks_awake: list[SinkNI] = []
         self._sources_awake: list[SourceNI] = []
-        self._wake_sets = ((self._links_awake, links),
-                           (self._routers_awake, self._router_list),
-                           (self._sinks_awake, self._sink_list),
-                           (self._sources_awake, self._source_list))
-        for wakes, parts in self._wake_sets:
-            for part in parts:
+        # (kind, wake list, parts by name) of each kind of listed part
+        self._wake_sets = (
+            ("link", self._links_awake, {link.link_id: link for link in links}),
+            ("router", self._routers_awake, routers),
+            ("sink NI", self._sinks_awake, sinks),
+            ("source NI", self._sources_awake, sources))
+        for _, wakes, parts in self._wake_sets:
+            for part in parts.values():
                 part.wakes = wakes
 
     def _wake_holders(self) -> None:
         """Recount the routers' and sinks' buffers and list exactly the
         components that hold work: state may have changed between runs,
         and a delivery lists a part only when its count leaves zero."""
-        for router in self._router_list:
+        for router in self.routers.values():
             router.buffered, router.waiting = router.recount()
-        for sink in self._sink_list:
+        for sink in self.sinks.values():
             sink.buffered = sink.occupancy()
-        for wakes, parts in self._wake_sets:
-            wakes[:] = [part for part in parts if part.occupancy()]
+        for _, wakes, parts in self._wake_sets:
+            wakes[:] = [part for part in parts.values() if part.occupancy()]
 
     def check_wake_invariant(self) -> None:
         """No component is missing from its wake list while it holds work."""
-        links = {link.link_id: link for link in self.links}
-        for (wakes, _), (kind, parts) in zip(self._wake_sets, (
-                ("link", links), ("router", self.routers),
-                ("sink NI", self.sinks), ("source NI", self.sources))):
+        for kind, wakes, parts in self._wake_sets:
             listed = set(wakes)
             for name, part in parts.items():
                 if part not in listed and part.occupancy():
@@ -753,7 +748,8 @@ class Network:
                     f" recount gives {router.recount()}")
 
     def in_flight(self) -> int:
-        return sum(part.occupancy() for _, parts in self._wake_sets for part in parts)
+        return sum(part.occupancy() for _, _, parts in self._wake_sets
+                   for part in parts.values())
 
     def _flit_balance(self) -> int:
         """Injected flits less ejected flits less flits in the network."""
@@ -792,7 +788,7 @@ class Network:
             raise ConfigurationError(f"a network needs at least two cycles, got {end}")
         result.cycles = end
 
-        pe_list = self._pe_list
+        pes = self.pes.values()
         dest_coords = self.dest_coords
         # flits enqueued directly at a source NI enter without a PE count, so
         # conservation holds this balance fixed rather than at zero
@@ -809,8 +805,8 @@ class Network:
             hi = min(lo + CHUNK, end)
             # the PEs' injections of this chunk, in PE order within a cycle
             due: dict[int, list[tuple[PE, list[float]]]] = {}
-            for pe in pe_list:
-                for cycle, draws in pe.injections(lo, hi):
+            for pe in pes:
+                for cycle, draws in pe.injections(lo, hi, pe_clock):
                     due.setdefault(cycle, []).append((pe, draws))
             for cycle in range(lo, hi):
                 if flying:
@@ -823,7 +819,9 @@ class Network:
                     link.deliver()
                 links_awake.clear()
                 if cycle % router_clock == 0:
-                    _tick(routers_awake)
+                    for router in routers_awake:
+                        router.tick()
+                    routers_awake[:] = [r for r in routers_awake if r.buffered]
                 if cycle % pe_clock == 0:
                     sinks_awake.sort(key=_RANK)
                     for sink in sinks_awake:
@@ -831,7 +829,10 @@ class Network:
                     sinks_awake.clear()
                     for pe, draws in due.get(cycle, ()):
                         pe.tick(cycle, draws, dest_coords)
-                    _tick(sources_awake)
+                    for source in sources_awake:
+                        source.tick()
+                    sources_awake[:] = [s for s in sources_awake
+                                        if s.backlog or s.out.active]
                 for link in links_awake:
                     link.observe(cycle)
                 if check_invariants:
@@ -846,8 +847,8 @@ class Network:
             for link in self.links:
                 link.fold(hi)
 
-        result.injected_flits = sum(pe.injected_flits for pe in pe_list)
-        result.injected_packets = sum(pe.injected_packets for pe in pe_list)
+        result.injected_flits = sum(pe.injected_flits for pe in pes)
+        result.injected_packets = sum(pe.injected_packets for pe in pes)
         result.in_flight_flits = self.in_flight()
         # traces, like the observers, cover every cycle since the network was built
         for link in self.links:
@@ -864,14 +865,6 @@ class Network:
 _RANK = attrgetter("rank")
 
 
-def _tick(awake: list[Router] | list[SourceNI]) -> None:
-    """Tick the listed routers or source NIs; one that holds no flit after
-    its tick leaves the list."""
-    for part in awake:
-        part.tick()
-    awake[:] = [part for part in awake if part.holding]
-
-
 def build_network(
     nodes: dict[str, tuple[int, int, int]],
     flows: list[FlowSpec],
@@ -885,7 +878,8 @@ def build_network(
 ) -> Network:
     """Wire up routers, links and network interfaces for a (possibly
     sparse) 3D mesh given by ``nodes`` (id -> integer coordinates).  The
-    types are the flows' payload types plus one head type above them."""
+    types are the flows' payload types plus one head type above them.
+    Parts are built in node-id order, whatever the order of ``nodes``."""
     cfg = router_cfg or RouterConfig()
     if not nodes:
         raise ConfigurationError("topology needs at least one node")
@@ -906,7 +900,7 @@ def build_network(
                 raise ConfigurationError(f"flow {flow.flow_id}: unknown node {end!r}")
     n_types = max((f.type_id for f in flows), default=0) + 2
 
-    routers = {nid: Router(nid, c, cfg) for nid, c in node_coords.items()}
+    routers = {nid: Router(nid, node_coords[nid], cfg) for nid in sorted(node_coords)}
     links: list[Link] = []
 
     # inter-router links, both directions wherever neighbors exist
@@ -936,8 +930,7 @@ def build_network(
         sink = SinkNI(down, cfg.vc_count, result)
         source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration)
         node_flows = [f for f in flows if f.src == nid]
-        pe = PE(nid, dest_index_of, flit_width, pe_clock_delay,
-                node_flows, source, head_type=n_types - 1,
+        pe = PE(nid, dest_index_of, flit_width, node_flows, source, head_type=n_types - 1,
                 seed=np.random.SeedSequence([seed, dest_index_of[nid]]))
         sources[nid], sinks[nid], pes[nid] = source, sink, pe
 

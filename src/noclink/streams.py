@@ -364,11 +364,6 @@ def write_stream_csv(path, stream: DataStream) -> None:
     np.savetxt(path, stream.words.astype(np.int64), fmt="%d")
 
 
-def read_stream_csv(path, width: int) -> DataStream:
-    words = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    return DataStream(words.astype(np.uint64), width)
-
-
 def save_matrix_csv(path, matrix: np.ndarray, header: str) -> None:
     np.savetxt(path, np.asarray(matrix, dtype=np.float64), delimiter=",",
                header=header, comments="# ")

@@ -220,6 +220,7 @@ CASE_STUDY_FLITS_PER_PACKET = 32
 # 20% mean injection, counted in flits per PE cycle, over 32-flit packets.
 CASE_STUDY_RATE = 0.2 / CASE_STUDY_FLITS_PER_PACKET
 CASE_STUDY_VC_LINKS = ("R2->R5", "R5->R7")
+CASE_STUDY_SIGMA = 40.0  # the AR(1) spread of the case study's pixels
 # the coding comparison's traffic: slow flows of strongly correlated MSB pixels
 CASE_STUDY_CODING_TRAFFIC = dict(
     payload_kind="pixel-msb", rate=0.0075, rho=0.9999, stream_seed=110)
@@ -229,16 +230,16 @@ def case_study_traffic(
     *,
     payload_kind: str = "pixel-packed",
     rate: float = CASE_STUDY_RATE,
-    sigma: float = 40.0,
     rho: float = 0.995,
     stream_seed: int = 100,
 ) -> list[FlowSpec]:
-    """Six sensor flows towards the memory node, one data type each."""
+    """Six sensor flows towards the memory node, one data type each, with
+    pixel spread ``CASE_STUDY_SIGMA``."""
     return [
         FlowSpec(
             i, i, src, CASE_STUDY_DEST, rate, CASE_STUDY_FLITS_PER_PACKET,
             make_payload_source(
-                {"payload": payload_kind, "sigma": sigma, "rho": rho,
+                {"payload": payload_kind, "sigma": CASE_STUDY_SIGMA, "rho": rho,
                  "seed": stream_seed + i, "length": 1 << 20},
                 CASE_STUDY_FLIT_WIDTH,
             ),
@@ -402,15 +403,16 @@ def _check_runs(runs: int) -> None:
 
 # --- stream-level energy and coding sweeps -------------------------------------
 
-# the AR(1) spread and lag-1 correlation of the sweeps' correlated streams
+# the word width of the sweeps' streams, and the AR(1) spread and lag-1
+# correlation of their correlated streams
+SWEEP_WIDTH = 16
 SWEEP_SIGMA, SWEEP_RHO = 256.0, 0.99
 
 
-def _two_streams(distribution: str, width: int, sigma: float, rho: float,
-                 length: int, seed: int):
+def _two_streams(distribution: str, length: int, seed: int):
     return [
-        generate_stream(StreamSpec(distribution, width, length, sigma=sigma, rho=rho,
-                                   seed=seed + k))
+        generate_stream(StreamSpec(distribution, SWEEP_WIDTH, length, sigma=SWEEP_SIGMA,
+                                   rho=SWEEP_RHO, seed=seed + k))
         for k in range(2)
     ]
 
@@ -418,29 +420,27 @@ def _two_streams(distribution: str, width: int, sigma: float, rho: float,
 def mux_energy_sweep(
     mux_probs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     *,
-    width: int = 16,
-    sigma: float = SWEEP_SIGMA,
-    rho: float = SWEEP_RHO,
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
 ) -> list[dict]:
     """Energy per byte of two multiplexed correlated streams vs mux probability.
 
-    Emits the model estimate and the bit-level oracle value for the 2D
-    and the 3D parasitics.
+    The streams are gaussian, ``SWEEP_WIDTH`` bits wide, with ``SWEEP_SIGMA``
+    and ``SWEEP_RHO``.  Emits the model estimate and the bit-level oracle
+    value for the 2D and the 3D parasitics.
     """
     _check_runs(runs)
-    caps = (sweep_cap2d(width), case_study_cap3d(width))
-    bytes_per_cycle = width / 8.0
+    caps = (sweep_cap2d(SWEEP_WIDTH), case_study_cap3d(SWEEP_WIDTH))
+    bytes_per_cycle = SWEEP_WIDTH / 8.0
     accs = [{k: [] for k in ("model_2d", "model_3d", "oracle_2d", "oracle_3d")}
             for _ in mux_probs]
     for r in range(runs):
         rs = seed + 100 * r
-        streams = _two_streams("gaussian", width, sigma, rho, length, rs)
+        streams = _two_streams("gaussian", length, rs)
         for mp, acc in zip(mux_probs, accs):
             mixed, src = multiplex_streams(streams, mp, seed=rs + 7)
-            trace, stats, m = _mixed_link(mixed.words, src, 2, width)
+            trace, stats, m = _mixed_link(mixed.words, src, 2, SWEEP_WIDTH)
             for cap in caps:
                 rep = link_energy_report(stats, m, cap, TECH, link=f"mux{mp}")
                 orc = exact_energy(trace, cap, TECH)
@@ -455,26 +455,25 @@ def coding_sweep(
     mux_probs=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
     *,
     distribution: str = "gaussian",
-    width: int = 16,
     length: int = 40_000,
     runs: int = 5,
     seed: int = 1,
 ) -> list[dict]:
     """Coding gain of each codec vs mux probability (bit-level oracle).
 
-    Each run multiplexes two streams of ``distribution``, one of
-    ``streams.DISTRIBUTIONS``; ``SWEEP_SIGMA`` and ``SWEEP_RHO`` apply to
-    ``gaussian`` and ``lognormal``.  Codecs that add wires (bus invert) are
+    Each run multiplexes two ``SWEEP_WIDTH``-bit streams of ``distribution``,
+    one of ``streams.DISTRIBUTIONS``; ``SWEEP_SIGMA`` and ``SWEEP_RHO`` apply
+    to ``gaussian`` and ``lognormal``.  Codecs that add wires (bus invert) are
     evaluated against uncoded transmission on the same widened link.
     """
     _check_runs(runs)
-    widths = {name: make_codec(name, width).width_out for name in codec_names}
+    widths = {name: make_codec(name, SWEEP_WIDTH).width_out for name in codec_names}
     caps = {w: (sweep_cap2d(w), case_study_cap3d(w)) for w in set(widths.values())}
     gains = {name: [([], []) for _ in mux_probs] for name in codec_names}
     for r in range(runs):
         rs = seed + 100 * r
-        streams = _two_streams(distribution, width, SWEEP_SIGMA, SWEEP_RHO, length, rs)
-        coded = {name: [make_codec(name, width).encode(s) for s in streams]
+        streams = _two_streams(distribution, length, rs)
+        coded = {name: [make_codec(name, SWEEP_WIDTH).encode(s) for s in streams]
                  for name in codec_names}
         for i, mp in enumerate(mux_probs):
             # one mux for every output width; codecs of one width share its price

@@ -135,14 +135,16 @@ def pixel_source(
     )
 
 
-def raw_byte_source(path, flit_width: int, name: str | None = None) -> PayloadSource:
-    """Raw 8-bit file packed most-significant-first into flit words."""
+def raw_byte_source(path, flit_width: int) -> PayloadSource:
+    """Raw 8-bit file packed most-significant-first into flit words, named
+    by its path."""
     data = np.fromfile(str(path), dtype=np.uint8)
-    return _pack_bytes(data, flit_width, name or str(path))
+    return _pack_bytes(data, flit_width, str(path))
 
 
-def pgm_source(path, flit_width: int, name: str | None = None) -> PayloadSource:
-    """Binary PGM (P5) image, row-major pixels packed into flit words."""
+def pgm_source(path, flit_width: int) -> PayloadSource:
+    """Binary PGM (P5) image, row-major pixels packed into flit words,
+    named by its path."""
     with open(path, "rb") as fh:
         data = fh.read()
     tokens, pos = [], 0
@@ -169,7 +171,7 @@ def pgm_source(path, flit_width: int, name: str | None = None) -> PayloadSource:
     if not 0 < maxval < 256:
         raise TrafficError(f"{path}: only 8-bit PGM images are supported")
     pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    return _pack_bytes(pixels, flit_width, name or str(path))
+    return _pack_bytes(pixels, flit_width, str(path))
 
 
 def _pack_bytes(data: np.ndarray, flit_width: int, name: str) -> PayloadSource:
@@ -254,8 +256,9 @@ def load_traffic_spec(
     """Validate flat flow mappings into flow specs, numbered by position.
 
     Data types are assigned per (source, payload) pair in listed order
-    unless a flow names its ``typeId`` explicitly; the type after the
-    last payload type is reserved for head flits by the simulator.  A
+    unless a flow names its ``typeId`` explicitly, which must be below the
+    number of flows (N flows never need more than N types); the type after
+    the last payload type is reserved for head flits by the simulator.  A
     bad flow's error starts with ``where[i]``, or else with its position.
     """
     specs: list[FlowSpec] = []
@@ -274,6 +277,9 @@ def load_traffic_spec(
             payload = make_payload_source(cfg, flit_width)
             if "typeId" in cfg:
                 type_id = _attr(cfg, "typeId", int)
+                if type_id >= len(flows):
+                    raise TrafficError(
+                        f"typeId {type_id} is not below the flow count {len(flows)}")
                 next_type = max(next_type, type_id + 1)
             else:
                 key = (src, payload.name, cfg.get("seed"))

@@ -61,8 +61,7 @@ def verdict(name: str, ok: bool, detail: str) -> None:
 def packed_run4():
     """4-VC case study with pixel-packed payloads, used by criteria 2 and 8."""
     return run_case_study(
-        4, cycles=200_000, seed=1, payload_kind="pixel-packed",
-        sigma=40.0, rho=0.995, stream_seed=310,
+        4, cycles=200_000, seed=1, payload_kind="pixel-packed", rho=0.995, stream_seed=310,
     )
 
 
@@ -140,7 +139,7 @@ def test_coded_links_against_the_oracle(packed_run4):
 
 
 def test_criterion_3_mux_energy_trend():
-    rows = mux_energy_sweep((0.0, 1.0), width=W, sigma=256.0, rho=0.99, runs=5, seed=1)
+    rows = mux_energy_sweep((0.0, 1.0), runs=5, seed=1)
     lo, hi = rows[0], rows[1]
     r2 = hi["model_2d"] / lo["model_2d"]
     r3 = hi["model_3d"] / lo["model_3d"]
@@ -154,8 +153,7 @@ def test_criterion_3_mux_energy_trend():
 
 
 def test_criterion_4_invert_crossover():
-    rows = coding_sweep(("invert",), (0.0, 1.0), distribution="uniform",
-                        width=W, runs=5, seed=1)
+    rows = coding_sweep(("invert",), (0.0, 1.0), distribution="uniform", runs=5, seed=1)
     at0 = next(r for r in rows if r["mux_prob"] == 0.0)
     at1 = next(r for r in rows if r["mux_prob"] == 1.0)
     ok = (
@@ -198,7 +196,7 @@ def test_criterion_6_standard_model_underestimation():
     # switching that interleaving unrelated packets introduces
     result = run_case_study(
         4, cycles=100_000, seed=1, payload_kind="pixel-packed",
-        rate=0.0075, sigma=40.0, rho=0.9999, stream_seed=410,
+        rate=0.0075, rho=0.9999, stream_seed=410,
     )
     cap2d, cap3d = case_study_cap2d(), case_study_cap3d()
     reports = network_energy_reports(result, cap2d, cap3d)

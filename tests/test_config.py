@@ -53,6 +53,10 @@ def minimal(tmp_path, extra="", node_types=NODE_TYPES):
     return write_config(tmp_path, node_types + TOPOLOGY + extra)
 
 
+# one flow without a flitsPerPacket of its own, which takes <flitsPerPacket>
+ONE_FLOW = '<traffic>\n  <flow src="A" dst="B" rate="0.1" payload="uniform"/>\n</traffic>\n'
+
+
 SECOND_PE_TYPE = """\
     <nodeType id="2">
         <model value="ProcessingElementVC"/>
@@ -114,14 +118,12 @@ def test_broken_config_names_the_element_and_its_line(tmp_path, case):
 
 class TestNodeTypes:
     def test_verbatim_listing_parses(self, tmp_path):
+        # the RouterVC type sets the routers' values (clock 1), the
+        # ProcessingElementVC type the PE clock (2)
         cfg = parse_config(minimal(tmp_path))
-        router = cfg.node_types[0]
-        assert router.model == "RouterVC"
-        assert router.arbitration == "fair"
-        assert router.clock_delay == 1
-        assert cfg.node_types[1].model == "ProcessingElementVC"
-        assert cfg.pe_clock_delay == 2
+        assert cfg.router_cfg.arbitration == "fair"
         assert cfg.router_cfg.clock_delay == 1
+        assert cfg.pe_clock_delay == 2
 
     def test_missing_model_names_node_type(self, tmp_path):
         broken = NODE_TYPES.replace('<model value="RouterVC"/>', "")
@@ -167,19 +169,19 @@ class TestTopLevel:
             parse_config(minimal(tmp_path, extra="<plugins/>\n"))
 
     def test_defaults(self, tmp_path):
-        cfg = parse_config(minimal(tmp_path))
+        cfg = parse_config(minimal(tmp_path, extra=ONE_FLOW))
         assert cfg.flit_width == 16
         assert cfg.router_cfg.vc_count == 1
         assert cfg.router_cfg.buffer_depth == 4
-        assert cfg.flits_per_packet == 32
+        assert cfg.traffic[0].flits_per_packet == 32
         assert cfg.clock_period == 1e-9
 
     def test_explicit_values(self, tmp_path):
         extra = '<vcCount value="4"/>\n<bufferDepth value="8"/>\n<flitsPerPacket value="16"/>\n'
-        cfg = parse_config(minimal(tmp_path, extra=extra))
+        cfg = parse_config(minimal(tmp_path, extra=extra + ONE_FLOW))
         assert cfg.router_cfg.vc_count == 4
         assert cfg.router_cfg.buffer_depth == 8
-        assert cfg.flits_per_packet == 16
+        assert cfg.traffic[0].flits_per_packet == 16
 
     def test_explicit_clock_period(self, tmp_path):
         cfg = parse_config(minimal(tmp_path, extra='<clockPeriod value="2.5e-10"/>\n'))
@@ -334,6 +336,30 @@ class TestTraffic:
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run"),
                      "--cycles", "10"]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("type_id", ["2", "100000", "1000000000000"])
+    def test_type_id_not_below_the_flow_count_rejected(self, tmp_path, capsys, type_id):
+        # a type id sizes each link's M and the observers' type index, so a
+        # large one would fail on memory, after or before the whole run
+        extra = (
+            "<traffic>\n"
+            '  <flow src="A" dst="B" rate="0.1" payload="uniform" typeId="1"/>\n'
+            f'  <flow src="B" dst="A" rate="0.1" payload="uniform" typeId="{type_id}"/>\n'
+            "</traffic>\n"
+        )
+        path = minimal(tmp_path, extra=extra)
+        line = next(i for i, row in enumerate(path.read_text().splitlines(), 1)
+                    if f'typeId="{type_id}"' in row)
+        message = (f"{path}: <flow> at line {line}:"
+                   f" typeId {type_id} is not below the flow count 2")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
+        run = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(run),
+                     "--cycles", "10"]) == 1
+        assert message in capsys.readouterr().err
+        assert list(run.iterdir()) == []
 
     @pytest.mark.parametrize("rate", ["0", "2e-3", " 0.5 ", "1"])
     def test_flow_rate_forms_accepted(self, tmp_path, rate):

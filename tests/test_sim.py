@@ -137,9 +137,9 @@ class TestGoldenLatency:
         flow = FlowSpec(0, 0, "A", "B", 0.0, 4, ramp_payload())
         net = two_node_net(flows=[flow])
         words = [7, 8, 9]
-        flits = [Flit(0, 1, encode_head_word(1, 0, W), True, False, 0, (1, 0, 0), -1, 0)]
+        flits = [Flit(0, 1, encode_head_word(1, 0, W), True, False, (1, 0, 0), -1, 0)]
         flits += [
-            Flit(0, 0, w, False, k == 2, 0, (1, 0, 0), k, 0)
+            Flit(0, 0, w, False, k == 2, (1, 0, 0), k, 0)
             for k, w in enumerate(words)
         ]
         net.sources["A"].enqueue_packet(flits)
@@ -240,10 +240,13 @@ class TestPinnedOutputs:
         assert self.digest(result) == self.SHARED_SOURCE[arbitration]
 
 
-def mesh_net(vc_count, rate, seed):
+def mesh_net(vc_count, rate, seed, reverse=False):
     """A 3x3 mesh in which every node sources two flows to destinations
-    drawn uniformly from the other nodes."""
+    drawn uniformly from the other nodes; ``reverse`` lists its nodes in
+    the reverse order."""
     nodes = {f"N{x}{y}": (x, y, 0) for y in range(3) for x in range(3)}
+    if reverse:
+        nodes = dict(reversed(nodes.items()))
     ids = sorted(nodes)
     rng = np.random.default_rng(31)
     flows = []
@@ -289,6 +292,15 @@ class TestPinnedMesh:
     def test_mesh(self, vc_count, rate):
         result = mesh_net(vc_count, rate, seed=41).run(3_000, check_invariants=True)
         assert ordered_digest(result) == self.PINS[vc_count, rate]
+
+
+class TestNodeOrder:
+    def test_outputs_do_not_depend_on_the_order_of_the_nodes(self):
+        nets = [mesh_net(2, 0.07, seed=41, reverse=reverse) for reverse in (False, True)]
+        for net in nets:
+            for parts in (net.routers, net.sources, net.sinks, net.pes):
+                assert list(parts) == sorted(parts)
+        assert ordered_digest(nets[0].run(2_000)) == ordered_digest(nets[1].run(2_000))
 
 
 class TestConservation:
@@ -638,7 +650,7 @@ class TestInvariantErrors:
         script = textwrap.dedent("""
             import sys
             from noclink.simnet import Flit, RouterConfig, SimulationError, build_network
-            flit = Flit(0, 0, 0, True, True, 0, (1, 0, 0), -1, 0)
+            flit = Flit(0, 0, 0, True, True, (1, 0, 0), -1, 0)
 
             def link(link_id):
                 net = build_network({"A": (0, 0, 0), "B": (1, 0, 0)}, [],

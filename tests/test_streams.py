@@ -14,7 +14,6 @@ from noclink.streams import (
     generate_stream,
     multiplex_streams,
     read_stream_binary,
-    read_stream_csv,
     word_bits,
     write_stream_binary,
     write_stream_csv,
@@ -197,8 +196,8 @@ class TestIO:
         s = generate_stream(StreamSpec("uniform", 12, 50, seed=4))
         p = tmp_path / "s.csv"
         write_stream_csv(p, s)
-        back = read_stream_csv(p, 12)
-        assert np.array_equal(back.words, s.words)
+        back = np.loadtxt(p, dtype=np.int64, ndmin=1).astype(np.uint64)
+        assert np.array_equal(back, s.words)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

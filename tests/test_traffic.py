@@ -298,8 +298,8 @@ def inject_packets(spec, cycles, seed):
     """The (PE cycle, body words) of the packets a PE injects for one flow
     over ``cycles`` PE cycles, driven tick by tick without a network."""
     ni = RecordingNI()
-    pe = PE("A", {"A": 0, "B": 1}, 16, 1, [spec], ni, head_type=1, seed=seed)
-    for cycle, draws in pe.injections(0, cycles):
+    pe = PE("A", {"A": 0, "B": 1}, 16, [spec], ni, head_type=1, seed=seed)
+    for cycle, draws in pe.injections(0, cycles, 1):
         pe.tick(cycle, draws, NODES)
     return ni.packets
 
@@ -318,10 +318,10 @@ class TestInjectPackets:
         rates = [0.1, 0.3]
         flows = [FlowSpec(i, i, "A", "B", rate, 4, simple_source())
                  for i, rate in enumerate(rates)]
-        pe = PE("A", {"A": 0, "B": 1}, 16, 3, flows, RecordingNI(), head_type=2, seed=11)
+        pe = PE("A", {"A": 0, "B": 1}, 16, flows, RecordingNI(), head_type=2, seed=11)
         spans = [(0, 5000), (5000, 5001), (5001, 13001)]
         assert spans[0][0] < CHUNK < spans[0][1] and spans[2][0] < 2 * CHUNK < spans[2][1]
-        got = [hit for lo, hi in spans for hit in pe.injections(lo, hi)]
+        got = [hit for lo, hi in spans for hit in pe.injections(lo, hi, 3)]
         rng = np.random.default_rng(11)
         want = []
         for tick in range(-(-13001 // 3)):
