@@ -170,10 +170,11 @@ def int_list(text: str) -> list[int]:
 
 def cmd_simulate(args) -> int:
     _check_cycles(args.cycles)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = parse_config(args.config)
     net = build_simulation(cfg, seed=args.seed, collect_traces=True)
+    # made once the config is accepted, and checked before the run
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = net.run(args.cycles, check_invariants=args.check_invariants)
     emit_reports(result, out)
     _save_traces(result, out)
@@ -279,7 +280,6 @@ def cmd_sweep(args) -> int:
 def cmd_case_study(args) -> int:
     _check_cycles(args.cycles)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cap2d, cap3d = sweeps.case_study_cap2d(), sweeps.case_study_cap3d()
 
     # performance: identical traffic with and without virtual channels

@@ -196,7 +196,7 @@ def parse_config(path) -> SimulationConfig:
     path = Path(path)
     try:
         root = _parse_with_lines(path.read_text())
-    except (expat.ExpatError, FileNotFoundError) as exc:
+    except expat.ExpatError as exc:
         raise ConfigError(f"{path}: malformed XML: {exc}") from exc
     if root.tag != "simulation":
         raise ConfigError(f"{path}: root element must be <simulation>, got <{root.tag}>")

@@ -59,8 +59,11 @@ Update order within one base cycle is fixed and fully deterministic:
 Routers, source NIs and PEs touch disjoint state within a cycle, so
 their order within a phase does not change a result.  The order in
 which sinks drain fixes the order of the latency lists, so it does.
-Each run starts by recounting the routers' and sinks' buffers and
-rebuilding the wake lists from the network's state.
+A run ends with every wake list exact, so the next run starts from them.
+
+Flits are counted at the network's edge: a source NI adds each packet
+enqueued to the result's injection counts, as a sink NI adds each flit
+drained to its ejection counts.
 
 A link records one event per flit it carries and folds the events into
 its observer's M every ``CHUNK`` cycles and at the end of a run.  An
@@ -480,10 +483,12 @@ class SourceNI:
     It ticks on its network's PE clock, and it is in the network's source
     wake list (``wakes``) exactly while ``backlog`` or ``out.active`` is
     not zero: a packet enqueued while both are zero lists it.  A VC's deque
-    holds flits exactly while the VC is ``ACTIVE``."""
+    holds flits exactly while the VC is ``ACTIVE``.  Each packet enqueued
+    adds itself and its flits to ``result``'s injection counts."""
 
-    def __init__(self, link: Link, vc_count, downstream_depth, arbitration):
+    def __init__(self, link: Link, vc_count, downstream_depth, arbitration, result):
         self.out = OutputPort(link, vc_count, downstream_depth, arbitration)
+        self.result = result
         for ov in self.out.vcs:
             ov.flits = deque()
         # flow id -> (enqueue number, flits) of that flow's queued packets
@@ -499,6 +504,8 @@ class SourceNI:
         fifo = self.fifos.setdefault(flits[0].flow_id, deque())
         fifo.append((self.enqueued_packets, flits))
         self.enqueued_packets += 1
+        self.result.injected_packets += 1
+        self.result.injected_flits += len(flits)
         self.backlog += 1
         if self.backlog > self.max_backlog:
             self.max_backlog = self.backlog
@@ -581,6 +588,9 @@ class PE:
     the flow's rate.  ``injections`` draws the uniforms of a span of ticks
     at once, in the same order, and keeps only the ticks on which some
     flow injects.
+
+    ``packet_counter`` is each flow's one counter: packet k of a flow
+    carries the flow's payload words from k * (flits_per_packet - 1) on.
     """
 
     def __init__(self, node_id, dest_index_of, flit_width,
@@ -593,9 +603,6 @@ class PE:
         self.rng = np.random.default_rng(seed)
         self.dest_index_of = dest_index_of
         self.packet_counter = {f.flow_id: 0 for f in flows}
-        self.word_cursor = {f.flow_id: 0 for f in flows}
-        self.injected_flits = 0
-        self.injected_packets = 0
 
     def injections(self, lo: int, hi: int, clock: int) -> list[tuple[int, list[float]]]:
         """(cycle, uniforms) of each tick of the PE clock ``clock`` in cycles
@@ -621,14 +628,11 @@ class PE:
                 self.dest_index_of[flow.dst], pid, self.flit_width)
             flits = [Flit(flow.flow_id, self.head_type, head_word, True,
                           False, dest, -1, cycle)]
-            base = self.word_cursor[flow.flow_id]
-            self.word_cursor[flow.flow_id] = base + n_body
+            base = pid * n_body
             for k, w in enumerate(flow.payload.take(base, n_body).tolist()):
                 flits.append(Flit(flow.flow_id, flow.type_id, w, False,
                                   k == n_body - 1, dest, base + k, cycle))
             self.ni.enqueue_packet(flits)
-            self.injected_flits += len(flits)
-            self.injected_packets += 1
 
 
 @dataclass
@@ -719,17 +723,6 @@ class Network:
             for part in parts.values():
                 part.wakes = wakes
 
-    def _wake_holders(self) -> None:
-        """Recount the routers' and sinks' buffers and list exactly the
-        components that hold work: state may have changed between runs,
-        and a delivery lists a part only when its count leaves zero."""
-        for router in self.routers.values():
-            router.buffered, router.waiting = router.recount()
-        for sink in self.sinks.values():
-            sink.buffered = sink.occupancy()
-        for _, wakes, parts in self._wake_sets:
-            wakes[:] = [part for part in parts.values() if part.occupancy()]
-
     def check_wake_invariant(self) -> None:
         """No component is missing from its wake list while it holds work."""
         for kind, wakes, parts in self._wake_sets:
@@ -751,11 +744,6 @@ class Network:
         return sum(part.occupancy() for _, _, parts in self._wake_sets
                    for part in parts.values())
 
-    def _flit_balance(self) -> int:
-        """Injected flits less ejected flits less flits in the network."""
-        injected = sum(pe.injected_flits for pe in self.pes.values())
-        return injected - self.result.ejected_flits - self.in_flight()
-
     def check_credit_invariant(self) -> None:
         """Credits plus downstream occupancy equal buffer depth for every
         link and VC, NI-fed links included; valid at cycle boundaries."""
@@ -776,7 +764,10 @@ class Network:
 
         Returns the network's one result, which covers every cycle since
         the network was built: a further run extends and returns the same
-        object.
+        object, and starts from the wake lists the last run left.  With
+        ``check_invariants`` it checks after every cycle the credits, the
+        routers' counts, the wake lists and that every injected flit has
+        been ejected or is in flight.
         """
         result = self.result
         start = result.cycles
@@ -790,10 +781,6 @@ class Network:
 
         pes = self.pes.values()
         dest_coords = self.dest_coords
-        # flits enqueued directly at a source NI enter without a PE count, so
-        # conservation holds this balance fixed rather than at zero
-        balance = self._flit_balance()
-        self._wake_holders()
         staged, flying = self.staged_credits, self.flying_credits
         links_awake, routers_awake = self._links_awake, self._routers_awake
         sinks_awake, sources_awake = self._sinks_awake, self._sources_awake
@@ -839,16 +826,14 @@ class Network:
                     self.check_credit_invariant()
                     self.check_count_invariant()
                     self.check_wake_invariant()
-                    if self._flit_balance() != balance:
+                    lost = result.injected_flits - result.ejected_flits - self.in_flight()
+                    if lost:
                         raise SimulationError(
                             f"flit conservation violated at cycle {cycle}: injected"
-                            f" minus ejected minus in flight moved from {balance}"
-                            f" to {self._flit_balance()}")
+                            f" minus ejected minus in flight is {lost}")
             for link in self.links:
                 link.fold(hi)
 
-        result.injected_flits = sum(pe.injected_flits for pe in pes)
-        result.injected_packets = sum(pe.injected_packets for pe in pes)
         result.in_flight_flits = self.in_flight()
         # traces, like the observers, cover every cycle since the network was built
         for link in self.links:
@@ -928,7 +913,7 @@ def build_network(
         routers[nid].attach_input(LOCAL, up)
         routers[nid].attach_output(LOCAL, down, cfg.buffer_depth)
         sink = SinkNI(down, cfg.vc_count, result)
-        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration)
+        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration, result)
         node_flows = [f for f in flows if f.src == nid]
         pe = PE(nid, dest_index_of, flit_width, node_flows, source, head_type=n_types - 1,
                 seed=np.random.SeedSequence([seed, dest_index_of[nid]]))

@@ -253,11 +253,11 @@ def generate_stream(spec: StreamSpec) -> DataStream:
         return DataStream(stream_draw(spec)(spec.length), spec.width)
     n, width = spec.length, spec.width
     w = np.exp(_ar1_draw(np.random.default_rng(spec.seed), 1.0, spec.rho)(n))
-    std = w.std()
-    if std == 0.0:
+    # a constant series (rho = 1) sits at the offset; its std may round above 0
+    if w.min() == w.max():
         x = np.full(n, _offset(width))
     else:
-        x = (w - w.mean()) / std * spec.sigma + _offset(width)
+        x = (w - w.mean()) / w.std() * spec.sigma + _offset(width)
     return DataStream(_quantize(x, width), width)
 
 
@@ -361,7 +361,7 @@ def read_stream_binary(path) -> DataStream:
 
 
 def write_stream_csv(path, stream: DataStream) -> None:
-    np.savetxt(path, stream.words.astype(np.int64), fmt="%d")
+    np.savetxt(path, stream.words, fmt="%d")
 
 
 def save_matrix_csv(path, matrix: np.ndarray, header: str) -> None:

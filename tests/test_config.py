@@ -216,6 +216,28 @@ class TestTopLevel:
         with pytest.raises(ConfigError, match="malformed"):
             parse_config(path)
 
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        path, run = tmp_path / "nope.xml", tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(run),
+                     "--cycles", "10"]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "malformed" not in err
+        assert not run.exists()
+
+    @pytest.mark.parametrize("node_b, message", [
+        ('x="0"', "nodes 'A' and 'B' share coordinates (0, 0, 0)"),
+        ('x="-1"', "bad coordinates for node 'B': (-1, 0, 0)"),
+    ], ids=["duplicate", "negative"])
+    def test_coordinates_rejected_when_built(self, tmp_path, capsys, node_b, message):
+        # the parser takes any integer coordinates; build_network rejects these
+        body = NODE_TYPES + TOPOLOGY.replace('id="B" x="1"', f'id="B" {node_b}')
+        path, run = write_config(tmp_path, body), tmp_path / "run"
+        parse_config(path)
+        assert main(["simulate", "--config", str(path), "--out", str(run),
+                     "--cycles", "10"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not run.exists()
+
 
 class TestTraffic:
     def test_flow_parsed(self, tmp_path):
@@ -359,7 +381,7 @@ class TestTraffic:
         assert main(["simulate", "--config", str(path), "--out", str(run),
                      "--cycles", "10"]) == 1
         assert message in capsys.readouterr().err
-        assert list(run.iterdir()) == []
+        assert not run.exists()
 
     @pytest.mark.parametrize("rate", ["0", "2e-3", " 0.5 ", "1"])
     def test_flow_rate_forms_accepted(self, tmp_path, rate):

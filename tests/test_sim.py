@@ -154,6 +154,13 @@ class TestGoldenLatency:
         assert result.packet_latencies == [10]
         assert result.ejected_flits == 4
 
+    def test_enqueued_packet_counts_as_injected(self):
+        # the source NI counts what enters, so conservation holds at zero
+        # for a packet enqueued without a PE
+        result = self.run_single_packet()
+        assert (result.injected_packets, result.injected_flits) == (1, 4)
+        assert result.in_flight_flits == 0
+
     def test_flits_arrive_in_order(self):
         result = self.run_single_packet()
         trace = result.link_traces["B->PE_B"]
@@ -757,6 +764,24 @@ class TestInvariantErrors:
         with pytest.raises(SimulationError, match=rf"^{name} is asleep while it holds work$"):
             net.run(200, check_invariants=True)
 
+    def test_flit_lost_by_a_sink_is_caught(self, monkeypatch):
+        # a sink that drops a flit without counting it, though it returns
+        # the flit's credit, breaks only flit conservation
+        tick = SinkNI.tick
+
+        def dropping_tick(sink, cycle):
+            vc = next(vc for vc, buf in enumerate(sink.buffers) if buf)
+            sink.buffers[vc].popleft()
+            sink.in_link.stage_credit(vc)
+            tick(sink, cycle)
+
+        monkeypatch.setattr(SinkNI, "tick", dropping_tick)
+        net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
+        message = (r"^flit conservation violated at cycle \d+:"
+                   r" injected minus ejected minus in flight is 1$")
+        with pytest.raises(SimulationError, match=message):
+            net.run(200, check_invariants=True)
+
     @pytest.mark.parametrize("count", ["buffered", "waiting"])
     def test_stale_router_count_is_caught(self, monkeypatch, count):
         # a delivery that does not raise the downstream router's count would
@@ -802,7 +827,8 @@ class TestRandomMeshes:
     @settings(max_examples=80, deadline=None)
     def test_invariants_hold_and_counts_only_skip_idle_scans(self, mesh):
         # credits, wake sets, router counts and flit conservation are
-        # checked every cycle, over two runs since each run recounts
+        # checked every cycle, over two runs since each run starts from the
+        # wake lists the last one left
         net = build_network(**mesh)
         net.run(150, check_invariants=True)
         result = net.run(50, check_invariants=True)

@@ -42,6 +42,13 @@ class TestGenerate:
         s = generate_stream(StreamSpec("gaussian", 8, 50, sigma=16.0, rho=1.0, seed=1))
         assert np.all(s.words == s.words[0])
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perfectly_correlated_lognormal_sits_at_the_offset(self, seed):
+        # the std of a constant series can round above zero, which once put
+        # seed 1 at the offset plus sigma
+        s = generate_stream(StreamSpec("lognormal", 16, 50, sigma=300.0, rho=1.0, seed=seed))
+        assert s.words.tolist() == [1 << 15] * 50
+
     def test_lognormal_moments(self):
         spec = StreamSpec("lognormal", 16, 50_000, sigma=512.0, rho=0.5, seed=9)
         x = generate_stream(spec).words.astype(np.float64)
@@ -198,6 +205,16 @@ class TestIO:
         write_stream_csv(p, s)
         back = np.loadtxt(p, dtype=np.int64, ndmin=1).astype(np.uint64)
         assert np.array_equal(back, s.words)
+
+    def test_csv_roundtrip_64_bit(self, tmp_path):
+        # words at and past 2**63 are written unsigned, not wrapped negative
+        s = stream([0, 2**63 - 1, 2**63, 2**64 - 1], 64)
+        s = DataStream(np.concatenate((s.words, generate_stream(
+            StreamSpec("uniform", 64, 100, seed=4)).words)), 64)
+        p = tmp_path / "s.csv"
+        write_stream_csv(p, s)
+        assert "-" not in p.read_text()
+        assert np.array_equal(np.loadtxt(p, dtype=np.uint64, ndmin=1), s.words)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "junk.bin"

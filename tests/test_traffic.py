@@ -97,6 +97,21 @@ class TestBuilders:
         with pytest.raises(TrafficError):
             pgm_source(path, 16)
 
+    @pytest.mark.parametrize("data, reason", [
+        (b"P5\n2 2\n", "truncated PGM header"),
+        (b"P5\n# no size\n", "truncated PGM header"),
+        (b"P2\n2 2\n255\n0 1 2 3\n", "not a binary PGM (P5) file"),
+        (b"P5\n2 x\n255\n\0\0\0\0", "malformed PGM header"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "only 8-bit PGM images are supported"),
+        (b"P5\n2 2\n0\n" + bytes(4), "only 8-bit PGM images are supported"),
+    ], ids=["size", "comment", "ascii", "malformed", "16-bit", "maxval-0"])
+    def test_pgm_header_rejections(self, tmp_path, data, reason):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(data)
+        with pytest.raises(TrafficError) as info:
+            pgm_source(path, 16)
+        assert str(info.value) == f"{path}: {reason}"
+
     def test_make_payload_source_synthetic(self):
         src = make_payload_source(
             {"payload": "gaussian", "sigma": "256", "rho": "0.9", "length": "50"}, 16
