@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation or usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -279,7 +280,12 @@ def cmd_sweep(args) -> int:
 
 def cmd_case_study(args) -> int:
     _check_cycles(args.cycles)
+    # an --out that is, or lies below, a file fails before the runs; the
+    # writes after them make the directory, so a failed run leaves none
     out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise FileExistsError(errno.EEXIST, "File exists", str(existing))
     cap2d, cap3d = sweeps.case_study_cap2d(), sweeps.case_study_cap3d()
 
     # performance: identical traffic with and without virtual channels

@@ -84,11 +84,13 @@ class LinkObserver:
         state = np.concatenate(([k - 1 if self._last is None else self._last], t))
         held = state + c * (state < c)  # state's idle twin: 0 <= state < 2c
         gap = at[1:] - at[:-1] - 1
-        into = np.where(gap[:-1] == 0, state[:-1], held[:-1])
         idle = gap > 0
-        counts = np.bincount(np.concatenate((into * k + t, state[idle] * k + held[idle])),
+        into = np.where(idle[:-1], held[:-1], state[:-1])
+        hi = held[idle]
+        counts = np.bincount(np.concatenate((into * k + t, state[idle] * k + hi)),
                              minlength=k * k)
-        np.add.at(counts, held[idle] * (k + 1), gap[idle] - 1)
+        # the held -> held runs of the idle gaps, on the diagonal
+        counts[:: k + 1] += np.bincount(hi, gap[idle] - 1, minlength=k).astype(np.int64)
         if self._last is None:
             # no transition precedes the link's first cycle (held head type or a flit)
             counts[(k - 1) * k + (int(t[0]) if gap[0] == 0 else k - 1)] -= 1

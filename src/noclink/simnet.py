@@ -10,8 +10,9 @@ data-flow matrices fall out of a run for free.
 A router's wiring is one flat record: ``Router.in_vcs`` lists its input
 VCs, each of which knows its port, its link and its VC on that link, and
 ``Router.outputs`` holds one :class:`OutputPort` per port.  An output VC
-points at the input VC that holds it, so a sent flit's credit goes
-straight back to that input VC's link.
+points at the input VC that holds it, and each input VC at the upstream
+output VC that feeds it (``up``), so a sent flit's credit goes straight
+back to where it came from.
 
 The simulator is activity-driven: each phase of a cycle visits only
 the components of its wake list, the ones that hold work.  A component
@@ -20,14 +21,16 @@ its list when the counter leaves zero, and the phase that ticks it keeps
 it only while the counter, read after the tick, is not zero.  No part
 stores a second copy of that fact.
 
-- A link is listed while its register holds a flit: ``put`` lists it,
-  and the delivery phase clears the list.
+- A link is listed while its register holds a flit: the output port that
+  writes the register lists it, and the end of the cycle, which delivers
+  the flit, clears the list.
 - A router or sink NI is listed by the delivery that takes its
   ``buffered`` count from zero; a router stays listed while ``buffered``
   is not zero, and a drain empties a sink.  Each router also counts its
   waiting heads (delivered, not yet allocated an output VC), and a tick
   scans its input VCs for route computation and VC allocation only while
-  one waits.
+  one waits.  Its send stage visits only the output ports that hold an
+  ``ACTIVE`` VC (``Router.sending``).
 - A source NI is listed by the packet enqueued while its ``backlog`` and
   its output's ``active`` VC count are both zero, and stays listed while
   either is not.
@@ -36,25 +39,29 @@ stores a second copy of that fact.
   order of per-tick scalar draws, and acts only on the ticks on which
   some flow injects.
 
-Credits do not wake links.  Whoever takes a flit out of a buffer stages
-its credit with ``Link.stage_credit``; the network keeps the credits
-staged in a cycle and those in flight in two lists, and a credit staged
-at cycle t returns to its upstream output VC at the start of cycle t + 2.
+Credits do not wake links.  Whoever takes a flit out of a buffer, a
+router's input VC or a sink's VC, stages its upstream output VC on the
+network's credit list; the network keeps the credits staged in a cycle
+and those in flight in two lists, and a credit staged at cycle t returns
+to its upstream output VC at the start of cycle t + 2.
 Each credit touches only its own output VC, so the order in which they
 return does not change a result.
 
 Update order within one base cycle is fixed and fully deterministic:
 
 1. the credits in flight return to their output VCs and the staged ones
-   take off; listed links deliver their flits into the downstream buffers,
+   take off,
 2. on a multiple of the router clock delay, listed routers tick (send,
    then, while a head waits, VC allocation and route computation in one
    pass, so information advances one stage per cycle),
 3. on a multiple of the PE clock delay, listed sink NIs drain, in node-id
    order; PEs due to inject on this tick of the PE clock do so; listed
    source NIs send,
-4. listed links, each holding the flit put this cycle, record it; idle
-   cycles cost nothing.
+4. listed links, each holding the flit put this cycle, record it and
+   then deliver it into its downstream buffer; idle cycles cost nothing.
+   A flit so delivered at the end of cycle t is in its buffer exactly
+   when it would be had it been delivered at the start of t + 1, since
+   phase 1 touches only output VCs.
 
 Routers, source NIs and PEs touch disjoint state within a cycle, so
 their order within a phase does not change a result.  The order in
@@ -189,11 +196,10 @@ class Link:
     """One-cycle register from an upstream :class:`OutputPort` into the
     downstream per-VC ``buffers``, with an observer.
 
-    The output port sets ``out_port`` and the downstream router input or
-    sink NI sets ``buffers``, so a link delivers flits without going
-    through either end.  ``stage_credit`` hands a freed buffer slot's
-    credit to ``credits``, its network's list of credits staged this
-    cycle, which returns it to ``out_port`` two cycles later.
+    The output port sets ``out_port`` and writes the register
+    (``reg_flit`` on VC ``reg_vc``); the downstream router input or sink NI
+    sets ``buffers``, so a link delivers flits without going through
+    either end.
 
     ``down`` is the router or sink NI that owns ``buffers``; a delivery
     counts the flit there and lists it in its wake list when its count
@@ -207,8 +213,8 @@ class Link:
 
     __slots__ = (
         "link_id", "out_port", "buffers", "down", "observer", "vertical", "reg_flit",
-        "reg_vc", "credits", "chunk_cycles", "chunk_types", "chunk_words",
-        "chunk_flows", "chunk_indices", "chunks", "wakes",
+        "reg_vc", "chunk_cycles", "chunk_types", "chunk_words", "chunk_flows",
+        "chunk_indices", "chunks", "wakes",
     )
 
     def __init__(self, link_id, n_types, vertical=False, collect_trace=False):
@@ -220,23 +226,12 @@ class Link:
         self.vertical = vertical
         self.reg_flit: Flit | None = None
         self.reg_vc = 0
-        self.credits: list[OutputVC] = []
         self.chunks: list[tuple[np.ndarray, ...]] | None = [] if collect_trace else None
         self._start_chunk()
         self.wakes: list[Link] = []
 
     def occupancy(self) -> int:
         return 0 if self.reg_flit is None else 1
-
-    def put(self, flit: Flit, vc: int) -> None:
-        if self.reg_flit is not None:
-            raise SimulationError(f"{self.link_id}: link register busy")
-        self.reg_flit = flit
-        self.reg_vc = vc
-        self.wakes.append(self)
-
-    def stage_credit(self, vc: int) -> None:
-        self.credits.append(self.out_port.vcs[vc])
 
     def deliver(self) -> None:
         """Move the flit in the register into its downstream buffer."""
@@ -282,17 +277,19 @@ class Link:
 
 class InputVC:
     """One VC of a router input port: the ``buffer`` that ``link`` fills on
-    its VC ``vc``, the ``port`` it sits on, the :class:`OutputPort` its head
-    was routed to (``route``) and whether it holds a VC there
-    (``allocated``)."""
+    its VC ``vc``, the ``port`` it sits on, the upstream :class:`OutputVC`
+    that a flit leaving the buffer gives its credit back to (``up``), the
+    :class:`OutputPort` its head was routed to (``route``) and whether it
+    holds a VC there (``allocated``)."""
 
-    __slots__ = ("buffer", "link", "vc", "port", "route", "allocated")
+    __slots__ = ("buffer", "link", "vc", "port", "up", "route", "allocated")
 
     def __init__(self, link: Link, vc: int, port: int):
         self.buffer: deque[Flit] = deque()
         self.link = link
         self.vc = vc
         self.port = port
+        self.up = link.out_port.vcs[vc]
         self.route: OutputPort | None = None
         self.allocated = False
 
@@ -324,6 +321,8 @@ class OutputPort:
     ``active`` counts the VCs in state ``ACTIVE``; whoever claims a VC
     counts it, and ``send`` uncounts it with the tail.  A ``DRAINING`` VC
     frees once :func:`accept_credits` has brought all its credits back.
+    ``send`` writes the flit into its link's register and lists the link
+    in its wake list.
     """
 
     __slots__ = ("link", "vcs", "depth", "orders", "rr", "active")
@@ -348,9 +347,13 @@ class OutputPort:
             ov = vcs[idx]
             if ov.state != ACTIVE or ov.credits == 0 or not ov.flits:
                 continue
-            flit = ov.flits.popleft()
+            link = self.link
+            if link.reg_flit is not None:
+                raise SimulationError(f"{link.link_id}: link register busy")
+            flit = link.reg_flit = ov.flits.popleft()
+            link.reg_vc = idx
+            link.wakes.append(link)
             ov.credits -= 1
-            self.link.put(flit, idx)
             if flit.is_tail:
                 ov.state = DRAINING
                 self.active -= 1
@@ -377,8 +380,14 @@ class Router:
 
     ``in_vcs`` lists its input VCs in (port, VC) order, the order in which
     a tick visits them, and ``outputs[port]`` is the :class:`OutputPort`
-    of each output link, or None where the router has none; ``ports``
-    lists the present ones in port order.
+    of each output link, or None where the router has none.  ``sending``
+    lists the output ports that hold an ``ACTIVE`` VC, the only ones the
+    send stage visits: VC allocation lists a port as it claims the port's
+    first VC, and the tick that sends the tail on its last active VC drops
+    it.  Ports send independently of one another, so the order of
+    ``sending`` does not change a result.  A flit that leaves an input
+    buffer stages its input VC's ``up`` on ``credits``, its network's list
+    of credits staged this cycle.
 
     ``buffered`` counts the flits in the input buffers and ``waiting`` the
     heads delivered and not yet allocated an output VC: links raise both
@@ -396,12 +405,15 @@ class Router:
         self.cfg = cfg
         self.in_vcs: list[InputVC] = []
         self.outputs: list[OutputPort | None] = [None] * len(PORT_NAMES)
-        self.ports: list[OutputPort] = []
+        self.sending: list[OutputPort] = []
         self.buffered = 0
         self.waiting = 0
+        self.credits: list[OutputVC] = []
         self.wakes: list[Router] = []
 
     def attach_input(self, port: int, link: Link) -> None:
+        """Buffer ``link``'s flits on input ``port``; its output port, which
+        takes the credits back, must exist."""
         vcs = [InputVC(link, vc, port) for vc in range(self.cfg.vc_count)]
         link.buffers = [ivc.buffer for ivc in vcs]
         link.down = self
@@ -411,7 +423,6 @@ class Router:
     def attach_output(self, port: int, link: Link, downstream_depth: int) -> None:
         self.outputs[port] = OutputPort(
             link, self.cfg.vc_count, downstream_depth, self.cfg.arbitration)
-        self.ports = [op for op in self.outputs if op is not None]
 
     def occupancy(self) -> int:
         return sum(len(ivc.buffer) for ivc in self.in_vcs)
@@ -424,18 +435,18 @@ class Router:
 
     def tick(self) -> None:
         # stage 3: output arbitration and sending, on ports with an active VC
-        for op in self.ports:
-            if not op.active:
-                continue
+        for op in self.sending:
             ov = op.send()
             if ov is None:
                 continue
             self.buffered -= 1
             src = ov.src
-            src.link.stage_credit(src.vc)
+            self.credits.append(src.up)
             if ov.state == DRAINING:  # the tail just left
                 src.route = None
                 src.allocated = False
+                if not op.active:  # a new list: this loop goes on over the old one
+                    self.sending = [p for p in self.sending if p.active]
         # stages 2 and 1 in one pass: VC allocation for heads routed in an
         # earlier tick, route computation for newly arrived heads (which
         # are allocated in a later tick at the earliest)
@@ -459,6 +470,8 @@ class Router:
             for ov in op.vcs:
                 if ov.state == FREE:
                     ov.state = ACTIVE
+                    if not op.active:
+                        self.sending.append(op)
                     op.active += 1
                     ov.flits = buf
                     ov.src = ivc
@@ -518,20 +531,23 @@ class SourceNI:
         out = self.out
         if self.backlog:
             vcs = out.vcs
-            busy = None
             for ov in vcs:
                 if ov.state != FREE:
                     continue
-                if busy is None:
-                    busy = {ov.flow_id for ov in vcs if ov.state != FREE}
-                first = min(((fifo[0][0], flow) for flow, fifo in self.fifos.items()
-                             if fifo and flow not in busy), default=None)
-                if first is None:
+                # the packet enqueued first among the flows no VC carries
+                first = flow = None
+                for f, fifo in self.fifos.items():
+                    if not fifo or (first is not None and fifo[0][0] > first):
+                        continue
+                    for other in vcs:
+                        if other.flow_id == f and other.state != FREE:
+                            break
+                    else:
+                        first, flow = fifo[0][0], f
+                if flow is None:
                     break
-                flow = first[1]
                 ov.flits.extend(self.fifos[flow].popleft()[1])
                 self.backlog -= 1
-                busy.add(flow)
                 ov.state = ACTIVE
                 out.active += 1
                 ov.flow_id = flow
@@ -545,7 +561,9 @@ class SinkNI:
     """Consumes ejected flits, returns credits and records latency.  A
     delivery lists it and the next PE-clock cycle drains it, listed sinks
     in node-id order (``rank``).  Deliveries raise ``buffered`` and
-    ``waiting`` here as at a router, and a drain zeroes them."""
+    ``waiting`` here as at a router, and a drain zeroes them.  Each flit
+    drained stages its VC's upstream :class:`OutputVC` on ``credits``, as
+    at a router."""
 
     def __init__(self, in_link: Link, vc_count, result):
         self.in_link = in_link
@@ -556,6 +574,7 @@ class SinkNI:
         self.buffered = 0
         self.waiting = 0
         self.rank = 0
+        self.credits: list[OutputVC] = []
         self.wakes: list[SinkNI] = []
 
     def occupancy(self) -> int:
@@ -563,10 +582,11 @@ class SinkNI:
 
     def tick(self, cycle: int) -> None:
         res = self.result
-        for vc, buf in enumerate(self.buffers):
+        credits = self.credits
+        for buf, up in zip(self.buffers, self.in_link.out_port.vcs):
             while buf:
                 flit = buf.popleft()
-                self.in_link.stage_credit(vc)
+                credits.append(up)
                 res.flit_latencies.append(cycle - flit.inject_cycle)
                 res.ejected_flits += 1
                 if not flit.is_head:
@@ -707,8 +727,8 @@ class Network:
             sink.rank = rank
         self.staged_credits: list[OutputVC] = []
         self.flying_credits: list[OutputVC] = []
-        for link in links:
-            link.credits = self.staged_credits
+        for part in (*routers.values(), *sinks.values()):
+            part.credits = self.staged_credits
         self._links_awake: list[Link] = []
         self._routers_awake: list[Router] = []
         self._sinks_awake: list[SinkNI] = []
@@ -732,13 +752,21 @@ class Network:
                     raise SimulationError(f"{kind} {name} is asleep while it holds work")
 
     def check_count_invariant(self) -> None:
-        """Each router's ``buffered`` and ``waiting`` match a recount."""
+        """Each router's ``buffered`` and ``waiting`` match a recount, and
+        ``sending`` lists each output port with an active VC once."""
         for name, router in self.routers.items():
             counts = (router.buffered, router.waiting)
             if counts != router.recount():
                 raise SimulationError(
                     f"router {name}: buffered {counts[0]}, waiting {counts[1]} counted;"
                     f" recount gives {router.recount()}")
+            outputs = router.outputs
+            sending = sorted(PORT_NAMES[outputs.index(op)] for op in router.sending)
+            active = sorted(PORT_NAMES[p] for p, op in enumerate(outputs)
+                            if op is not None and op.active)
+            if sending != active:
+                raise SimulationError(f"router {name}: sending from {sending};"
+                                      f" the ports with an active VC are {active}")
 
     def in_flight(self) -> int:
         return sum(part.occupancy() for _, _, parts in self._wake_sets
@@ -802,9 +830,6 @@ class Network:
                 if staged:
                     flying.extend(staged)
                     staged.clear()
-                for link in links_awake:
-                    link.deliver()
-                links_awake.clear()
                 if cycle % router_clock == 0:
                     for router in routers_awake:
                         router.tick()
@@ -822,6 +847,8 @@ class Network:
                                         if s.backlog or s.out.active]
                 for link in links_awake:
                     link.observe(cycle)
+                    link.deliver()
+                links_awake.clear()
                 if check_invariants:
                     self.check_credit_invariant()
                     self.check_count_invariant()
@@ -910,10 +937,10 @@ def build_network(
         up = Link(f"PE_{nid}->{nid}", n_types, collect_trace=collect_traces)
         down = Link(f"{nid}->PE_{nid}", n_types, collect_trace=collect_traces)
         links.extend([up, down])
+        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration, result)
         routers[nid].attach_input(LOCAL, up)
         routers[nid].attach_output(LOCAL, down, cfg.buffer_depth)
         sink = SinkNI(down, cfg.vc_count, result)
-        source = SourceNI(up, cfg.vc_count, cfg.buffer_depth, cfg.arbitration, result)
         node_flows = [f for f in flows if f.src == nid]
         pe = PE(nid, dest_index_of, flit_width, node_flows, source, head_type=n_types - 1,
                 seed=np.random.SeedSequence([seed, dest_index_of[nid]]))

@@ -180,6 +180,28 @@ class TestCaseStudy:
         assert [float(row["gain_percent"]) for row in coding if row["codec"] == "none"] == [
             0.0, 0.0]
 
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_is_a_file_exits_1_before_simulating(
+            self, tmp_path, monkeypatch, capsys, inside):
+        taken = tmp_path / "cs"
+        taken.write_text("not a directory")
+
+        def run_case_study(*args, **kwargs):
+            raise AssertionError("simulated before checking --out")
+
+        monkeypatch.setattr(sweeps, "run_case_study", run_case_study)
+        out = taken / "sub" if inside else taken
+        assert main(["case-study", "--cycles", "3000", "--out", str(out)]) == 1
+        assert f"File exists: '{taken}'" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory"
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_bad_seed_exits_1_and_leaves_no_out(self, tmp_path, capsys):
+        out = tmp_path / "cs"
+        assert main(["case-study", "--cycles", "100", "--seed", "-1", "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_cap_files_match_the_default_templates(self, recorded_run, tmp_path, cap_files):

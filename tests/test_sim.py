@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from noclink import simnet
 from noclink.linkmodel import DataFlowMatrix
 from noclink.oracle import TRACE_COLUMNS
 from noclink.reporting import IDLE, LinkObserver, data_flow_from_trace
@@ -28,6 +29,7 @@ from noclink.simnet import (
     Flit,
     FlowSpec,
     Link,
+    OutputPort,
     Router,
     RouterConfig,
     SimulationError,
@@ -627,21 +629,24 @@ class TestWiring:
         # each (link, VC) gets back one credit per flit it delivered that
         # has left the buffer it was delivered into
         delivered, returned = Counter(), Counter()
-        deliver, stage_credit = Link.deliver, Link.stage_credit
+        deliver, accept = Link.deliver, simnet.accept_credits
 
         def counted_deliver(link):
             if link.reg_flit is not None:
                 delivered[link, link.reg_vc] += 1
             deliver(link)
 
-        def counted_credit(link, vc):
-            returned[link, vc] += 1
-            stage_credit(link, vc)
+        def counted_accept(credits):
+            returned.update((ov.port.link, ov.vc) for ov in credits)
+            accept(credits)
 
         monkeypatch.setattr(Link, "deliver", counted_deliver)
-        monkeypatch.setattr(Link, "stage_credit", counted_credit)
+        monkeypatch.setattr(simnet, "accept_credits", counted_accept)
         net = case_net(2, rate=0.05, seed=3)
         net.run(3_000, check_invariants=True)
+        # credits staged in the last two cycles have not come back yet
+        returned.update((ov.port.link, ov.vc)
+                        for ov in net.staged_credits + net.flying_credits)
         held = Counter({(link, vc): len(buf) for link in net.links
                         for vc, buf in enumerate(link.buffers)})
         assert sum(returned.values()) > 1_000
@@ -656,7 +661,9 @@ class TestInvariantErrors:
         # to a source-NI port
         script = textwrap.dedent("""
             import sys
-            from noclink.simnet import Flit, RouterConfig, SimulationError, build_network
+            from collections import deque
+            from noclink.simnet import (ACTIVE, Flit, RouterConfig, SimulationError,
+                                        build_network)
             flit = Flit(0, 0, 0, True, True, (1, 0, 0), -1, 0)
 
             def link(link_id):
@@ -664,17 +671,24 @@ class TestInvariantErrors:
                                     router_cfg=RouterConfig(), seed=0)
                 return net, next(lk for lk in net.links if lk.link_id == link_id)
 
+            def send(lk):
+                # the link's output port sends the flit on VC 0
+                ov = lk.out_port.vcs[0]
+                ov.state, ov.flits = ACTIVE, deque([flit])
+                lk.out_port.active += 1
+                lk.out_port.send()
+
             def busy_register(net, lk):
-                lk.put(flit, 0)
-                lk.put(flit, 0)
+                send(lk)
+                send(lk)
 
             def full_buffer(net, lk):
                 lk.buffers[0].extend([flit] * lk.out_port.depth)
-                lk.put(flit, 0)
+                send(lk)
                 lk.deliver()
 
             def extra_credit(net, lk):
-                lk.stage_credit(0)
+                net.staged_credits.append(lk.out_port.vcs[0])
                 net.run(2)
 
             for check, link_id in [(busy_register, "A->B"), (full_buffer, "A->B"),
@@ -722,11 +736,15 @@ class TestInvariantErrors:
     def test_sleeping_link_with_a_flit_is_caught(self, monkeypatch):
         # a link that is not woken when a flit enters its register would
         # never deliver it; the check names the link
-        def put_without_wake(link, flit, vc):
-            link.reg_flit = flit
-            link.reg_vc = vc
+        send = OutputPort.send
 
-        monkeypatch.setattr(Link, "put", put_without_wake)
+        def send_without_wake(port):
+            ov = send(port)
+            if ov is not None:
+                port.link.wakes.remove(port.link)
+            return ov
+
+        monkeypatch.setattr(OutputPort, "send", send_without_wake)
         net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
         with pytest.raises(SimulationError,
                            match=r"^link PE_A->A is asleep while it holds work$"):
@@ -772,7 +790,7 @@ class TestInvariantErrors:
         def dropping_tick(sink, cycle):
             vc = next(vc for vc, buf in enumerate(sink.buffers) if buf)
             sink.buffers[vc].popleft()
-            sink.in_link.stage_credit(vc)
+            sink.credits.append(sink.in_link.out_port.vcs[vc])
             tick(sink, cycle)
 
         monkeypatch.setattr(SinkNI, "tick", dropping_tick)
@@ -780,6 +798,21 @@ class TestInvariantErrors:
         message = (r"^flit conservation violated at cycle \d+:"
                    r" injected minus ejected minus in flight is 1$")
         with pytest.raises(SimulationError, match=message):
+            net.run(200, check_invariants=True)
+
+    def test_port_left_off_the_send_list_is_caught(self, monkeypatch):
+        # a port that VC allocation does not list would never send; the
+        # check names the router and the ports
+        allocate = Router._allocate
+
+        def allocate_unlisted(router):
+            allocate(router)
+            router.sending.clear()
+
+        monkeypatch.setattr(Router, "_allocate", allocate_unlisted)
+        net = two_node_net(flows=[FlowSpec(0, 0, "A", "B", 0.2, 4, ramp_payload())])
+        with pytest.raises(SimulationError, match=r"^router A: sending from \[\];"
+                           r" the ports with an active VC are \['x\+'\]$"):
             net.run(200, check_invariants=True)
 
     @pytest.mark.parametrize("count", ["buffered", "waiting"])
@@ -822,35 +855,6 @@ def random_meshes(draw):
                 pe_clock_delay=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
 
 
-class TestRandomMeshes:
-    @given(random_meshes())
-    @settings(max_examples=80, deadline=None)
-    def test_invariants_hold_and_counts_only_skip_idle_scans(self, mesh):
-        # credits, wake sets, router counts and flit conservation are
-        # checked every cycle, over two runs since each run starts from the
-        # wake lists the last one left
-        net = build_network(**mesh)
-        net.run(150, check_invariants=True)
-        result = net.run(50, check_invariants=True)
-        assert result.injected_flits == result.ejected_flits + result.in_flight_flits
-
-        # a router that scans its input VCs on every tick, whether or not a
-        # head waits, gives the same outputs
-        tick = Router.tick
-
-        def scanning_tick(router):
-            router.waiting += 1
-            tick(router)
-            router.waiting -= 1
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Router, "tick", scanning_tick)
-            ref = build_network(**mesh)
-            ref.run(150)
-            ref_result = ref.run(50)
-        assert ordered_digest(result) == ordered_digest(ref_result)
-
-
 @st.composite
 def sparse_meshes(draw):
     """2-12 nodes drawn from a 3x3x3 box, with random flows between the
@@ -877,6 +881,37 @@ def sparse_meshes(draw):
     return dict(nodes=nodes, flows=flows, flit_width=W, router_cfg=cfg,
                 pe_clock_delay=draw(st.integers(1, 2)), collect_traces=True,
                 seed=draw(st.integers(0, 2**16)))
+
+
+class TestRandomMeshes:
+    @given(st.one_of(random_meshes(), sparse_meshes()))
+    @settings(max_examples=160, deadline=None)
+    def test_invariants_hold_and_counts_only_skip_idle_scans(self, mesh):
+        # credits, wake sets, router counts and flit conservation are
+        # checked every cycle, over two runs since each run starts from the
+        # wake lists the last one left
+        net = build_network(**mesh)
+        net.run(150, check_invariants=True)
+        result = net.run(50, check_invariants=True)
+        assert result.injected_flits == result.ejected_flits + result.in_flight_flits
+
+        # a router that visits every output port and scans its input VCs on
+        # every tick, whether or not a port has an active VC or a head waits,
+        # gives the same outputs
+        tick = Router.tick
+
+        def scanning_tick(router):
+            router.sending = [op for op in router.outputs if op is not None]
+            router.waiting += 1
+            tick(router)
+            router.waiting -= 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Router, "tick", scanning_tick)
+            ref = build_network(**mesh)
+            ref.run(150)
+            ref_result = ref.run(50)
+        assert ordered_digest(result) == ordered_digest(ref_result)
 
 
 class TestSparseMeshes:
